@@ -1,0 +1,62 @@
+"""Exact affine Weyl group arithmetic and affine Schubert calculus.
+
+The package computes, for every simple Lie type: root data and affine Dynkin
+diagrams, finite and affine Weyl group element algebra, minimal coset
+representatives and their Bruhat order, the star product on affine Schubert
+classes with its segment factorization, divisor-class cohomology of the Levi
+orbit quotients, and the resulting chain / duality / smooth-generator
+classifications.  All arithmetic is exact.
+"""
+
+from .cartan import (
+    LieType,
+    RootDatum,
+    convention_hash,
+    coroot_of,
+    diagram_automorphisms,
+    exponents,
+    fundamental_coweight,
+    minuscule_nodes,
+    pairing,
+    parse_type,
+    root_datum,
+)
+from .weyl import GradedPoly, WeylElem, min_coset_reps, quotient_poincare, weyl_order
+from .affine import (
+    AffineElem,
+    MinRepLevels,
+    antidominant_equivalences,
+    bruhat_leq,
+    enumerate_minreps,
+    format_element,
+    is_antidominant,
+    is_min_rep,
+    length_bfs_oracle,
+    min_rep,
+    parse_element,
+    reduced_word,
+    seed_translation,
+    translation,
+)
+from .schubert import (
+    SchubertClass,
+    check_generator_powers,
+    generator_class,
+    schubert_poincare,
+    segment_factorize,
+    segments,
+    star,
+    star_refactor_check,
+)
+from .cohomology import (
+    PDStatus,
+    c1_class,
+    chain_coeffs,
+    chevalley_divisor_mult,
+    levi_nodes,
+    thom_pd_status,
+)
+from .classify import TypeReport, bott_nodes, classify_all, type_report
+from .errors import BoundExceededError, ParseError
+
+__version__ = "0.1.0"

@@ -1,0 +1,396 @@
+"""Root data for the simple Lie types, in exact integer arithmetic.
+
+Conventions, fixed here once and relied on by every other module:
+
+* Finite Dynkin nodes carry the Bourbaki labels ``1..rank``; label ``0`` is the
+  extra node of the untwisted affine diagram.  Coordinate vectors are 0-based
+  tuples, so ``coords[i]`` is the coefficient of the simple (co)root at node
+  ``i + 1``.
+* The Cartan matrix is ``A[i][j] = <coroot of node i+1, root of node j+1>``,
+  so ``A[i][:]`` pairs the coroot ``alpha_{i+1}^v`` against each simple root.
+* ``symmetrizers`` are the minimal positive integers ``d`` with
+  ``d[i]*A[i][j]`` symmetric; a node is long iff ``d[i] == max(d)``.
+* No floats anywhere: integers, and Fractions where coweights need them.
+
+>>> parse_type("C1")
+LieType(family='A', rank=1)
+>>> len(root_datum(parse_type("G2")).pos_roots)
+6
+"""
+
+from __future__ import annotations
+
+import functools
+import hashlib
+import math
+import re
+from dataclasses import dataclass, field
+from fractions import Fraction
+
+from .errors import ParseError
+
+Vec = tuple[int, ...]
+Matrix = tuple[Vec, ...]
+
+FAMILIES = "ABCDEFG"
+
+# (family, rank) pairs that are re-labelings of another diagram
+_ALIASES = {("C", 1): ("A", 1), ("B", 2): ("C", 2), ("D", 3): ("A", 3)}
+
+
+@dataclass(frozen=True)
+class LieType:
+    """A validated simple-type label, e.g. G2 or D5."""
+
+    family: str
+    rank: int
+
+    def __str__(self) -> str:
+        return f"{self.family}{self.rank}"
+
+
+_LABEL_RE = re.compile(r"^([A-Ga-g])([0-9]+)$")
+
+
+def parse_type(label: str) -> LieType:
+    """Parse a type label such as ``"E7"`` into a canonical LieType.
+
+    Aliases C1, B2, D3 normalize to A1, C2, A3.  Raises ParseError on a
+    malformed label or a rank outside the family's bounds.
+    """
+    m = _LABEL_RE.match(label.strip())
+    if not m:
+        raise ParseError(
+            f"malformed type label {label!r}: expected <letter><digits> with letter in A..G"
+        )
+    family, rank = m.group(1).upper(), int(m.group(2))
+    _check_rank(family, rank)
+    family, rank = _ALIASES.get((family, rank), (family, rank))
+    return LieType(family, rank)
+
+
+def _check_rank(family: str, rank: int) -> None:
+    ok, bound = {
+        "A": (rank >= 1, "A requires rank >= 1"),
+        "B": (rank >= 2, "B requires rank >= 2"),
+        "C": (rank >= 1, "C requires rank >= 1"),
+        "D": (rank >= 3, "D requires rank >= 4 (D3 is accepted as an alias of A3)"),
+        "E": (rank in (6, 7, 8), "E requires rank in {6, 7, 8}"),
+        "F": (rank == 4, "F requires rank = 4"),
+        "G": (rank == 2, "G requires rank = 2"),
+    }[family]
+    if not ok:
+        raise ParseError(f"rank {rank} out of bounds: {bound}")
+
+
+def _cartan_matrix(family: str, n: int) -> Matrix:
+    """Cartan matrix in Bourbaki numbering (0-based indices)."""
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def bond(i: int, j: int, aij: int = -1, aji: int = -1) -> None:
+        a[i][j] = aij
+        a[j][i] = aji
+
+    if family == "A":
+        for i in range(n - 1):
+            bond(i, i + 1)
+    elif family == "B":  # alpha_n short
+        for i in range(n - 2):
+            bond(i, i + 1)
+        bond(n - 2, n - 1, -1, -2)
+    elif family == "C":  # alpha_n long
+        for i in range(n - 2):
+            bond(i, i + 1)
+        bond(n - 2, n - 1, -2, -1)
+    elif family == "D":
+        for i in range(n - 3):
+            bond(i, i + 1)
+        bond(n - 3, n - 2)
+        bond(n - 3, n - 1)
+    elif family == "E":
+        chain = [1, 3, 4, 5, 6, 7, 8][: n - 1]
+        for u, v in zip(chain, chain[1:]):
+            bond(u - 1, v - 1)
+        bond(2 - 1, 4 - 1)
+    elif family == "F":
+        bond(0, 1)
+        bond(1, 2, -1, -2)  # alpha_1, alpha_2 long
+        bond(2, 3)
+    elif family == "G":
+        bond(0, 1, -3, -1)  # alpha_1 short, alpha_2 long
+    return tuple(tuple(row) for row in a)
+
+
+def _symmetrizers(cartan: Matrix) -> Vec:
+    """Minimal positive integers d with d[i]*A[i][j] symmetric."""
+    n = len(cartan)
+    d: list[Fraction | None] = [None] * n
+    d[0] = Fraction(1)
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        for j in range(n):
+            if i != j and cartan[i][j] != 0 and d[j] is None:
+                d[j] = d[i] * cartan[i][j] / cartan[j][i]
+                todo.append(j)
+    assert all(x is not None for x in d), "diagram must be connected"
+    scale = math.lcm(*(x.denominator for x in d))
+    ints = [int(x * scale) for x in d]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def _positive_roots(cartan: Matrix) -> tuple[Vec, ...]:
+    """All positive roots, generated height by height via root strings.
+
+    alpha + alpha_i is a root iff the alpha_i-string through alpha ascends,
+    i.e. q = p - <alpha_i^v, alpha> >= 1 where p counts how far the string
+    descends.  Processing by height keeps the descent side already known.
+    """
+    n = len(cartan)
+    simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    roots: set[Vec] = set(simple)
+    frontier = list(simple)
+    while frontier:
+        new: list[Vec] = []
+        for alpha in frontier:
+            for i in range(n):
+                pair = sum(cartan[i][j] * alpha[j] for j in range(n))
+                p = 0
+                down = alpha
+                while True:
+                    down = tuple(c - int(j == i) for j, c in enumerate(down))
+                    if down in roots:
+                        p += 1
+                    else:
+                        break
+                if p - pair >= 1:
+                    up = tuple(c + int(j == i) for j, c in enumerate(alpha))
+                    if up not in roots:
+                        roots.add(up)
+                        new.append(up)
+        frontier = new
+    return tuple(sorted(roots, key=lambda v: (sum(v), v)))
+
+
+@dataclass(frozen=True, eq=False)
+class RootDatum:
+    """Everything the rest of the engine needs to know about one simple type.
+
+    Instances are interned by :func:`root_datum`, so identity comparison is
+    the intended equality.  All fields are immutable after construction.
+    """
+
+    lie_type: LieType
+    cartan: Matrix
+    symmetrizers: Vec
+    pos_roots: tuple[Vec, ...]  # root-basis coords, sorted by (height, lex)
+    pos_coroots: tuple[Vec, ...]  # coroot coords of pos_roots[k]^v
+    pairing_rows: tuple[Vec, ...]  # row r with <mu, pos_roots[k]> = sum(mu[i]*r[i])
+    highest_root: Vec
+    highest_coroot: Vec  # coroot coords of highest_root^v
+    exponents: Vec
+    affine_cartan: Matrix  # (rank+1)^2, index 0 = affine node, i>=1 = label i
+    _index: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def rank(self) -> int:
+        return self.lie_type.rank
+
+    def root_index(self, alpha: Vec) -> int:
+        """Index of a positive root in pos_roots, or raise ValueError."""
+        if not self._index:
+            self._index.update({r: k for k, r in enumerate(self.pos_roots)})
+        try:
+            return self._index[alpha]
+        except KeyError:
+            raise ValueError(f"{alpha} is not a positive root of {self.lie_type}") from None
+
+    def is_root(self, alpha: Vec) -> bool:
+        if any(c > 0 for c in alpha) and any(c < 0 for c in alpha):
+            return False
+        probe = alpha if any(c > 0 for c in alpha) else tuple(-c for c in alpha)
+        try:
+            self.root_index(probe)
+            return True
+        except ValueError:
+            return False
+
+    def is_long(self, label: int) -> bool:
+        """Whether the simple root at a finite node label is long."""
+        return self.symmetrizers[label - 1] == max(self.symmetrizers)
+
+    def affine_neighbors(self) -> frozenset[int]:
+        """Finite node labels adjacent to node 0 in the affine diagram."""
+        return frozenset(
+            j for j in range(1, self.rank + 1) if self.affine_cartan[0][j] != 0
+        )
+
+
+def pairing(datum: RootDatum, lam: tuple, alpha: tuple) -> int:
+    """<lam, alpha> for lam in coroot coordinates and alpha in root coordinates."""
+    n = datum.rank
+    if len(lam) != n or len(alpha) != n:
+        raise ValueError(f"rank mismatch: expected vectors of length {n}")
+    a = datum.cartan
+    return sum(lam[i] * a[i][j] * alpha[j] for i in range(n) for j in range(n))
+
+
+def root_norm_half(datum: RootDatum, alpha: Vec) -> int:
+    """(alpha, alpha)/2 in the units where symmetrizers[i] = (alpha_i, alpha_i)/2."""
+    d = datum.symmetrizers
+    a = datum.cartan
+    n = datum.rank
+    norm2 = sum(alpha[i] * alpha[j] * d[i] * a[i][j] for i in range(n) for j in range(n))
+    assert norm2 > 0 and norm2 % 2 == 0
+    return norm2 // 2
+
+
+def coroot_of(datum: RootDatum, alpha: Vec) -> Vec:
+    """Coroot coordinates of alpha^v = sum c_i (d_i / d_alpha) alpha_i^v."""
+    if not datum.is_root(alpha):
+        raise ValueError(f"{alpha} is not a root of {datum.lie_type}")
+    d_alpha = root_norm_half(datum, alpha)
+    coords = []
+    for i, c in enumerate(alpha):
+        num = c * datum.symmetrizers[i]
+        assert num % d_alpha == 0, "coroot must be integral"
+        coords.append(num // d_alpha)
+    return tuple(coords)
+
+
+def _exponents(pos_roots: tuple[Vec, ...], rank: int) -> Vec:
+    """Exponents as the conjugate of the height partition of the positive roots."""
+    counts: dict[int, int] = {}
+    for r in pos_roots:
+        h = sum(r)
+        counts[h] = counts.get(h, 0) + 1
+    exps = []
+    for k in range(1, rank + 1):
+        exps.append(sum(1 for h, m in counts.items() if m >= k))
+    assert len(exps) == rank
+    return tuple(sorted(exps))
+
+
+@functools.lru_cache(maxsize=None)
+def root_datum(lie_type: LieType) -> RootDatum:
+    """Build (and intern) the root datum for a canonical LieType."""
+    n = lie_type.rank
+    cartan = _cartan_matrix(lie_type.family, n)
+    d = _symmetrizers(cartan)
+    pos = _positive_roots(cartan)
+    theta = pos[-1]
+
+    def _coroot(alpha: Vec) -> Vec:
+        norm2 = sum(alpha[i] * alpha[j] * d[i] * cartan[i][j] for i in range(n) for j in range(n))
+        da = norm2 // 2
+        return tuple(alpha[i] * d[i] // da for i in range(n))
+
+    pos_coroots = tuple(_coroot(r) for r in pos)
+    pairing_rows = tuple(
+        tuple(sum(cartan[i][j] * r[j] for j in range(n)) for i in range(n)) for r in pos
+    )
+    theta_cor = _coroot(theta)
+
+    aff = [[0] * (n + 1) for _ in range(n + 1)]
+    aff[0][0] = 2
+    for j in range(1, n + 1):
+        aff[0][j] = -sum(theta_cor[i] * cartan[i][j - 1] for i in range(n))
+        aff[j][0] = -sum(cartan[j - 1][k] * theta[k] for k in range(n))
+        for k in range(1, n + 1):
+            aff[j][k] = cartan[j - 1][k - 1]
+
+    return RootDatum(
+        lie_type=lie_type,
+        cartan=cartan,
+        symmetrizers=d,
+        pos_roots=pos,
+        pos_coroots=pos_coroots,
+        pairing_rows=pairing_rows,
+        highest_root=theta,
+        highest_coroot=theta_cor,
+        exponents=_exponents(pos, n),
+        affine_cartan=tuple(tuple(row) for row in aff),
+    )
+
+
+def exponents(lie_type: LieType) -> Vec:
+    return root_datum(lie_type).exponents
+
+
+def diagram_automorphisms(lie_type: LieType) -> tuple[tuple[int, ...], ...]:
+    """All permutations of the affine diagram preserving the labeled edges.
+
+    A permutation p of the node labels 0..rank is an automorphism iff the
+    affine Cartan matrix satisfies A~[p(i)][p(j)] = A~[i][j] for all i, j;
+    found by exhaustive backtracking.
+    """
+    aff = root_datum(lie_type).affine_cartan
+    m = len(aff)
+    found: list[tuple[int, ...]] = []
+    image: list[int] = []
+    used = [False] * m
+
+    def extend(k: int) -> None:
+        if k == m:
+            found.append(tuple(image))
+            return
+        for cand in range(m):
+            if used[cand]:
+                continue
+            if all(
+                aff[cand][image[j]] == aff[k][j] and aff[image[j]][cand] == aff[j][k]
+                for j in range(k)
+            ):
+                used[cand] = True
+                image.append(cand)
+                extend(k + 1)
+                image.pop()
+                used[cand] = False
+
+    extend(0)
+    return tuple(sorted(found))
+
+
+def minuscule_nodes(lie_type: LieType) -> frozenset[int]:
+    """Finite nodes in the affine-diagram-automorphism orbit of node 0."""
+    orbit = {p[0] for p in diagram_automorphisms(lie_type)}
+    return frozenset(orbit - {0})
+
+
+@functools.lru_cache(maxsize=None)
+def _cartan_inverse(lie_type: LieType) -> tuple[tuple[Fraction, ...], ...]:
+    a = root_datum(lie_type).cartan
+    n = len(a)
+    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def fundamental_coweight(lie_type: LieType, label: int) -> tuple[Fraction, ...]:
+    """Coroot-basis coordinates of the coweight dual to a finite node.
+
+    The result x satisfies <x, alpha_j> = 1 at node ``label`` and 0 at every
+    other finite node; it lies in the coroot lattice iff all coordinates are
+    integers.
+    """
+    datum = root_datum(lie_type)
+    if not 1 <= label <= datum.rank:
+        raise ValueError(f"node label {label} is not a finite node of {lie_type}")
+    return _cartan_inverse(lie_type)[label - 1]
+
+
+def convention_hash(lie_type: LieType) -> str:
+    """Fingerprint of the conventions behind serialized data for one type."""
+    datum = root_datum(lie_type)
+    text = f"affschub:1;{lie_type};cartan={datum.cartan};theta={datum.highest_root}"
+    return hashlib.sha256(text.encode()).hexdigest()[:12]

@@ -1,0 +1,287 @@
+"""Command-line surface: every computation, with deterministic text or JSON.
+
+Exit codes: 0 success, 1 property-suite failure, 2 parse error (the message
+names the offending token), 3 configured bound exceeded (the message names
+the limit and how to raise it).
+
+The min-rep enumeration cache lives under $AFFSCHUB_CACHE_DIR (default
+~/.cache/affschub); cache files carry the per-type convention hash, so a
+convention change invalidates them instead of serving stale data.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+
+from . import __version__
+from .cartan import LieType, convention_hash, parse_type, root_datum
+from .errors import BoundExceededError, ParseError
+from . import affine
+from .affine import enumerate_minreps, format_element, parse_element
+from . import schubert
+from .classify import classify_all, type_report
+from .cohomology import chain_coeffs, levi_nodes, levi_poincare, thom_pd_status
+from .verify import run_suite
+
+SCHEMA_VERSION = 1
+
+
+def default_cache_dir() -> str | None:
+    env = os.environ.get("AFFSCHUB_CACHE_DIR")
+    if env:
+        return env
+    home = os.path.expanduser("~")
+    return os.path.join(home, ".cache", "affschub")
+
+
+def _emit(args, lie_type: LieType | None, payload, text_lines) -> None:
+    if args.json:
+        envelope = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "type_label": str(lie_type) if lie_type else None,
+            "convention_hash": convention_hash(lie_type) if lie_type else None,
+            "payload": payload,
+        }
+        print(json.dumps(envelope, sort_keys=True, indent=2))
+    else:
+        for line in text_lines:
+            print(line)
+
+
+def _report_payload(rep) -> dict:
+    return {
+        "type": str(rep.lie_type),
+        "levi_nodes": list(rep.levi_nodes),
+        "levi_descriptor": rep.levi_descriptor,
+        "chain": rep.chain,
+        "pd_status": rep.pd_status.value,
+        "bott_nodes": list(rep.bott_nodes),
+        "minuscule_nodes": list(rep.minuscule_nodes),
+        "smooth_schubert_genv": rep.smooth_schubert_genv,
+        "e_top": rep.e_top,
+        "max_smooth_schubert_dim": rep.max_smooth_schubert_dim,
+    }
+
+
+def cmd_report(args) -> int:
+    lt = parse_type(args.type)
+    rep = type_report(lt)
+    payload = _report_payload(rep)
+    lines = [f"{k}: {v}" for k, v in payload.items()]
+    _emit(args, lt, payload, lines)
+    return 0
+
+
+def cmd_enumerate(args) -> int:
+    lt = parse_type(args.type)
+    cache_dir = None if args.no_cache else default_cache_dir()
+    levels = enumerate_minreps(lt, args.max_len, cache_dir=cache_dir)
+    payload = {
+        "max_length": levels.max_length,
+        "level_sizes": list(levels.level_sizes()),
+        "levels": [[format_element(x) for x in level] for level in levels.by_length],
+    }
+    lines = [f"minimal representatives of {lt} through length {args.max_len}"]
+    for k, level in enumerate(levels.by_length):
+        lines.append(f"  length {k:2d} ({len(level):3d}): " + " ".join(format_element(x) for x in level))
+    _emit(args, lt, payload, lines)
+    return 0
+
+
+def cmd_poincare(args) -> int:
+    lt = parse_type(args.type)
+    datum = root_datum(lt)
+    elem = affine.min_rep(parse_element(datum, args.element))
+    cls = schubert.SchubertClass(elem)
+    poly = schubert.schubert_poincare(cls, bound=args.max_len)
+    payload = {
+        "element": format_element(elem),
+        "coefficients": list(poly.coeffs),
+        "palindromic": poly.is_palindromic(),
+        "chain": poly.is_chain(),
+    }
+    _emit(args, lt, payload, [f"X[{format_element(elem)}]: {poly}",
+                              f"palindromic: {poly.is_palindromic()}  chain: {poly.is_chain()}"])
+    return 0
+
+
+def cmd_star(args) -> int:
+    lt = parse_type(args.type)
+    datum = root_datum(lt)
+    tau = schubert.SchubertClass(parse_element(datum, args.elem1))
+    nu = schubert.SchubertClass(parse_element(datum, args.elem2))
+    result = schubert.star(tau, nu)
+    payload = {
+        "left": format_element(tau.elem),
+        "right": format_element(nu.elem),
+        "result": format_element(result.elem) if result else None,
+        "zero": result is None,
+    }
+    text = "0" if result is None else f"class {format_element(result.elem)}"
+    _emit(args, lt, payload, [text])
+    return 0
+
+
+def cmd_segments(args) -> int:
+    lt = parse_type(args.type)
+    segs = schubert.segments(lt)
+    payload = {
+        "count": len(segs),
+        "segments": [
+            {"length": s.dim(), "element": format_element(s.elem)} for s in segs
+        ],
+    }
+    lines = [f"{len(segs)} segments"] + [
+        f"  length {s.dim():2d}: {format_element(s.elem)}" for s in segs
+    ]
+    _emit(args, lt, payload, lines)
+    return 0
+
+
+def cmd_factorize(args) -> int:
+    lt = parse_type(args.type)
+    datum = root_datum(lt)
+    elem = parse_element(datum, args.element)
+    factors = schubert.segment_factorize(elem, bound=args.max_len)
+    payload = {
+        "element": format_element(elem),
+        "factors": [format_element(s.elem) for s in factors],
+        "star_refactors": schubert.star_refactor_check(elem, bound=args.max_len),
+    }
+    lines = [" * ".join(format_element(s.elem) for s in factors) or "(empty product)"]
+    _emit(args, lt, payload, lines)
+    return 0
+
+
+def cmd_chevalley(args) -> int:
+    lt = parse_type(args.type)
+    coeffs = chain_coeffs(lt)
+    payload = {
+        "levi_nodes": sorted(levi_nodes(lt)),
+        "chain": coeffs is not None,
+        "a": list(coeffs) if coeffs is not None else None,
+        "pd_status": thom_pd_status(lt).value,
+        "levi_poincare": list(levi_poincare(lt).coeffs),
+    }
+    if coeffs is None:
+        lines = [f"{lt}: Levi quotient is not a chain ({levi_poincare(lt)})"]
+    else:
+        lines = [f"{lt}: a = {list(coeffs)} ({thom_pd_status(lt).value})"]
+    _emit(args, lt, payload, lines)
+    return 0
+
+
+def cmd_classify_all(args) -> int:
+    reports = classify_all(args.max_rank)
+    payload = {"reports": [_report_payload(r) for r in reports]}
+    header = f"{'type':>5} {'chain':>5} {'pd':>16} {'smooth-genv':>11} {'e_top':>5} {'minuscule':>12} {'bott':>14}"
+    lines = [header]
+    for r in reports:
+        lines.append(
+            f"{str(r.lie_type):>5} {str(r.chain):>5} {r.pd_status.value:>16} "
+            f"{str(r.smooth_schubert_genv):>11} {r.e_top:>5} "
+            f"{','.join(map(str, r.minuscule_nodes)) or '-':>12} "
+            f"{','.join(map(str, r.bott_nodes)) or '-':>14}"
+        )
+    _emit(args, None, payload, lines)
+    return 0
+
+
+def cmd_verify(args) -> int:
+    lt = parse_type(args.type)
+    results = run_suite(lt, args.suite, seed=args.seed, bound=args.max_len)
+    payload = {
+        "suite": args.suite,
+        "seed": args.seed,
+        "results": [
+            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
+        ],
+        "passed": all(r.passed for r in results),
+    }
+    lines = [
+        f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results
+    ]
+    _emit(args, lt, payload, lines)
+    return 0 if all(r.passed for r in results) else 1
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="affschub",
+        description="Exact affine Weyl group and affine Schubert calculus engine",
+    )
+    parser.add_argument("--version", action="version", version=f"affschub {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, fn, **kw):
+        p = sub.add_parser(name, **kw)
+        p.set_defaults(fn=fn)
+        p.add_argument("--json", action="store_true", help="emit a JSON envelope")
+        return p
+
+    p = add("report", cmd_report, help="classification report for one type")
+    p.add_argument("type")
+
+    p = add("enumerate", cmd_enumerate, help="minimal coset representatives by length")
+    p.add_argument("type")
+    p.add_argument("--max-len", type=int, default=8)
+    p.add_argument("--no-cache", action="store_true", help="bypass the enumeration cache")
+
+    p = add("poincare", cmd_poincare, help="cell counts of one Schubert variety")
+    p.add_argument("type")
+    p.add_argument("--element", required=True, help="element text, e.g. word:1,0 or t:-1,0")
+    p.add_argument("--max-len", type=int, default=None, help="raise the enumeration bound")
+
+    p = add("star", cmd_star, help="star product of two Schubert classes")
+    p.add_argument("type")
+    p.add_argument("elem1")
+    p.add_argument("elem2")
+
+    p = add("segments", cmd_segments, help="the segments (classes below the generator)")
+    p.add_argument("type")
+
+    p = add("factorize", cmd_factorize, help="unique segment factorization of an element")
+    p.add_argument("type")
+    p.add_argument("--element", required=True)
+    p.add_argument("--max-len", type=int, default=None, help="raise the factorization bound")
+
+    p = add("chevalley", cmd_chevalley, help="cup-coefficient ladder on the Levi quotient")
+    p.add_argument("type")
+
+    p = add("classify-all", cmd_classify_all, help="classification table over all types")
+    p.add_argument("--max-rank", type=int, default=8)
+
+    p = add("verify", cmd_verify, help="run a named property suite")
+    p.add_argument("type")
+    p.add_argument("--suite", default="all")
+    p.add_argument("--seed", type=int, default=2024, help="seed for sampled sweeps")
+    p.add_argument(
+        "--max-len", type=int, default=None,
+        help="raise the enumeration bounds used by the bounded suites",
+    )
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except BoundExceededError as exc:
+        print(f"bound exceeded: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,165 @@
+"""Schubert-basis cohomology of parabolic quotients via divisor multiplication.
+
+Everything here lives on quotients of the finite group: classes are integer
+combinations of minimal-representative basis elements, graded by length.
+Only multiplication by a divisor class is implemented; that is all the chain
+and Thom-space computations need.
+
+The first Chern class of the normal bundle of the Levi orbit at the bottom
+translation has weight +theta (the highest root); the sign is pinned by the
+anchor computations in the tests (the G2 chain coefficients and the C family
+"twice a generator"), so a convention flip fails loudly instead of being
+renormalized away.
+"""
+
+from __future__ import annotations
+
+import enum
+from dataclasses import dataclass
+
+from .cartan import LieType, Vec, root_datum
+from .weyl import GradedPoly, WeylElem, min_coset_reps, reflection, quotient_poincare
+
+
+class PDStatus(enum.Enum):
+    """How close the Thom-space compactification comes to Poincare duality."""
+
+    NOT_PALINDROMIC = "not-palindromic"
+    RATIONAL_ONLY = "rational-only"
+    INTEGRAL = "integral"
+
+
+@dataclass(frozen=True)
+class CohomClass:
+    """Integer vector over the Schubert basis of one parabolic quotient."""
+
+    lie_type: LieType
+    nodes: frozenset[int]  # the parabolic subset I
+    coeffs: tuple[tuple[WeylElem, int], ...]  # sorted, zero-free
+
+    @staticmethod
+    def from_dict(lie_type: LieType, nodes, data: dict[WeylElem, int]) -> "CohomClass":
+        items = tuple(
+            sorted(
+                ((w, c) for w, c in data.items() if c != 0),
+                key=lambda wc: (wc[0].length(), wc[0].word()),
+            )
+        )
+        return CohomClass(lie_type, frozenset(nodes), items)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def coefficient(self, w: WeylElem) -> int:
+        for elem, c in self.coeffs:
+            if elem == w:
+                return c
+        return 0
+
+    def support_lengths(self) -> set[int]:
+        return {w.length() for w, _ in self.coeffs}
+
+
+def _in_quotient(w: WeylElem, nodes: frozenset[int]) -> bool:
+    return not any(w.has_right_descent(label) for label in nodes)
+
+
+def chevalley_divisor_mult(
+    lie_type: LieType, nodes, mu: Vec, w: WeylElem
+) -> CohomClass:
+    """Product of the weight-mu divisor class with the basis class at w.
+
+    For each positive root beta with w*s_beta still a minimal representative
+    one step longer, the summand is <beta^v, mu> times that basis class.
+    """
+    datum = root_datum(lie_type)
+    nodeset = frozenset(nodes)
+    if not _in_quotient(w, nodeset):
+        raise ValueError("w is not a minimal representative of the chosen quotient")
+    if len(mu) != datum.rank:
+        raise ValueError("rank mismatch")
+    target = w.length() + 1
+    row = _pairing_row(datum, mu)
+    out: dict[WeylElem, int] = {}
+    for k in range(len(datum.pos_roots)):
+        ws = w * reflection(datum, datum.pos_roots[k])
+        if ws.length() != target or not _in_quotient(ws, nodeset):
+            continue
+        coeff = sum(c * m for c, m in zip(datum.pos_coroots[k], row))
+        if coeff:
+            out[ws] = out.get(ws, 0) + coeff
+    return CohomClass.from_dict(lie_type, nodeset, out)
+
+
+def _pairing_row(datum, mu: Vec) -> Vec:
+    """Row r with <lam, mu> = sum(lam[i] * r[i]) for lam in coroot coords."""
+    a = datum.cartan
+    n = datum.rank
+    return tuple(sum(a[i][j] * mu[j] for j in range(n)) for i in range(n))
+
+
+def levi_nodes(lie_type: LieType) -> frozenset[int]:
+    """Finite nodes pairing to zero with the highest coroot.
+
+    Equivalently (and by construction of the affine diagram) the finite nodes
+    not adjacent to node 0; they cut out the Levi orbit under the bottom
+    translation.
+    """
+    datum = root_datum(lie_type)
+    hc = datum.highest_coroot
+    a = datum.cartan
+    n = datum.rank
+    return frozenset(
+        j + 1 for j in range(n) if sum(hc[i] * a[i][j] for i in range(n)) == 0
+    )
+
+
+def c1_class(lie_type: LieType) -> CohomClass:
+    """First Chern class of the orbit's normal line bundle: degree 1, weight +theta."""
+    datum = root_datum(lie_type)
+    nodes = levi_nodes(lie_type)
+    base = min_coset_reps(lie_type, nodes)[0][0]  # the identity
+    return chevalley_divisor_mult(lie_type, nodes, datum.highest_root, base)
+
+
+def chain_coeffs(lie_type: LieType) -> tuple[int, ...] | None:
+    """Cup coefficients a_k with c1 * y_{k-1} = a_k * y_k on a chain quotient.
+
+    Returns None when the quotient of the Levi nodes is not a chain; then the
+    per-degree basis is not unique and the ladder is meaningless.
+    """
+    nodes = levi_nodes(lie_type)
+    levels = min_coset_reps(lie_type, nodes)
+    if any(len(level) != 1 for level in levels):
+        return None
+    datum = root_datum(lie_type)
+    coeffs = []
+    for k in range(1, len(levels)):
+        prod = chevalley_divisor_mult(lie_type, nodes, datum.highest_root, levels[k - 1][0])
+        coeffs.append(prod.coefficient(levels[k][0]))
+        assert all(w == levels[k][0] for w, _ in prod.coeffs), "chain product left the chain"
+    return tuple(coeffs)
+
+
+def thom_pd_status(lie_type: LieType) -> PDStatus:
+    """Classify the compactified orbit closure by its duality behavior.
+
+    Not palindromic unless the base quotient is a chain; on a chain, duality
+    holds integrally iff every cup coefficient is a unit, and rationally iff
+    none vanishes.
+    """
+    coeffs = chain_coeffs(lie_type)
+    if coeffs is None:
+        return PDStatus.NOT_PALINDROMIC
+    if all(abs(a) == 1 for a in coeffs):
+        return PDStatus.INTEGRAL
+    if all(a != 0 for a in coeffs):
+        return PDStatus.RATIONAL_ONLY
+    raise ArithmeticError(
+        f"chain quotient of {lie_type} has a vanishing cup coefficient: {coeffs}"
+    )
+
+
+def levi_poincare(lie_type: LieType) -> GradedPoly:
+    """Cell counts of the Levi orbit quotient (the chain test's subject)."""
+    return quotient_poincare(lie_type, levi_nodes(lie_type))

@@ -1,0 +1,263 @@
+"""The star product on affine Schubert classes, segments, and factorization.
+
+A Schubert class is indexed by a minimal coset representative; its complex
+dimension is the length of the index.  The star product of two basis classes
+is again a basis class when the product of indices is length-additive and
+stays a minimal representative, and zero otherwise: if the length-additive
+product leaves the representative set, the pushforward target has strictly
+smaller dimension, which kills the class.  The two conditions are not
+equivalent; see star_reading_discrepancies.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .cartan import LieType, Vec, root_datum
+from .errors import BoundExceededError
+from .weyl import GradedPoly, min_coset_reps
+from .affine import (
+    AffineElem,
+    ELEMENT_BOUND,
+    affine_identity,
+    bruhat_leq,
+    default_enum_bound,
+    embed_finite,
+    enumerate_minreps,
+    generator,
+    is_min_rep,
+    min_rep,
+    seed_translation,
+    translation,
+)
+
+
+@dataclass(frozen=True)
+class SchubertClass:
+    """[X_w] for w a minimal coset representative; dimension = length of w."""
+
+    elem: AffineElem
+
+    def __post_init__(self):
+        if not is_min_rep(self.elem):
+            raise ValueError("Schubert classes are indexed by minimal coset representatives")
+
+    def dim(self) -> int:
+        return self.elem.length()
+
+    @property
+    def datum(self):
+        return self.elem.datum
+
+
+def identity_class(lie_type: LieType) -> SchubertClass:
+    return SchubertClass(affine_identity(root_datum(lie_type)))
+
+
+def generator_class(lie_type: LieType) -> SchubertClass:
+    """The class of the generating variety: indexed by t_{-theta^v}."""
+    return SchubertClass(seed_translation(root_datum(lie_type)))
+
+
+def star(tau: SchubertClass, nu: SchubertClass) -> SchubertClass | None:
+    """Basis-level product; None encodes the zero class."""
+    p = tau.elem * nu.elem
+    if p.length() == tau.dim() + nu.dim() and is_min_rep(p):
+        return SchubertClass(p)
+    return None
+
+
+def star_fold(lie_type: LieType, classes) -> SchubertClass | None:
+    """Left fold of star over a sequence; the empty product is the identity class."""
+    acc: SchubertClass | None = identity_class(lie_type)
+    for c in classes:
+        if acc is None:
+            return None
+        acc = star(acc, c)
+    return acc
+
+
+def segments(lie_type: LieType) -> list[SchubertClass]:
+    """The nonidentity classes below the generating translation, by length.
+
+    Constructed as {v * s_0 : v in W^J} where J omits the neighbors of the
+    affine node; this matches both the Bruhat lower interval of t_{-theta^v}
+    in the representative set and the W-orbit description (equalities
+    exercised in the test suite at desk scale).
+    """
+    datum = root_datum(lie_type)
+    j_nodes = frozenset(range(1, datum.rank + 1)) - datum.affine_neighbors()
+    s0 = generator(datum, 0)
+    out = []
+    for level in min_coset_reps(lie_type, j_nodes):
+        for v in level:
+            out.append(SchubertClass(embed_finite(v) * s0))
+    out.sort(key=lambda c: c.elem.sort_key())
+    return out
+
+
+def segment_factorizations(
+    w: AffineElem, *, bound: int | None = None
+) -> list[list[SchubertClass]]:
+    """Every factorization of w into segments with representative prefixes.
+
+    Exhaustive right-stripping search: a factorization is a tuple of segments
+    whose product is w, with lengths adding up and every left partial product
+    still a minimal representative.
+    """
+    datum = w.datum
+    limit = bound if bound is not None else default_enum_bound(datum)
+    if w.length() > limit:
+        raise BoundExceededError("factorization length", w.length(), limit, "bound")
+    if not is_min_rep(w):
+        raise ValueError("only minimal coset representatives factor into segments")
+    segs = segments(datum.lie_type)
+
+    def search(x: AffineElem) -> list[list[SchubertClass]]:
+        if x.is_identity():
+            return [[]]
+        out = []
+        for seg in segs:
+            if seg.dim() > x.length():
+                continue
+            y = x * seg.elem.inverse()
+            if y.length() == x.length() - seg.dim() and is_min_rep(y):
+                for prefix in search(y):
+                    out.append(prefix + [seg])
+        return out
+
+    return search(w)
+
+
+def segment_factorize(w: AffineElem, *, bound: int | None = None) -> list[SchubertClass]:
+    """The unique segment factorization of w; raises if uniqueness fails."""
+    found = segment_factorizations(w, bound=bound)
+    if len(found) != 1:
+        raise ValueError(
+            f"expected exactly one segment factorization of {w!r}, found {len(found)}"
+        )
+    return found[0]
+
+
+def star_refactor_check(w: AffineElem, *, bound: int | None = None) -> bool:
+    """True iff folding star over the segment factorization recovers [X_w]."""
+    factors = segment_factorize(w, bound=bound)
+    acc = identity_class(w.datum.lie_type)
+    for seg in factors:
+        nxt = star(acc, seg)
+        if nxt is None:
+            return False
+        acc = nxt
+    return acc.elem == w
+
+
+def star_decompose(
+    omega: AffineElem, sigma: AffineElem, lam: Vec, *, bound: int | None = None
+) -> tuple[SchubertClass, SchubertClass]:
+    """Split [X_omega] as [X_tau] * [X_nu] with tau below sigma, nu below t_lam.
+
+    Searches nu of maximal length among representatives under t_lam, then
+    checks tau = omega * nu^{-1} lands under sigma.  Requires omega below the
+    coset minimum of sigma * t_lam.
+    """
+    datum = omega.datum
+    t = translation(datum, lam)
+    top = min_rep(sigma * t)
+    if not bruhat_leq(omega, top, bound=max(top.length(), ELEMENT_BOUND)):
+        raise ValueError("omega is not below the product class")
+    limit = bound if bound is not None else max(t.length(), default_enum_bound(datum))
+    levels = enumerate_minreps(datum.lie_type, t.length(), bound=limit)
+    candidates = [x for x in levels.flat() if bruhat_leq(x, t)]
+    candidates.sort(key=lambda x: (-x.length(), x.trans, x.fin.word()))
+    for nu in candidates:
+        if nu.length() > omega.length():
+            continue
+        tau = omega * nu.inverse()
+        if tau.length() != omega.length() - nu.length():
+            continue
+        if not is_min_rep(tau):
+            continue
+        if bruhat_leq(tau, sigma, bound=max(sigma.length(), ELEMENT_BOUND)):
+            return SchubertClass(tau), SchubertClass(nu)
+    raise ValueError(f"no star decomposition found for {omega!r}")  # pragma: no cover
+
+
+def schubert_poincare(cls: SchubertClass, *, bound: int | None = None) -> GradedPoly:
+    """Cell counts of X_w: coefficient of q^k counts representatives of length k below w."""
+    w = cls.elem
+    datum = w.datum
+    limit = bound if bound is not None else default_enum_bound(datum)
+    if w.length() > limit:
+        raise BoundExceededError("Poincare polynomial length", w.length(), limit, "bound")
+    levels = enumerate_minreps(datum.lie_type, w.length(), bound=limit)
+    counts = [
+        sum(1 for v in level if bruhat_leq(v, w, bound=max(w.length(), ELEMENT_BOUND)))
+        for level in levels.by_length
+    ]
+    return GradedPoly.from_coeffs(counts)
+
+
+@dataclass(frozen=True)
+class PowerStep:
+    """One step of the generating-variety power check."""
+
+    n: int
+    nonzero: bool
+    index_is_expected_translation: bool
+    length: int | None
+    expected_length: int
+
+
+def check_generator_powers(lie_type: LieType, n_max: int, *, bound: int = ELEMENT_BOUND) -> list[PowerStep]:
+    """Star powers of the generating class against translations by -n*theta^v.
+
+    The n-th power must be the class at t_{-n theta^v} with length n times
+    the base length (dimension additivity of the generating variety).
+    """
+    datum = root_datum(lie_type)
+    base = generator_class(lie_type)
+    if n_max * base.dim() > bound:
+        raise BoundExceededError(
+            "power check length", n_max * base.dim(), bound, "bound"
+        )
+    steps = []
+    acc: SchubertClass | None = identity_class(lie_type)
+    for n in range(1, n_max + 1):
+        acc = star(acc, base) if acc is not None else None
+        expected = translation(
+            datum, tuple(-n * c for c in datum.highest_coroot)
+        )
+        steps.append(
+            PowerStep(
+                n=n,
+                nonzero=acc is not None,
+                index_is_expected_translation=acc is not None and acc.elem == expected,
+                length=acc.dim() if acc is not None else None,
+                expected_length=n * base.dim(),
+            )
+        )
+    return steps
+
+
+def star_reading_discrepancies(
+    lie_type: LieType, max_len: int, *, bound: int | None = None
+) -> list[tuple[AffineElem, AffineElem]]:
+    """Pairs where the two readings of 'reduced product' disagree.
+
+    Returns (tau, nu) with both indices representatives, the product
+    length-additive, but the product not a representative: under the
+    length-only reading the star product would be a class, under the
+    implemented reading it is zero.  Kept visible so the choice of reading is
+    auditable rather than silent.
+    """
+    levels = enumerate_minreps(lie_type, max_len, bound=bound)
+    elems = list(levels.flat())
+    out = []
+    for tau in elems:
+        for nu in elems:
+            if tau.length() + nu.length() > max_len:
+                continue
+            p = tau * nu
+            if p.length() == tau.length() + nu.length() and not is_min_rep(p):
+                out.append((tau, nu))
+    return out

@@ -1,0 +1,391 @@
+"""Named property suites behind the CLI's ``verify`` command.
+
+Each suite re-checks a family of invariants at desk scale and returns one
+CheckResult per property.  Where an independent oracle exists (Cayley-graph
+BFS for lengths, power-series expansion for level sizes, exhaustive subword
+search for Bruhat order) the suite runs both routes and compares.
+"""
+
+from __future__ import annotations
+
+import inspect
+import itertools
+import random
+from dataclasses import dataclass
+
+from .cartan import LieType, root_datum
+from .weyl import min_coset_reps
+from . import affine
+from .affine import (
+    bruhat_leq,
+    enumerate_minreps,
+    format_element,
+    is_antidominant,
+    length_bfs_oracle,
+    min_rep,
+    reduced_word,
+    translation,
+)
+from . import schubert
+from .schubert import (
+    SchubertClass,
+    check_generator_powers,
+    segment_factorizations,
+    star,
+    star_refactor_check,
+)
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    name: str
+    passed: bool
+    detail: str
+
+
+def _series_coeffs(exps, through: int) -> list[int]:
+    """Coefficients of prod 1/(1 - q^e) through q^through, by direct expansion."""
+    coeffs = [1] + [0] * through
+    for e in exps:
+        for k in range(e, through + 1):
+            coeffs[k] += coeffs[k - e]
+    return coeffs
+
+
+def suite_lengths(lie_type: LieType, *, max_len: int = 8, seed: int = 0) -> list[CheckResult]:
+    """Closed length formula against the BFS oracle, plus word recovery."""
+    dist = length_bfs_oracle(lie_type, max_len)
+    mismatch = [x for x, d in dist.items() if x.length() != d]
+    results = [
+        CheckResult(
+            "length-formula-vs-bfs",
+            not mismatch,
+            f"{len(dist)} elements through length {max_len}; {len(mismatch)} mismatches",
+        )
+    ]
+    datum = root_datum(lie_type)
+    rng = random.Random(seed)
+    sample = rng.sample(sorted(dist, key=lambda x: x.sort_key()), min(64, len(dist)))
+    bad_words = [
+        x for x in sample
+        if affine.from_word(datum, reduced_word(x)) != x or len(reduced_word(x)) != x.length()
+    ]
+    results.append(
+        CheckResult(
+            "reduced-word-roundtrip",
+            not bad_words,
+            f"{len(sample)} sampled elements re-assemble from their reduced words",
+        )
+    )
+    return results
+
+
+def suite_antidominant(lie_type: LieType, *, coord_bound: int = 2, seed: int = 0) -> list[CheckResult]:
+    """The three antidominance characterizations agree on a coordinate box."""
+    datum = root_datum(lie_type)
+    boxes = itertools.product(range(-coord_bound, coord_bound + 1), repeat=datum.rank)
+    disagreements = []
+    total = 0
+    for lam in boxes:
+        total += 1
+        report = affine.antidominant_equivalences(datum, lam, coord_bound=coord_bound)
+        if not report.all_agree():
+            disagreements.append(lam)
+    return [
+        CheckResult(
+            "antidominance-equivalences",
+            not disagreements,
+            f"{total} lattice points in [-{coord_bound},{coord_bound}]^{datum.rank}; "
+            f"{len(disagreements)} disagreements",
+        )
+    ]
+
+
+def suite_additivity(lie_type: LieType, *, sigma_len: int = 6, coord_low: int = -2, seed: int = 0) -> list[CheckResult]:
+    """Length additivity of representative times antidominant translation."""
+    datum = root_datum(lie_type)
+    levels = enumerate_minreps(lie_type, sigma_len)
+    lams = [
+        lam
+        for lam in itertools.product(range(coord_low, 1), repeat=datum.rank)
+        if is_antidominant(datum, lam)
+    ]
+    bad = []
+    checked = 0
+    for sigma in levels.flat():
+        for lam in lams:
+            t = translation(datum, lam)
+            checked += 1
+            if (sigma * t).length() != sigma.length() + t.length():
+                bad.append((sigma, lam))
+    results = [
+        CheckResult(
+            "length-additivity",
+            not bad,
+            f"{checked} products sigma * t_lam checked; {len(bad)} failures",
+        )
+    ]
+    pair_bad = 0
+    for lam, mu in itertools.product(lams, repeat=2):
+        s = tuple(a + b for a, b in zip(lam, mu))
+        if translation(datum, s).length() != translation(datum, lam).length() + translation(datum, mu).length():
+            pair_bad += 1
+    results.append(
+        CheckResult(
+            "antidominant-translation-additivity",
+            pair_bad == 0,
+            f"{len(lams) ** 2} antidominant pairs; {pair_bad} failures",
+        )
+    )
+    return results
+
+
+def suite_series(lie_type: LieType, *, through: int = 10, seed: int = 0) -> list[CheckResult]:
+    """Min-rep level sizes against the exponent generating series."""
+    datum = root_datum(lie_type)
+    levels = enumerate_minreps(lie_type, through)
+    got = list(levels.level_sizes())
+    want = _series_coeffs(datum.exponents, through)
+    ok = got == want
+    results = [
+        CheckResult(
+            "minrep-level-sizes-vs-series",
+            ok,
+            f"levels {got} vs series {want}",
+        )
+    ]
+    tail_bad = [
+        x for x in levels.flat() if x.length() > 0 and reduced_word(x)[-1] != 0
+    ]
+    results.append(
+        CheckResult(
+            "minrep-words-end-affine",
+            not tail_bad,
+            "every nonidentity representative's reduced word ends in node 0",
+        )
+    )
+    return results
+
+
+def suite_segments(
+    lie_type: LieType, *, max_len: int = 8, bound: int | None = None, seed: int = 0
+) -> list[CheckResult]:
+    """Uniqueness of segment factorization and the star refactorization."""
+    datum = root_datum(lie_type)
+    segs = schubert.segments(lie_type)
+    seed_t = affine.seed_translation(datum)
+    interval = {
+        x
+        for x in enumerate_minreps(lie_type, seed_t.length(), bound=bound).flat()
+        if x.length() > 0 and bruhat_leq(x, seed_t)
+    }
+    orbit = {
+        min_rep(affine.embed_finite(v) * affine.generator(datum, 0))
+        for level in min_coset_reps(lie_type, ())
+        for v in level
+    }
+    orbit = {x for x in orbit if x.length() > 0}
+    same = {s.elem for s in segs} == interval == orbit
+    results = [
+        CheckResult(
+            "segment-characterizations-agree",
+            same,
+            f"{len(segs)} segments; interval and orbit descriptions "
+            + ("match" if same else "differ"),
+        )
+    ]
+    levels = enumerate_minreps(lie_type, max_len)
+    non_unique = []
+    refactor_bad = []
+    count = 0
+    for x in levels.flat():
+        count += 1
+        found = segment_factorizations(x, bound=max_len)
+        if len(found) != 1:
+            non_unique.append(x)
+            continue
+        if not star_refactor_check(x, bound=max_len):
+            refactor_bad.append(x)
+    results.append(
+        CheckResult(
+            "segment-factorization-unique",
+            not non_unique,
+            f"{count} representatives through length {max_len}; "
+            f"{len(non_unique)} without a unique factorization",
+        )
+    )
+    results.append(
+        CheckResult(
+            "star-refactorization",
+            not refactor_bad,
+            f"star fold over the factorization recovers the class "
+            f"({len(refactor_bad)} failures)",
+        )
+    )
+    return results
+
+
+def suite_star(lie_type: LieType, *, max_len: int = 10, triple_cap: int = 4000, seed: int = 0) -> list[CheckResult]:
+    """Associativity, a non-commutative witness, and the reading discrepancies."""
+    levels = enumerate_minreps(lie_type, max_len)
+    elems = [SchubertClass(x) for x in levels.flat()]
+    triples = [
+        (a, b, c)
+        for a, b, c in itertools.product(elems, repeat=3)
+        if a.dim() + b.dim() + c.dim() <= max_len
+    ]
+    rng = random.Random(seed)
+    if len(triples) > triple_cap:
+        triples = rng.sample(triples, triple_cap)
+    assoc_bad = 0
+    absorbed = 0
+    checked = 0
+    for a, b, c in triples:
+        ab = star(a, b)
+        bc = star(b, c)
+        if ab is None or bc is None:
+            # One association order dies by the zero clause; when the other
+            # survives, the basis-level calculus cannot associate.  Counted
+            # and reported, never hidden.
+            left = star(ab, c) if ab is not None else None
+            right = star(a, bc) if bc is not None else None
+            if left != right:
+                absorbed += 1
+            continue
+        checked += 1
+        if star(ab, c) != star(a, bc):
+            assoc_bad += 1
+    results = [
+        CheckResult(
+            "star-associativity",
+            assoc_bad == 0,
+            f"{checked} triples with both intermediate products nonzero "
+            f"(of {len(triples)} with total length <= {max_len}); {assoc_bad} failures",
+        ),
+        CheckResult(
+            "star-zero-absorption",
+            True,
+            f"{absorbed} triples where one association order is killed by the "
+            "dimension-forced zero while the other survives; the unrestricted "
+            "associativity statement fails exactly there",
+        ),
+    ]
+    witness = None
+    for a, b in itertools.product(elems, repeat=2):
+        if a.dim() + b.dim() > max_len:
+            continue
+        if (star(a, b) is None) != (star(b, a) is None):
+            witness = (a, b)
+            break
+    results.append(
+        CheckResult(
+            "star-noncommutative-witness",
+            witness is not None,
+            "found a pair with one order zero and the other not"
+            + (
+                f": {format_element(witness[0].elem)}, {format_element(witness[1].elem)}"
+                if witness
+                else ""
+            ),
+        )
+    )
+    disc = schubert.star_reading_discrepancies(lie_type, min(max_len, 6))
+    sample = ", ".join(
+        f"({format_element(t)})*({format_element(n)})" for t, n in disc[:2]
+    )
+    results.append(
+        CheckResult(
+            "star-reading-discrepancies",
+            True,
+            f"{len(disc)} length-additive products leave the representative set"
+            + (f", e.g. {sample}" if sample else "")
+            + "; the implemented product is zero there",
+        )
+    )
+    return results
+
+
+def suite_canonical(lie_type: LieType, *, n_max: int = 3, seed: int = 0) -> list[CheckResult]:
+    """Star powers of the generating class hit the expected translations."""
+    steps = check_generator_powers(lie_type, n_max)
+    ok = all(
+        s.nonzero and s.index_is_expected_translation and s.length == s.expected_length
+        for s in steps
+    )
+    return [
+        CheckResult(
+            "generator-powers",
+            ok,
+            "; ".join(
+                f"n={s.n}: length {s.length} (expected {s.expected_length})" for s in steps
+            ),
+        )
+    ]
+
+
+def suite_decompose(
+    lie_type: LieType, *, sigma_len: int = 3, bound: int | None = None, seed: int = 0
+) -> list[CheckResult]:
+    """Every class under a product splits as a star of classes under the factors."""
+    datum = root_datum(lie_type)
+    lam = tuple(-c for c in datum.highest_coroot)
+    t = translation(datum, lam)
+    failures = 0
+    total = 0
+    for sigma in enumerate_minreps(lie_type, sigma_len, bound=bound).flat():
+        top = min_rep(sigma * t)
+        below = [
+            x
+            for x in enumerate_minreps(lie_type, top.length(), bound=bound).flat()
+            if bruhat_leq(x, top)
+        ]
+        for omega in below:
+            total += 1
+            try:
+                tau, nu = schubert.star_decompose(omega, sigma, lam, bound=bound)
+            except ValueError:
+                failures += 1
+                continue
+            prod = star(tau, nu)
+            if prod is None or prod.elem != omega:
+                failures += 1
+    return [
+        CheckResult(
+            "star-decomposition",
+            failures == 0,
+            f"{total} classes under products; {failures} without a valid split",
+        )
+    ]
+
+
+SUITES = {
+    "lengths": suite_lengths,
+    "antidominant": suite_antidominant,
+    "additivity": suite_additivity,
+    "series": suite_series,
+    "segments": suite_segments,
+    "star": suite_star,
+    "canonical": suite_canonical,
+    "decompose": suite_decompose,
+}
+
+
+def run_suite(
+    lie_type: LieType, name: str, *, seed: int = 0, bound: int | None = None
+) -> list[CheckResult]:
+    """Run one named suite, or all of them.
+
+    ``bound`` raises the enumeration limits of the suites that take one
+    (segments, decompose); other suites ignore it.
+    """
+    names = list(SUITES) if name == "all" else [name]
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+    out = []
+    for key in names:
+        fn = SUITES[key]
+        kwargs = {"seed": seed}
+        if bound is not None and "bound" in inspect.signature(fn).parameters:
+            kwargs["bound"] = bound
+        out.extend(fn(lie_type, **kwargs))
+    return out
