@@ -54,6 +54,7 @@ from .cohomology import (
     chain_coeffs,
     chevalley_divisor_mult,
     levi_nodes,
+    pd_status,
     thom_pd_status,
 )
 from .classify import TypeReport, bott_nodes, classify_all, type_report

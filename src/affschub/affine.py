@@ -9,11 +9,14 @@ s_theta, the reflection across the affine wall of the highest root theta
 Length is computed by a closed Iwahori-Matsumoto-style count over the
 positive roots, in the variant matching this t_lam*w convention:
 
-    l(t_lam w) = sum over beta > 0 of  |<mu, beta>|      if w(beta) > 0
-                                       |<mu, beta> + 1|  if w(beta) < 0
+    l(t_lam w) = sum over beta > 0 of  |<lam, w beta>|      if w(beta) > 0
+                                       |<lam, w beta> + 1|  if w(beta) < 0
 
-with mu = w^{-1}(lam).  Its correctness is pinned empirically against the
-independent Cayley-graph BFS oracle, not by citation.
+which is the count with mu = w^{-1}(lam) paired against beta, rewritten by
+<w^{-1} lam, beta> = <lam, w beta> so that no inverse is formed: lam is
+paired once with every positive root, and each w(beta) = +-gamma is read off
+the root permutation of w.  Its correctness is pinned empirically against
+the independent Cayley-graph BFS oracle, not by citation.
 
 Enumeration-style operations carry configurable length limits (exceeding one
 raises BoundExceededError rather than truncating); closed-formula operations
@@ -26,6 +29,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass
+from operator import mul
 
 from .cartan import LieType, RootDatum, Vec, convention_hash, root_datum
 from .errors import BoundExceededError, ParseError
@@ -68,7 +72,7 @@ class AffineElem:
         )
 
     def __hash__(self) -> int:
-        return hash((self.trans, self.fin.mat))
+        return hash((self.trans, self.fin.perm))
 
     def __repr__(self) -> str:
         return f"AffineElem({self.datum.lie_type}, {format_element(self)!r})"
@@ -86,16 +90,16 @@ class AffineElem:
 
     def length(self) -> int:
         if self._len is None:
-            datum = self.datum
-            mu = self.fin.inverse().apply_coroot(self.trans)
+            rows = self.datum.pairing_rows
+            big = len(rows)
+            # pairs[j] = <lam, pos_roots[j]>
+            pairs = [sum(map(mul, self.trans, row)) for row in rows]
             total = 0
-            for k, cor in enumerate(datum.pos_coroots):
-                image = self.fin.apply_coroot(cor)
-                pair = sum(m * r for m, r in zip(mu, datum.pairing_rows[k]))
-                if any(c < 0 for c in image):
-                    total += abs(pair + 1)
-                else:
-                    total += abs(pair)
+            for j in self.fin.perm[:big]:
+                if j < big:  # w(beta) = pos_roots[j]
+                    total += abs(pairs[j])
+                else:  # w(beta) = -pos_roots[j - big]
+                    total += abs(pairs[j - big] - 1)
             self._len = total
         return self._len
 
@@ -247,6 +251,8 @@ def enumerate_minreps(
     Output order is canonical: (translation coords lex, finite word lex)
     within each level, so runs are reproducible bit for bit.
     """
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     datum = root_datum(lie_type)
     limit = bound if bound is not None else default_enum_bound(datum)
     if max_len > limit:

@@ -133,7 +133,8 @@ def _symmetrizers(cartan: Matrix) -> Vec:
             if i != j and cartan[i][j] != 0 and d[j] is None:
                 d[j] = d[i] * cartan[i][j] / cartan[j][i]
                 todo.append(j)
-    assert all(x is not None for x in d), "diagram must be connected"
+    if any(x is None for x in d):
+        raise ArithmeticError("diagram must be connected")
     scale = math.lcm(*(x.denominator for x in d))
     ints = [int(x * scale) for x in d]
     g = math.gcd(*ints)
@@ -242,7 +243,8 @@ def root_norm_half(datum: RootDatum, alpha: Vec) -> int:
     a = datum.cartan
     n = datum.rank
     norm2 = sum(alpha[i] * alpha[j] * d[i] * a[i][j] for i in range(n) for j in range(n))
-    assert norm2 > 0 and norm2 % 2 == 0
+    if norm2 <= 0 or norm2 % 2:
+        raise ArithmeticError(f"squared norm {norm2} of {alpha} is not a positive even integer")
     return norm2 // 2
 
 
@@ -254,7 +256,8 @@ def coroot_of(datum: RootDatum, alpha: Vec) -> Vec:
     coords = []
     for i, c in enumerate(alpha):
         num = c * datum.symmetrizers[i]
-        assert num % d_alpha == 0, "coroot must be integral"
+        if num % d_alpha:
+            raise ArithmeticError("coroot must be integral")
         coords.append(num // d_alpha)
     return tuple(coords)
 
@@ -268,7 +271,8 @@ def _exponents(pos_roots: tuple[Vec, ...], rank: int) -> Vec:
     exps = []
     for k in range(1, rank + 1):
         exps.append(sum(1 for h, m in counts.items() if m >= k))
-    assert len(exps) == rank
+    if len(exps) != rank:
+        raise ArithmeticError(f"found {len(exps)} exponents for rank {rank}")
     return tuple(sorted(exps))
 
 

@@ -12,7 +12,7 @@ from .cartan import (
     parse_type,
     root_datum,
 )
-from .cohomology import PDStatus, levi_nodes, levi_poincare, thom_pd_status
+from .cohomology import PDStatus, chain_coeffs, levi_nodes, pd_status
 
 # Largest dimension of a smooth Schubert variety in the three exceptional
 # types with no minuscule node; cited constants, not recomputed here.
@@ -64,12 +64,13 @@ def _levi_descriptor(lie_type: LieType) -> str:
 def type_report(lie_type: LieType) -> TypeReport:
     datum = root_datum(lie_type)
     mins = minuscule_nodes(lie_type)
+    coeffs = chain_coeffs(lie_type)  # None exactly when the Levi quotient is not a chain
     return TypeReport(
         lie_type=lie_type,
         levi_nodes=tuple(sorted(levi_nodes(lie_type))),
         levi_descriptor=_levi_descriptor(lie_type),
-        chain=levi_poincare(lie_type).is_chain(),
-        pd_status=thom_pd_status(lie_type),
+        chain=coeffs is not None,
+        pd_status=pd_status(lie_type, coeffs),
         bott_nodes=tuple(sorted(bott_nodes(lie_type))),
         minuscule_nodes=tuple(sorted(mins)),
         smooth_schubert_genv=bool(mins),

@@ -23,7 +23,7 @@ from . import affine
 from .affine import enumerate_minreps, format_element, parse_element
 from . import schubert
 from .classify import classify_all, type_report
-from .cohomology import chain_coeffs, levi_nodes, levi_poincare, thom_pd_status
+from .cohomology import chain_coeffs, levi_nodes, levi_poincare, pd_status
 from .verify import run_suite
 
 SCHEMA_VERSION = 1
@@ -35,6 +35,17 @@ def default_cache_dir() -> str | None:
         return env
     home = os.path.expanduser("~")
     return os.path.join(home, ".cache", "affschub")
+
+
+def _size(text: str) -> int:
+    """argparse type for sizes: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _emit(args, lie_type: LieType | None, payload, text_lines) -> None:
@@ -160,17 +171,19 @@ def cmd_factorize(args) -> int:
 def cmd_chevalley(args) -> int:
     lt = parse_type(args.type)
     coeffs = chain_coeffs(lt)
+    status = pd_status(lt, coeffs).value
+    poly = levi_poincare(lt)
     payload = {
         "levi_nodes": sorted(levi_nodes(lt)),
         "chain": coeffs is not None,
         "a": list(coeffs) if coeffs is not None else None,
-        "pd_status": thom_pd_status(lt).value,
-        "levi_poincare": list(levi_poincare(lt).coeffs),
+        "pd_status": status,
+        "levi_poincare": list(poly.coeffs),
     }
     if coeffs is None:
-        lines = [f"{lt}: Levi quotient is not a chain ({levi_poincare(lt)})"]
+        lines = [f"{lt}: Levi quotient is not a chain ({poly})"]
     else:
-        lines = [f"{lt}: a = {list(coeffs)} ({thom_pd_status(lt).value})"]
+        lines = [f"{lt}: a = {list(coeffs)} ({status})"]
     _emit(args, lt, payload, lines)
     return 0
 
@@ -228,13 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("enumerate", cmd_enumerate, help="minimal coset representatives by length")
     p.add_argument("type")
-    p.add_argument("--max-len", type=int, default=8)
+    p.add_argument("--max-len", type=_size, default=8)
     p.add_argument("--no-cache", action="store_true", help="bypass the enumeration cache")
 
     p = add("poincare", cmd_poincare, help="cell counts of one Schubert variety")
     p.add_argument("type")
     p.add_argument("--element", required=True, help="element text, e.g. word:1,0 or t:-1,0")
-    p.add_argument("--max-len", type=int, default=None, help="raise the enumeration bound")
+    p.add_argument("--max-len", type=_size, default=None, help="raise the enumeration bound")
 
     p = add("star", cmd_star, help="star product of two Schubert classes")
     p.add_argument("type")
@@ -247,20 +260,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("factorize", cmd_factorize, help="unique segment factorization of an element")
     p.add_argument("type")
     p.add_argument("--element", required=True)
-    p.add_argument("--max-len", type=int, default=None, help="raise the factorization bound")
+    p.add_argument("--max-len", type=_size, default=None, help="raise the factorization bound")
 
     p = add("chevalley", cmd_chevalley, help="cup-coefficient ladder on the Levi quotient")
     p.add_argument("type")
 
     p = add("classify-all", cmd_classify_all, help="classification table over all types")
-    p.add_argument("--max-rank", type=int, default=8)
+    p.add_argument("--max-rank", type=_size, default=8)
 
     p = add("verify", cmd_verify, help="run a named property suite")
     p.add_argument("type")
     p.add_argument("--suite", default="all")
     p.add_argument("--seed", type=int, default=2024, help="seed for sampled sweeps")
     p.add_argument(
-        "--max-len", type=int, default=None,
+        "--max-len", type=_size, default=None,
         help="raise the enumeration bounds used by the bounded suites",
     )
 

@@ -137,18 +137,18 @@ def chain_coeffs(lie_type: LieType) -> tuple[int, ...] | None:
     for k in range(1, len(levels)):
         prod = chevalley_divisor_mult(lie_type, nodes, datum.highest_root, levels[k - 1][0])
         coeffs.append(prod.coefficient(levels[k][0]))
-        assert all(w == levels[k][0] for w, _ in prod.coeffs), "chain product left the chain"
+        if any(w != levels[k][0] for w, _ in prod.coeffs):
+            raise ArithmeticError("chain product left the chain")
     return tuple(coeffs)
 
 
-def thom_pd_status(lie_type: LieType) -> PDStatus:
-    """Classify the compactified orbit closure by its duality behavior.
+def pd_status(lie_type: LieType, coeffs: tuple[int, ...] | None) -> PDStatus:
+    """The duality status for the ladder ``coeffs = chain_coeffs(lie_type)``.
 
-    Not palindromic unless the base quotient is a chain; on a chain, duality
-    holds integrally iff every cup coefficient is a unit, and rationally iff
-    none vanishes.
+    Not palindromic unless the base quotient is a chain (``coeffs`` is not
+    None); on a chain, duality holds integrally iff every cup coefficient is
+    a unit, and rationally iff none vanishes.
     """
-    coeffs = chain_coeffs(lie_type)
     if coeffs is None:
         return PDStatus.NOT_PALINDROMIC
     if all(abs(a) == 1 for a in coeffs):
@@ -158,6 +158,11 @@ def thom_pd_status(lie_type: LieType) -> PDStatus:
     raise ArithmeticError(
         f"chain quotient of {lie_type} has a vanishing cup coefficient: {coeffs}"
     )
+
+
+def thom_pd_status(lie_type: LieType) -> PDStatus:
+    """Classify the compactified orbit closure by its duality behavior."""
+    return pd_status(lie_type, chain_coeffs(lie_type))
 
 
 def levi_poincare(lie_type: LieType) -> GradedPoly:

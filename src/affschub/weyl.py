@@ -1,10 +1,19 @@
 """Finite Weyl group elements, parabolic quotients W^I, and their cell counts.
 
-An element is stored as its integer matrix acting on the coroot lattice (in
-the simple-coroot basis), one uniform representation across every type.
-Length is the number of positive roots sent negative; reduced words are
-recovered on demand by stripping descents, always choosing the smallest node
-label, so the cached word is canonical.
+An element is stored as the permutation it induces on the root system, one
+uniform representation across every type.  Root index ``k < N`` stands for
+``pos_roots[k]`` and ``k + N`` for its negative, where N is the number of
+positive roots.  A product is a composition of permutations, the inverse is
+the inverse permutation, the length is the number of positive indices sent
+to negative ones, and a right descent at node i is one lookup: whether the
+image of alpha_i is negative.  The action on coroot (or root) coordinates is
+read off the images of the simple roots.
+
+The permutations of the simple reflections and of other reflections are
+built per root datum on first use of its group, each image in O(rank) from
+``pairing_rows``.  Reduced words are recovered on demand by stripping
+descents, always choosing the smallest node label, so the cached word is
+canonical.
 
 The grading variable q counts complex cell dimension: q^k stands for
 topological degree 2k.
@@ -12,67 +21,29 @@ topological degree 2k.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import itemgetter, mul
 
-from .cartan import LieType, Matrix, RootDatum, Vec, root_datum
+from .cartan import LieType, RootDatum, Vec, root_datum
 
 Word = tuple[int, ...]
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in bt) for ra in a
-    )
-
-
-def _mat_vec(a: Matrix, v: tuple) -> tuple:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
-
-
-def _identity_mat(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _invert_unimodular(a: Matrix) -> Matrix:
-    """Exact inverse of an integer matrix with det +-1."""
-    n = len(a)
-    aug = [
-        [Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = 1 / aug[col][col]
-        aug[col] = [x * scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = []
-    for row in aug:
-        ints = row[len(a):]
-        assert all(x.denominator == 1 for x in ints)
-        out.append(tuple(int(x) for x in ints))
-    return tuple(out)
+Perm = tuple[int, ...]
 
 
 class WeylElem:
     """A finite Weyl group element over a fixed root datum.
 
-    Equality and hashing use the matrix alone; the reduced word, inverse and
-    length are lazy caches.  Multiplication composes actions: (u*w)(v) =
-    u(w(v)).
+    Equality and hashing use the root permutation alone; the reduced word,
+    inverse and length are lazy caches.  Multiplication composes actions:
+    (u*w)(v) = u(w(v)).
     """
 
-    __slots__ = ("datum", "mat", "_word", "_inv", "_len")
+    __slots__ = ("datum", "perm", "_word", "_inv", "_len")
 
-    def __init__(self, datum: RootDatum, mat: Matrix):
+    def __init__(self, datum: RootDatum, perm: Perm):
         self.datum = datum
-        self.mat = mat
+        self.perm = perm
         self._word: Word | None = None
         self._inv: WeylElem | None = None
         self._len: int | None = None
@@ -80,59 +51,68 @@ class WeylElem:
     def __mul__(self, other: "WeylElem") -> "WeylElem":
         if self.datum is not other.datum:
             raise ValueError("type mismatch: elements of different Weyl groups")
-        return WeylElem(self.datum, _mat_mul(self.mat, other.mat))
+        return WeylElem(self.datum, itemgetter(*other.perm)(self.perm))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, WeylElem) and self.mat == other.mat and self.datum is other.datum
+        return isinstance(other, WeylElem) and self.perm == other.perm and self.datum is other.datum
 
     def __hash__(self) -> int:
-        return hash(self.mat)
+        return hash(self.perm)
 
     def __repr__(self) -> str:
         word = ",".join(str(i) for i in self.word()) or "e"
         return f"WeylElem({self.datum.lie_type}, {word})"
 
     def is_identity(self) -> bool:
-        return self.mat == _identity_mat(self.datum.rank)
+        return self.perm == _tables(self.datum).identity.perm
 
     def apply_coroot(self, vec: tuple) -> tuple:
         """Act on a vector in coroot coordinates (ints or Fractions)."""
-        if len(vec) != self.datum.rank:
-            raise ValueError("rank mismatch")
-        return _mat_vec(self.mat, vec)
+        return self._apply(vec, self.datum.pos_coroots)
 
     def apply_root(self, vec: tuple) -> tuple:
-        """Act on a vector in root coordinates, one reflection at a time."""
-        if len(vec) != self.datum.rank:
+        """Act on a vector in root coordinates."""
+        return self._apply(vec, self.datum.pos_roots)
+
+    def _apply(self, vec: tuple, basis: tuple[Vec, ...]) -> tuple:
+        """sum_i vec[i] * w(b_i), where w(b_i) = +-basis[j] for the image j of alpha_i."""
+        n = self.datum.rank
+        if len(vec) != n:
             raise ValueError("rank mismatch")
-        a = self.datum.cartan
-        out = list(vec)
-        for label in reversed(self.word()):
-            i = label - 1
-            c = sum(a[i][j] * out[j] for j in range(len(out)))
-            out[i] -= c
+        big = len(basis)
+        out = [0] * n
+        for c, k in zip(vec, _tables(self.datum).simple_index):
+            if not c:
+                continue
+            j = self.perm[k]
+            if j >= big:
+                j -= big
+                c = -c
+            for i, b in enumerate(basis[j]):
+                out[i] += c * b
         return tuple(out)
 
     def inverse(self) -> "WeylElem":
         if self._inv is None:
-            inv = WeylElem(self.datum, _invert_unimodular(self.mat))
-            inv._inv = self
-            self._inv = inv
+            inv = [0] * len(self.perm)
+            for k, j in enumerate(self.perm):
+                inv[j] = k
+            elem = WeylElem(self.datum, tuple(inv))
+            elem._inv = self
+            self._inv = elem
         return self._inv
 
     def length(self) -> int:
         """Number of positive roots sent to negative roots."""
         if self._len is None:
-            self._len = sum(
-                1 for cor in self.datum.pos_coroots
-                if any(c < 0 for c in _mat_vec(self.mat, cor))
-            )
+            big = len(self.datum.pos_roots)
+            self._len = sum(1 for j in self.perm[:big] if j >= big)
         return self._len
 
     def has_right_descent(self, label: int) -> bool:
         """True iff l(w s) < l(w), i.e. w sends the simple root at label negative."""
-        i = label - 1
-        return any(row[i] < 0 for row in self.mat)
+        k = _tables(self.datum).simple_index[label - 1]
+        return self.perm[k] >= len(self.datum.pos_roots)
 
     def word(self) -> Word:
         """Canonical reduced word (node labels), by smallest-descent stripping."""
@@ -147,41 +127,64 @@ class WeylElem:
                         break
                 else:
                     break
-            assert cur.is_identity()
+            if not cur.is_identity():
+                raise ArithmeticError(f"descent stripping of {self.perm} did not reach the identity")
             self._word = tuple(reversed(labels))
         return self._word
 
 
+class _RootPerms:
+    """Per-datum tables: root indices, and reflections as root permutations."""
+
+    def __init__(self, datum: RootDatum):
+        self.datum = datum
+        pos = datum.pos_roots
+        roots = pos + tuple(tuple(-c for c in r) for r in pos)
+        self.index = {r: j for j, r in enumerate(roots)}
+        n = datum.rank
+        # root index of alpha_i, for i = 0..rank-1
+        self.simple_index = tuple(self.index[tuple(int(i == j) for j in range(n))] for i in range(n))
+        self.identity = WeylElem(datum, tuple(range(len(roots))))
+        self._reflections: dict[int, WeylElem] = {}
+        self.simple_reflections = tuple(self.reflection(k) for k in self.simple_index)
+
+    def reflection(self, k: int) -> WeylElem:
+        """s_beta for beta = pos_roots[k]: gamma -> gamma - <beta^v, gamma> beta."""
+        if k not in self._reflections:
+            datum = self.datum
+            big = len(datum.pos_roots)
+            beta = datum.pos_roots[k]
+            cor = datum.pos_coroots[k]
+            # pairs[j] = <beta^v, pos_roots[j]>, with pairing_rows[j][i] = <alpha_i^v, pos_roots[j]>
+            pairs = [sum(map(mul, cor, row)) for row in datum.pairing_rows]
+            perm = []
+            for j, gamma in enumerate(datum.pos_roots):
+                image = tuple(g - pairs[j] * b for g, b in zip(gamma, beta))
+                perm.append(self.index[image])
+            perm += [(j + big) % (2 * big) for j in perm]
+            self._reflections[k] = WeylElem(datum, tuple(perm))
+        return self._reflections[k]
+
+
+@functools.cache
+def _tables(datum: RootDatum) -> _RootPerms:
+    return _RootPerms(datum)
+
+
 def identity(datum: RootDatum) -> WeylElem:
-    return WeylElem(datum, _identity_mat(datum.rank))
+    return _tables(datum).identity
 
 
 def simple_reflection(datum: RootDatum, label: int) -> WeylElem:
     """The simple reflection at a finite node label (1-based)."""
     if not 1 <= label <= datum.rank:
         raise ValueError(f"node label {label} is not a finite node")
-    n = datum.rank
-    i = label - 1
-    a = datum.cartan
-    rows = []
-    for k in range(n):
-        if k == i:
-            rows.append(tuple(int(i == j) - a[j][i] for j in range(n)))
-        else:
-            rows.append(tuple(int(k == j) for j in range(n)))
-    return WeylElem(datum, tuple(rows))
+    return _tables(datum).simple_reflections[label - 1]
 
 
 def reflection(datum: RootDatum, alpha: Vec) -> WeylElem:
     """The reflection in an arbitrary positive root alpha."""
-    k = datum.root_index(alpha)
-    cor = datum.pos_coroots[k]
-    row = datum.pairing_rows[k]  # <mu, alpha> = mu . row
-    n = datum.rank
-    mat = tuple(
-        tuple(int(i == j) - cor[i] * row[j] for j in range(n)) for i in range(n)
-    )
-    return WeylElem(datum, mat)
+    return _tables(datum).reflection(datum.root_index(alpha))
 
 
 def from_word(datum: RootDatum, labels: tuple[int, ...]) -> WeylElem:

@@ -200,6 +200,11 @@ def test_minrep_level_sizes_examples(label, sizes):
     assert list(levels.level_sizes()) == sizes
 
 
+def test_minrep_negative_length_rejected():
+    with pytest.raises(ValueError, match="max_len"):
+        enumerate_minreps(parse_type("A2"), -1)
+
+
 @pytest.mark.parametrize("label", ["A2", "C2", "G2"])
 def test_minrep_level_sizes_match_series(label):
     through = 10

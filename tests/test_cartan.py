@@ -1,10 +1,15 @@
 """Root datum construction against the classical tables."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import affschub
 from affschub.cartan import (
+    _symmetrizers,
     LieType,
     coroot_of,
     diagram_automorphisms,
@@ -260,3 +265,27 @@ def test_unique_affine_neighbor_outside_type_a(label):
         assert datum.is_long(t)
         cw = fundamental_coweight(datum.lie_type, t)
         assert cw == tuple(Fraction(c) for c in datum.highest_coroot)
+
+
+def test_invariant_checks_survive_optimize_flag():
+    # python -O strips assert statements; the invariant checks must still raise
+    src = os.path.dirname(os.path.dirname(affschub.__file__))
+    code = (
+        "import sys\n"
+        "from affschub import cartan\n"
+        "try:\n"
+        "    cartan._symmetrizers(((2, 0), (0, 2)))\n"
+        "except ArithmeticError as exc:\n"
+        "    print(f'optimize={sys.flags.optimize} raised: {exc}')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "optimize=1 raised: diagram must be connected"
+
+
+def test_disconnected_diagram_raises():
+    with pytest.raises(ArithmeticError, match="connected"):
+        _symmetrizers(((2, 0), (0, 2)))

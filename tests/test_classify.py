@@ -114,3 +114,23 @@ def test_levi_descriptors():
     assert type_report(parse_type("C3")).levi_descriptor == "P^5"
     assert "flags" in type_report(parse_type("A3")).levi_descriptor
     assert "omitting" in type_report(parse_type("G2")).levi_descriptor
+
+
+@pytest.mark.parametrize("label", ["A3", "C3", "G2", "F4"])
+def test_type_report_builds_levi_quotient_once(label, monkeypatch):
+    import affschub.cohomology as cohomology
+    import affschub.weyl as weyl
+
+    lt = parse_type(label)
+    expected = type_report(lt)
+    calls = []
+    real = weyl.min_coset_reps
+
+    def counting(lie_type, nodes):
+        calls.append(frozenset(nodes))
+        return real(lie_type, nodes)
+
+    monkeypatch.setattr(cohomology, "min_coset_reps", counting)
+    monkeypatch.setattr(weyl, "min_coset_reps", counting)
+    assert type_report(lt) == expected
+    assert calls == [levi_nodes(lt)]

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from affschub.cli import main
 
 
@@ -137,3 +139,41 @@ def test_verify_json(capsys):
     payload = json.loads(out)["payload"]
     assert payload["passed"] is True
     assert all(r["passed"] for r in payload["results"])
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("enumerate", "A2", "--max-len", "-1", "--no-cache"), "--max-len"),
+        (("poincare", "A1", "--element", "t:-1", "--max-len", "-1"), "--max-len"),
+        (("factorize", "A2", "--element", "word:0", "--max-len", "-2"), "--max-len"),
+        (("verify", "A1", "--suite", "canonical", "--max-len", "-1"), "--max-len"),
+        (("classify-all", "--max-rank", "-1"), "--max-rank"),
+    ],
+)
+def test_negative_size_exit_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and ">= 0" in err
+
+
+def test_chevalley_builds_each_result_once(capsys, monkeypatch):
+    import affschub.cohomology as cohomology
+    import affschub.weyl as weyl
+
+    calls = []
+    real = weyl.min_coset_reps
+
+    def counting(lie_type, nodes):
+        calls.append((lie_type, frozenset(nodes)))
+        return real(lie_type, nodes)
+
+    monkeypatch.setattr(cohomology, "min_coset_reps", counting)
+    monkeypatch.setattr(weyl, "min_coset_reps", counting)
+    code, out, _ = run(capsys, "chevalley", "G2")
+    assert code == 0
+    assert out.strip() == "G2: a = [1, 3, 2, 3, 1] (rational-only)"
+    # one build for the ladder, one for the Poincare polynomial
+    assert len(calls) == 2

@@ -211,3 +211,48 @@ def test_rank_mismatch_raises():
         identity(a2) * identity(a3)
     with pytest.raises(ValueError, match="rank mismatch"):
         identity(a2).apply_coroot((1, 0, 0))
+
+
+def _matrix_of_word(cartan, word):
+    """Coroot-lattice matrix of a word, from the Cartan matrix alone.
+
+    s_i sends alpha_j^v to alpha_j^v - A[j][i] alpha_i^v, so its matrix is the
+    identity with row i replaced by (delta_ij - A[j][i])_j.
+    """
+    n = len(cartan)
+    mat = [[int(r == c) for c in range(n)] for r in range(n)]
+    for label in word:
+        i = label - 1
+        # mat <- mat * s_i: column j picks up -A[j][i] times column i
+        for row in mat:
+            row[:] = [row[j] - cartan[j][i] * row[i] for j in range(n)]
+    return tuple(tuple(row) for row in mat)
+
+
+def _mat_vec(mat, vec):
+    return tuple(sum(m * v for m, v in zip(row, vec)) for row in mat)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "G2", "F4"])
+def test_root_permutation_matches_matrix_oracle(label):
+    lt = parse_type(label)
+    datum = root_datum(lt)
+    n = datum.rank
+    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    elems = [w for level in min_coset_reps(lt, ()) for w in level]
+    matrices = set()
+    for w in elems:
+        mat = _matrix_of_word(datum.cartan, w.word())
+        matrices.add(mat)
+        inversions = sum(
+            1 for cor in datum.pos_coroots if any(c < 0 for c in _mat_vec(mat, cor))
+        )
+        assert w.length() == inversions == len(w.word())
+        for i, e in enumerate(basis):
+            image = _mat_vec(mat, e)
+            assert w.apply_coroot(e) == image
+            assert w.has_right_descent(i + 1) == any(c < 0 for c in image)
+        assert (w * w.inverse()).is_identity()
+        assert (w.inverse() * w).is_identity()
+    # distinct permutations are distinct matrices: the words name |W| elements
+    assert len(matrices) == len(elems) == WEYL_ORDERS[label]
