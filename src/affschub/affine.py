@@ -18,6 +18,25 @@ paired once with every positive root, and each w(beta) = +-gamma is read off
 the root permutation of w.  Its correctness is pinned empirically against
 the independent Cayley-graph BFS oracle, not by citation.
 
+Descents are tested in closed form, in O(rank), from the signs of affine
+roots.  The translation acts by t_lam(beta + k delta) = beta + (k - <lam,
+beta>) delta, and l(s x) < l(x) iff x^-1 sends the simple affine root of s
+negative, l(x s) < l(x) iff x sends it negative.  For x = t_lam w:
+
+* left descent at i >= 1: x^-1(alpha_i) = w^-1(alpha_i) + <lam, alpha_i> delta,
+  so <lam, alpha_i> < 0, or = 0 and w^-1(alpha_i) < 0;
+* left descent at 0: x^-1(delta - theta) = -w^-1(theta) + (1 - <lam, theta>)
+  delta, so <lam, theta> > 1, or = 1 and w^-1(theta) > 0;
+* right descent at i >= 1: x(alpha_i) = w(alpha_i) - <lam, w alpha_i> delta;
+  with w(alpha_i) = +-gamma, <lam, gamma> > 0 when +, <lam, gamma> <= 0 when -.
+
+Each test is one pairing from ``pairing_rows`` and one root-permutation
+lookup.  Reduced words, coset minima and Bruhat comparisons walk the state
+(lam, w^-1) instead of forming products: s_i sends lam to lam - <lam,
+alpha_i> alpha_i^v, s_0 sends it to lam + (1 - <lam, theta>) theta^v, and
+w^-1 becomes w^-1 s.  The tests agree with product-and-length on BFS balls
+of A1 through F4 (tests/test_affine.py).
+
 Enumeration-style operations carry configurable length limits (exceeding one
 raises BoundExceededError rather than truncating); closed-formula operations
 get a much larger default since they are linear-time per element.
@@ -25,11 +44,12 @@ get a much larger default since they are linear-time per element.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import warnings
 from dataclasses import dataclass
-from operator import mul
+from operator import itemgetter, mul
 
 from .cartan import LieType, RootDatum, Vec, convention_hash, root_datum
 from .errors import BoundExceededError, ParseError
@@ -42,6 +62,9 @@ def default_enum_bound(datum: RootDatum) -> int:
 
 # default ceiling for closed-formula recursions (Bruhat tests, star powers)
 ELEMENT_BOUND = 64
+
+# default ceiling, in letters, for emitting a canonical reduced word
+WORD_BOUND = 100_000
 
 CACHE_SCHEMA_VERSION = 1
 
@@ -75,7 +98,8 @@ class AffineElem:
         return hash((self.trans, self.fin.perm))
 
     def __repr__(self) -> str:
-        return f"AffineElem({self.datum.lie_type}, {format_element(self)!r})"
+        text = format_element(self, bound=self.length())
+        return f"AffineElem({self.datum.lie_type}, {text!r})"
 
     def is_identity(self) -> bool:
         return all(c == 0 for c in self.trans) and self.fin.is_identity()
@@ -150,20 +174,90 @@ def is_antidominant(datum: RootDatum, lam: Vec) -> bool:
     return all(sum(lam[i] * a[i][j] for i in range(n)) <= 0 for j in range(n))
 
 
-def reduced_word(x: AffineElem) -> list[int]:
-    """Greedy left-descent stripping; the word multiplies left-to-right to x."""
+class _Descents:
+    """Per-datum tables for the closed-form descent tests on x = t_lam w.
+
+    For a node label l, ``root[l]`` is the root index of alpha_l (of theta
+    when l = 0), ``row[l]`` its pairing row, and ``shift[l]`` maps a root
+    permutation p to that of p * s, where s is the finite part of the
+    generator at l (s_theta when l = 0).
+    """
+
+    def __init__(self, datum: RootDatum):
+        n = datum.rank
+        self.big = len(datum.pos_roots)
+        self.rows = datum.pairing_rows
+        self.root = (datum.root_index(datum.highest_root),) + tuple(
+            datum.root_index(tuple(int(i == j) for j in range(n))) for i in range(n)
+        )
+        self.row = tuple(self.rows[k] for k in self.root)
+        self.shift = tuple(itemgetter(*generator(datum, l).fin.perm) for l in range(n + 1))
+        self.theta_cor = datum.highest_coroot
+
+
+@functools.cache
+def _descents(datum: RootDatum) -> _Descents:
+    return _Descents(datum)
+
+
+def _left_descent(d: _Descents, lam: Vec, winv: tuple, label: int) -> bool:
+    """l(s x) < l(x) for the generator s at label and x = t_lam w, given w^-1's permutation."""
+    a = sum(map(mul, lam, d.row[label]))
+    if label:
+        return a < 0 or (a == 0 and winv[d.root[label]] >= d.big)
+    return a > 1 or (a == 1 and winv[d.root[0]] < d.big)
+
+
+def _first_left_descent(d: _Descents, lam: Vec, winv: tuple) -> int:
+    """The smallest label with a left descent; ArithmeticError if there is none."""
+    for label in range(len(d.root)):
+        if _left_descent(d, lam, winv, label):
+            return label
+    raise ArithmeticError(f"no left descent found for t_lam w with lam={lam}")
+
+
+def _left_mul(d: _Descents, label: int, lam: Vec, winv: tuple) -> tuple[Vec, tuple]:
+    """The state (lam, w^-1's permutation) of s x from that of x = t_lam w."""
+    a = sum(map(mul, lam, d.row[label]))
+    if label:
+        lam = lam[: label - 1] + (lam[label - 1] - a,) + lam[label:]
+    else:
+        lam = tuple(c + (1 - a) * t for c, t in zip(lam, d.theta_cor))
+    return lam, d.shift[label](winv)
+
+
+def _right_descent(d: _Descents, lam: Vec, perm: tuple, label: int) -> bool:
+    """l(x s_label) < l(x) for a finite label and x = t_lam w, given w's permutation."""
+    j = perm[d.root[label]]
+    if j < d.big:
+        return sum(map(mul, lam, d.rows[j])) > 0
+    return sum(map(mul, lam, d.rows[j - d.big])) <= 0
+
+
+def _first_right_descent(d: _Descents, lam: Vec, perm: tuple) -> int:
+    """The smallest finite label with a right descent, or 0 if there is none."""
+    for label in range(1, len(d.root)):
+        if _right_descent(d, lam, perm, label):
+            return label
+    return 0
+
+
+def reduced_word(x: AffineElem, *, bound: int = WORD_BOUND) -> list[int]:
+    """Greedy left-descent stripping; the word multiplies left-to-right to x.
+
+    Each letter is the smallest label with a left descent.  Words longer
+    than ``bound`` letters raise BoundExceededError before any work.
+    """
+    n = x.length()
+    if n > bound:
+        raise BoundExceededError("reduced word length", n, bound, "bound")
+    d = _descents(x.datum)
+    lam, winv = x.trans, x.fin.inverse().perm
     word: list[int] = []
-    cur = x
-    n = cur.length()
-    while n > 0:
-        for label in range(cur.datum.rank + 1):
-            y = generator(cur.datum, label) * cur
-            if y.length() < n:
-                word.append(label)
-                cur, n = y, y.length()
-                break
-        else:  # pragma: no cover - a nonidentity element always has a descent
-            raise AssertionError("no descent found")
+    for _ in range(n):
+        label = _first_left_descent(d, lam, winv)
+        word.append(label)
+        lam, winv = _left_mul(d, label, lam, winv)
     return word
 
 
@@ -176,25 +270,20 @@ def from_word(datum: RootDatum, labels) -> AffineElem:
 
 def is_min_rep(x: AffineElem) -> bool:
     """True iff x is the shortest element of its coset x*W (no finite right descent)."""
-    n = x.length()
-    return all(
-        (x * embed_finite(simple_reflection(x.datum, label))).length() > n
-        for label in range(1, x.datum.rank + 1)
-    )
+    return not _first_right_descent(_descents(x.datum), x.trans, x.fin.perm)
 
 
 def min_rep(x: AffineElem) -> AffineElem:
-    """Strip finite right descents until none remain; stays in the coset x*W."""
-    cur = x
-    n = cur.length()
-    while True:
-        for label in range(1, cur.datum.rank + 1):
-            y = cur * embed_finite(simple_reflection(cur.datum, label))
-            if y.length() < n:
-                cur, n = y, y.length()
-                break
-        else:
-            return cur
+    """Strip finite right descents until none remain; stays in the coset x*W.
+
+    Right multiplication by W leaves the translation fixed, so only the
+    finite part moves.
+    """
+    d = _descents(x.datum)
+    perm = x.fin.perm
+    while label := _first_right_descent(d, x.trans, perm):
+        perm = d.shift[label](perm)
+    return x if perm is x.fin.perm else AffineElem(x.datum, x.trans, WeylElem(x.datum, perm))
 
 
 def length_bfs_oracle(lie_type: LieType, up_to: int = 10, *, hard_cap: int = 24) -> dict[AffineElem, int]:
@@ -287,7 +376,7 @@ def _compute_minreps(datum: RootDatum, max_len: int) -> tuple[tuple[AffineElem, 
 def bruhat_leq(v: AffineElem, w: AffineElem, *, bound: int = ELEMENT_BOUND) -> bool:
     """Bruhat order test via the subword property along a reduced word of w.
 
-    Walks a fixed reduced word of w one letter at a time (the standard
+    Walks the canonical reduced word of w one letter at a time (the standard
     lifting recursion): with s the first letter, v <= w iff (sv <= sw when s
     descends v) or (v <= sw otherwise).
     """
@@ -295,25 +384,21 @@ def bruhat_leq(v: AffineElem, w: AffineElem, *, bound: int = ELEMENT_BOUND) -> b
         raise ValueError("type mismatch")
     if w.length() > bound:
         raise BoundExceededError("Bruhat comparison length", w.length(), bound, "bound")
+    d = _descents(w.datum)
     lv, lw = v.length(), w.length()
+    sv = (v.trans, v.fin.inverse().perm)
+    sw = (w.trans, w.fin.inverse().perm)
     while lw > 0:
         if lv > lw:
             return False
         if lv == 0:
             return True
-        if v == w:
+        if sv == sw:
             return True
-        for label in range(w.datum.rank + 1):
-            s = generator(w.datum, label)
-            sw = s * w
-            if sw.length() < lw:
-                w, lw = sw, lw - 1
-                sv = s * v
-                if sv.length() < lv:
-                    v, lv = sv, lv - 1
-                break
-        else:  # pragma: no cover
-            raise AssertionError("no descent found")
+        label = _first_left_descent(d, *sw)
+        sw, lw = _left_mul(d, label, *sw), lw - 1
+        if _left_descent(d, *sv, label):
+            sv, lv = _left_mul(d, label, *sv), lv - 1
     return lv == 0
 
 
@@ -363,8 +448,8 @@ def _finite_elements(datum: RootDatum):
 # Emission always uses the canonical reduced word; the identity is "word:".
 
 
-def format_element(x: AffineElem) -> str:
-    return "word:" + ",".join(str(i) for i in reduced_word(x))
+def format_element(x: AffineElem, *, bound: int = WORD_BOUND) -> str:
+    return "word:" + ",".join(str(i) for i in reduced_word(x, bound=bound))
 
 
 def parse_element(datum: RootDatum, text: str) -> AffineElem:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 property-suite failure, 2 parse error (the message
 names the offending token), 3 configured bound exceeded (the message names
-the limit and how to raise it).
+the limit and the flag that raises it), 4 internal failure (a broken
+invariant of the engine, never a property of the input).
 
 The min-rep enumeration cache lives under $AFFSCHUB_CACHE_DIR (default
 ~/.cache/affschub); cache files carry the per-type convention hash, so a
@@ -27,6 +28,14 @@ from .cohomology import chain_coeffs, levi_nodes, levi_poincare, pd_status
 from .verify import run_suite
 
 SCHEMA_VERSION = 1
+
+# the flag that raises the library keyword ``bound``, per command
+BOUND_FLAGS = {
+    "poincare": "--max-len",
+    "factorize": "--max-len",
+    "verify": "--max-len",
+    "star": "--max-word-len",
+}
 
 
 def default_cache_dir() -> str | None:
@@ -126,13 +135,15 @@ def cmd_star(args) -> int:
     tau = schubert.SchubertClass(parse_element(datum, args.elem1))
     nu = schubert.SchubertClass(parse_element(datum, args.elem2))
     result = schubert.star(tau, nu)
+    bound = args.max_word_len
+    result_text = format_element(result.elem, bound=bound) if result else None
     payload = {
-        "left": format_element(tau.elem),
-        "right": format_element(nu.elem),
-        "result": format_element(result.elem) if result else None,
+        "left": format_element(tau.elem, bound=bound),
+        "right": format_element(nu.elem, bound=bound),
+        "result": result_text,
         "zero": result is None,
     }
-    text = "0" if result is None else f"class {format_element(result.elem)}"
+    text = "0" if result is None else f"class {result_text}"
     _emit(args, lt, payload, [text])
     return 0
 
@@ -253,6 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("type")
     p.add_argument("elem1")
     p.add_argument("elem2")
+    p.add_argument(
+        "--max-word-len", type=_size, default=affine.WORD_BOUND,
+        help="raise the length bound for printing an element's reduced word",
+    )
 
     p = add("segments", cmd_segments, help="the segments (classes below the generator)")
     p.add_argument("type")
@@ -289,11 +304,23 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except BoundExceededError as exc:
-        print(f"bound exceeded: {exc}", file=sys.stderr)
+        print(f"bound exceeded: {_bound_message(args.command, exc)}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
+
+
+def _bound_message(command: str, exc: BoundExceededError) -> str:
+    """The library's message, with its keyword replaced by the command's flag."""
+    head = f"{exc.what} {exc.value} exceeds the configured limit {exc.limit}"
+    flag = BOUND_FLAGS.get(command) if exc.knob == "bound" else None
+    if flag is None:
+        return f"{head}; no flag of '{command}' raises it"
+    return f"{head}; pass {flag} {exc.value} (or larger) to raise it"
 
 
 if __name__ == "__main__":

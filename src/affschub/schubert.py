@@ -130,10 +130,10 @@ def segment_factorizations(
 
 
 def segment_factorize(w: AffineElem, *, bound: int | None = None) -> list[SchubertClass]:
-    """The unique segment factorization of w; raises if uniqueness fails."""
+    """The unique segment factorization of w; ArithmeticError if uniqueness fails."""
     found = segment_factorizations(w, bound=bound)
     if len(found) != 1:
-        raise ValueError(
+        raise ArithmeticError(
             f"expected exactly one segment factorization of {w!r}, found {len(found)}"
         )
     return found[0]
@@ -179,7 +179,7 @@ def star_decompose(
             continue
         if bruhat_leq(tau, sigma, bound=max(sigma.length(), ELEMENT_BOUND)):
             return SchubertClass(tau), SchubertClass(nu)
-    raise ValueError(f"no star decomposition found for {omega!r}")  # pragma: no cover
+    raise ArithmeticError(f"no star decomposition found for {omega!r}")  # pragma: no cover
 
 
 def schubert_poincare(cls: SchubertClass, *, bound: int | None = None) -> GradedPoly:

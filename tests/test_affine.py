@@ -6,10 +6,12 @@ from collections import Counter
 
 import pytest
 
+from affschub import affine
 from affschub.cartan import parse_type, root_datum
 from affschub.errors import BoundExceededError, ParseError
 from affschub.affine import (
     affine_identity,
+    all_generators,
     antidominant_equivalences,
     bruhat_leq,
     embed_finite,
@@ -155,6 +157,52 @@ def test_reduced_word_roundtrip(label):
         word = reduced_word(x)
         assert len(word) == x.length()
         assert from_word(d, word) == x
+
+
+def test_reduced_word_bound():
+    x = translation(datum("A1"), (-30,))
+    assert len(reduced_word(x, bound=60)) == 60
+    with pytest.raises(BoundExceededError, match="bound=60"):
+        reduced_word(x, bound=59)
+    with pytest.raises(BoundExceededError, match="reduced word length"):
+        format_element(translation(datum("A1"), (-10**7,)))
+
+
+# --- closed-form descents against product and length -------------------------
+
+DESCENT_BALLS = [
+    ("A1", 10), ("A2", 7), ("C2", 7), ("G2", 7),
+    ("A3", 5), ("B3", 5), ("C3", 5), ("D4", 4), ("F4", 4),
+]
+
+
+def greedy_word_oracle(x):
+    """Smallest-label left-descent stripping by products and lengths."""
+    gens = all_generators(x.datum)
+    word = []
+    while x.length() > 0:
+        label = next(l for l, g in enumerate(gens) if (g * x).length() < x.length())
+        word.append(label)
+        x = gens[label] * x
+    return word
+
+
+@pytest.mark.parametrize("label,depth", DESCENT_BALLS)
+def test_closed_form_descents_match_products(label, depth):
+    d = datum(label)
+    gens = all_generators(d)
+    tables = affine._descents(d)
+    for x in length_bfs_oracle(parse_type(label), depth):
+        n = x.length()
+        winv = x.fin.inverse().perm
+        for l, g in enumerate(gens):
+            assert affine._left_descent(tables, x.trans, winv, l) == ((g * x).length() < n)
+            if l:
+                assert affine._right_descent(tables, x.trans, x.fin.perm, l) == (
+                    (x * g).length() < n
+                )
+        assert reduced_word(x) == greedy_word_oracle(x)
+        assert is_min_rep(x) == all((x * g).length() > n for g in gens[1:])
 
 
 # --- min reps ----------------------------------------------------------------

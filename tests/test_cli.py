@@ -125,6 +125,43 @@ def test_bound_exceeded_exit_3(capsys):
     assert "bound" in err
 
 
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (("poincare", "A3", "--element", "t:-3,0,0"), "pass --max-len 16 "),
+        (("star", "A1", "t:-10000000", "t:-1"), "pass --max-word-len 20000002 "),
+        (("star", "A1", "t:-2000", "t:-1", "--max-word-len", "4001"), "pass --max-word-len 4002 "),
+        (("enumerate", "A2", "--max-len", "30"), "no flag of 'enumerate' raises it"),
+    ],
+)
+def test_bound_exceeded_names_flag(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert expected in err and "bound=" not in err
+
+
+def test_star_word_within_bound(capsys):
+    code, out, _ = run(capsys, "star", "A1", "t:-2000", "t:-1", "--json")
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert len(payload["result"].split(",")) == 4002
+
+
+def test_internal_failure_exit_4(capsys, monkeypatch):
+    import affschub.affine as affine
+    import affschub.schubert as schubert
+
+    monkeypatch.setattr(schubert, "segment_factorizations", lambda w, bound=None: [[], []])
+    code, out, err = run(capsys, "factorize", "A1", "--element", "word:0,1,0")
+    assert code == 4 and out == ""
+    assert "internal error" in err and "found 2" in err
+    monkeypatch.undo()
+    monkeypatch.setattr(affine, "_left_descent", lambda *args: False)
+    code, out, err = run(capsys, "star", "A1", "word:0", "word:1,0")
+    assert code == 4 and out == ""
+    assert "no left descent" in err
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "A1", "--suite", "canonical")
     assert code == 0
