@@ -47,6 +47,7 @@ from .schubert import (
     segments,
     star,
     star_refactor_check,
+    star_refolds,
 )
 from .cohomology import (
     PDStatus,

@@ -10,7 +10,10 @@ Conventions, fixed here once and relied on by every other module:
   so ``A[i][:]`` pairs the coroot ``alpha_{i+1}^v`` against each simple root.
 * ``symmetrizers`` are the minimal positive integers ``d`` with
   ``d[i]*A[i][j]`` symmetric; a node is long iff ``d[i] == max(d)``.
-* No floats anywhere: integers, and Fractions where coweights need them.
+* No floats anywhere.  Coweights are computed in integers (fraction-free
+  elimination) and become Fractions only in the returned coordinates.
+* A finite node is minuscule (special) iff its coefficient in the highest
+  root is 1.
 
 >>> parse_type("C1")
 LieType(family='A', rank=1)
@@ -357,27 +360,50 @@ def diagram_automorphisms(lie_type: LieType) -> tuple[tuple[int, ...], ...]:
 
 
 def minuscule_nodes(lie_type: LieType) -> frozenset[int]:
-    """Finite nodes in the affine-diagram-automorphism orbit of node 0."""
-    orbit = {p[0] for p in diagram_automorphisms(lie_type)}
-    return frozenset(orbit - {0})
+    """Finite nodes whose coefficient in the highest root theta is 1.
+
+    These are the special nodes: the finite nodes in the orbit of node 0
+    under the automorphisms of the affine diagram (Bourbaki, ch. VI,
+    planches).  :func:`diagram_automorphisms` computes that orbit directly
+    and serves as the oracle for this rule in the tests.
+    """
+    theta = root_datum(lie_type).highest_root
+    return frozenset(j + 1 for j, c in enumerate(theta) if c == 1)
 
 
 @functools.lru_cache(maxsize=None)
 def _cartan_inverse(lie_type: LieType) -> tuple[tuple[Fraction, ...], ...]:
+    """Inverse Cartan matrix by fraction-free (Bareiss) Gauss-Jordan elimination.
+
+    Every entry stays an integer: each step replaces a row entry by the 2x2
+    determinant ``(piv*x - f*y)`` divided exactly by the previous pivot
+    (Sylvester's identity; Bareiss, Math. Comp. 22, 1968).  No row swaps
+    are needed, because every leading principal minor of a finite-type
+    Cartan matrix is positive.  The left block ends as ``det * I`` and the
+    right block as the adjugate, so the only division by the determinant
+    happens when the returned Fractions are built.  A remainder in a step
+    raises ArithmeticError (a zero pivot raises ZeroDivisionError, one too).
+    """
     a = root_datum(lie_type).cartan
     n = len(a)
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    m = [list(a[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        pivot_row = m[k]
+        piv = pivot_row[k]
+        for i in range(n):
+            if i == k:
+                continue
+            f = m[i][k]
+            row = []
+            for x, y in zip(m[i], pivot_row):
+                q, r = divmod(piv * x - f * y, prev)
+                if r:
+                    raise ArithmeticError(f"inexact Bareiss division by {prev} for {lie_type}")
+                row.append(q)
+            m[i] = row
+        prev = piv
+    return tuple(tuple(Fraction(x, prev) for x in row[n:]) for row in m)
 
 
 def fundamental_coweight(lie_type: LieType, label: int) -> tuple[Fraction, ...]:

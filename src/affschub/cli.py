@@ -172,7 +172,7 @@ def cmd_factorize(args) -> int:
     payload = {
         "element": format_element(elem),
         "factors": [format_element(s.elem) for s in factors],
-        "star_refactors": schubert.star_refactor_check(elem, bound=args.max_len),
+        "star_refactors": schubert.star_refolds(elem, factors),
     }
     lines = [" * ".join(format_element(s.elem) for s in factors) or "(empty product)"]
     _emit(args, lt, payload, lines)

@@ -10,15 +10,21 @@ translation has weight +theta (the highest root); the sign is pinned by the
 anchor computations in the tests (the G2 chain coefficients and the C family
 "twice a generator"), so a convention flip fails loudly instead of being
 renormalized away.
+
+The Levi quotient's cell counts and chain ladder are computed together,
+once per type (``_levi_ladder``, interned like ``root_datum``), so a
+classification row, ``chain_coeffs`` and ``levi_poincare`` share one
+enumeration of the quotient.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
-from .cartan import LieType, Vec, root_datum
-from .weyl import GradedPoly, WeylElem, min_coset_reps, reflection, quotient_poincare
+from .cartan import LieType, Vec, pairing, root_datum
+from .weyl import GradedPoly, WeylElem, min_coset_reps, reflection
 
 
 class PDStatus(enum.Enum):
@@ -71,6 +77,8 @@ def chevalley_divisor_mult(
 
     For each positive root beta with w*s_beta still a minimal representative
     one step longer, the summand is <beta^v, mu> times that basis class.
+    A root that w sends negative is skipped before any product is formed:
+    then l(w s_beta) < l(w).
     """
     datum = root_datum(lie_type)
     nodeset = frozenset(nodes)
@@ -78,24 +86,19 @@ def chevalley_divisor_mult(
         raise ValueError("w is not a minimal representative of the chosen quotient")
     if len(mu) != datum.rank:
         raise ValueError("rank mismatch")
+    big = len(datum.pos_roots)
     target = w.length() + 1
-    row = _pairing_row(datum, mu)
     out: dict[WeylElem, int] = {}
-    for k in range(len(datum.pos_roots)):
-        ws = w * reflection(datum, datum.pos_roots[k])
+    for k, beta in enumerate(datum.pos_roots):
+        if w.perm[k] >= big:
+            continue
+        ws = w * reflection(datum, beta)
         if ws.length() != target or not _in_quotient(ws, nodeset):
             continue
-        coeff = sum(c * m for c, m in zip(datum.pos_coroots[k], row))
+        coeff = pairing(datum, datum.pos_coroots[k], mu)
         if coeff:
             out[ws] = out.get(ws, 0) + coeff
     return CohomClass.from_dict(lie_type, nodeset, out)
-
-
-def _pairing_row(datum, mu: Vec) -> Vec:
-    """Row r with <lam, mu> = sum(lam[i] * r[i]) for lam in coroot coords."""
-    a = datum.cartan
-    n = datum.rank
-    return tuple(sum(a[i][j] * mu[j] for j in range(n)) for i in range(n))
 
 
 def levi_nodes(lie_type: LieType) -> frozenset[int]:
@@ -122,16 +125,19 @@ def c1_class(lie_type: LieType) -> CohomClass:
     return chevalley_divisor_mult(lie_type, nodes, datum.highest_root, base)
 
 
-def chain_coeffs(lie_type: LieType) -> tuple[int, ...] | None:
-    """Cup coefficients a_k with c1 * y_{k-1} = a_k * y_k on a chain quotient.
+@functools.cache
+def _levi_ladder(lie_type: LieType) -> tuple[GradedPoly, tuple[int, ...] | None]:
+    """The Levi quotient's Poincare polynomial and its chain ladder, per type.
 
-    Returns None when the quotient of the Levi nodes is not a chain; then the
-    per-degree basis is not unique and the ladder is meaningless.
+    Built once per type from one ``min_coset_reps`` call and interned like
+    :func:`root_datum`.  Only immutable values are kept, never the
+    representative lists.
     """
     nodes = levi_nodes(lie_type)
     levels = min_coset_reps(lie_type, nodes)
+    poly = GradedPoly.from_coeffs(len(level) for level in levels)
     if any(len(level) != 1 for level in levels):
-        return None
+        return poly, None
     datum = root_datum(lie_type)
     coeffs = []
     for k in range(1, len(levels)):
@@ -139,7 +145,16 @@ def chain_coeffs(lie_type: LieType) -> tuple[int, ...] | None:
         coeffs.append(prod.coefficient(levels[k][0]))
         if any(w != levels[k][0] for w, _ in prod.coeffs):
             raise ArithmeticError("chain product left the chain")
-    return tuple(coeffs)
+    return poly, tuple(coeffs)
+
+
+def chain_coeffs(lie_type: LieType) -> tuple[int, ...] | None:
+    """Cup coefficients a_k with c1 * y_{k-1} = a_k * y_k on a chain quotient.
+
+    Returns None when the quotient of the Levi nodes is not a chain; then the
+    per-degree basis is not unique and the ladder is meaningless.
+    """
+    return _levi_ladder(lie_type)[1]
 
 
 def pd_status(lie_type: LieType, coeffs: tuple[int, ...] | None) -> PDStatus:
@@ -167,4 +182,4 @@ def thom_pd_status(lie_type: LieType) -> PDStatus:
 
 def levi_poincare(lie_type: LieType) -> GradedPoly:
     """Cell counts of the Levi orbit quotient (the chain test's subject)."""
-    return quotient_poincare(lie_type, levi_nodes(lie_type))
+    return _levi_ladder(lie_type)[0]

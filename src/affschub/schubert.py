@@ -141,7 +141,11 @@ def segment_factorize(w: AffineElem, *, bound: int | None = None) -> list[Schube
 
 def star_refactor_check(w: AffineElem, *, bound: int | None = None) -> bool:
     """True iff folding star over the segment factorization recovers [X_w]."""
-    factors = segment_factorize(w, bound=bound)
+    return star_refolds(w, segment_factorize(w, bound=bound))
+
+
+def star_refolds(w: AffineElem, factors: list[SchubertClass]) -> bool:
+    """True iff folding star over ``factors``, left to right, gives [X_w]."""
     acc = identity_class(w.datum.lie_type)
     for seg in factors:
         nxt = star(acc, seg)

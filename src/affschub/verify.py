@@ -32,7 +32,7 @@ from .schubert import (
     check_generator_powers,
     segment_factorizations,
     star,
-    star_refactor_check,
+    star_refolds,
 )
 
 
@@ -204,7 +204,7 @@ def suite_segments(
         if len(found) != 1:
             non_unique.append(x)
             continue
-        if not star_refactor_check(x, bound=max_len):
+        if not star_refolds(x, found[0]):
             refactor_bad.append(x)
     results.append(
         CheckResult(

@@ -10,10 +10,11 @@ image of alpha_i is negative.  The action on coroot (or root) coordinates is
 read off the images of the simple roots.
 
 The permutations of the simple reflections and of other reflections are
-built per root datum on first use of its group, each image in O(rank) from
-``pairing_rows``.  Reduced words are recovered on demand by stripping
-descents, always choosing the smallest node label, so the cached word is
-canonical.
+built per root datum on first use of its group: a simple reflection changes
+one coordinate of each root, and any other reflection is the conjugate
+``s_i s_beta' s_i`` of a reflection in a lower root.  Reduced words are
+recovered on demand by stripping descents, always choosing the smallest node
+label, so the cached word is canonical.
 
 The grading variable q counts complex cell dimension: q^k stands for
 topological degree 2k.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .cartan import LieType, RootDatum, Vec, root_datum
 
@@ -149,20 +150,35 @@ class _RootPerms:
         self.simple_reflections = tuple(self.reflection(k) for k in self.simple_index)
 
     def reflection(self, k: int) -> WeylElem:
-        """s_beta for beta = pos_roots[k]: gamma -> gamma - <beta^v, gamma> beta."""
+        """s_beta for beta = pos_roots[k]: gamma -> gamma - <beta^v, gamma> beta.
+
+        A simple reflection s_i changes coordinate i of each root by
+        ``<alpha_i^v, gamma>``.  Any other beta has a node i with
+        ``<alpha_i^v, beta> > 0``, so ``beta' = s_i beta`` is lower and
+        ``s_beta = s_i s_beta' s_i``: two compositions of permutations.
+        """
         if k not in self._reflections:
             datum = self.datum
             big = len(datum.pos_roots)
             beta = datum.pos_roots[k]
-            cor = datum.pos_coroots[k]
-            # pairs[j] = <beta^v, pos_roots[j]>, with pairing_rows[j][i] = <alpha_i^v, pos_roots[j]>
-            pairs = [sum(map(mul, cor, row)) for row in datum.pairing_rows]
-            perm = []
-            for j, gamma in enumerate(datum.pos_roots):
-                image = tuple(g - pairs[j] * b for g, b in zip(gamma, beta))
-                perm.append(self.index[image])
-            perm += [(j + big) % (2 * big) for j in perm]
-            self._reflections[k] = WeylElem(datum, tuple(perm))
+            if sum(beta) == 1:
+                i = beta.index(1)
+                perm = []
+                for gamma, pairs in zip(datum.pos_roots, datum.pairing_rows):
+                    image = list(gamma)
+                    image[i] -= pairs[i]
+                    perm.append(self.index[tuple(image)])
+                perm += [(j + big) % (2 * big) for j in perm]
+                perm = tuple(perm)
+            else:
+                row = datum.pairing_rows[k]  # row[i] = <alpha_i^v, beta>
+                i = next(i for i, c in enumerate(row) if c > 0)
+                lower = list(beta)
+                lower[i] -= row[i]
+                s_i = self.reflection(self.simple_index[i]).perm
+                s_lower = self.reflection(self.index[tuple(lower)]).perm
+                perm = itemgetter(*itemgetter(*s_i)(s_lower))(s_i)
+            self._reflections[k] = WeylElem(datum, perm)
         return self._reflections[k]
 
 

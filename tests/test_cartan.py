@@ -20,6 +20,7 @@ from affschub.cartan import (
     parse_type,
     root_datum,
 )
+from affschub.classify import all_canonical_types
 from affschub.errors import ParseError
 
 # Frozen classical tables: the independent oracle the height-partition
@@ -187,6 +188,42 @@ MINUSCULE_EXPECTED = {
 @pytest.mark.parametrize("label,expected", sorted(MINUSCULE_EXPECTED.items()))
 def test_minuscule_nodes(label, expected):
     assert set(minuscule_nodes(parse_type(label))) == expected
+
+
+TYPES_RANK10 = [str(t) for t in all_canonical_types(10)]
+
+
+@pytest.mark.parametrize("label", TYPES_RANK10)
+def test_minuscule_nodes_match_automorphism_orbit(label):
+    # the theta-coefficient-1 rule against the orbit of node 0, by backtracking
+    lt = parse_type(label)
+    orbit = {p[0] for p in diagram_automorphisms(lt)}
+    assert minuscule_nodes(lt) == orbit - {0}
+
+
+def _fraction_inverse(a):
+    """Gauss-Jordan elimination over Fractions, kept here as the oracle."""
+    n = len(a)
+    aug = [[Fraction(x) for x in a[i]] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [tuple(row[n:]) for row in aug]
+
+
+@pytest.mark.parametrize("label", TYPES_RANK10 + ["A12"])
+def test_fundamental_coweight_matches_fraction_oracle(label):
+    lt = parse_type(label)
+    expected = _fraction_inverse(root_datum(lt).cartan)
+    for s in range(1, lt.rank + 1):
+        cw = fundamental_coweight(lt, s)
+        assert cw == expected[s - 1]
+        assert all(type(c) is Fraction for c in cw)
 
 
 def test_automorphisms_are_a_group():

@@ -122,7 +122,8 @@ def test_type_report_builds_levi_quotient_once(label, monkeypatch):
     import affschub.weyl as weyl
 
     lt = parse_type(label)
-    expected = type_report(lt)
+    expected = (type_report(lt), cohomology.chain_coeffs(lt), cohomology.levi_poincare(lt))
+    cohomology._levi_ladder.cache_clear()
     calls = []
     real = weyl.min_coset_reps
 
@@ -132,5 +133,13 @@ def test_type_report_builds_levi_quotient_once(label, monkeypatch):
 
     monkeypatch.setattr(cohomology, "min_coset_reps", counting)
     monkeypatch.setattr(weyl, "min_coset_reps", counting)
-    assert type_report(lt) == expected
+
+    def table_row():
+        return type_report(lt), cohomology.chain_coeffs(lt), cohomology.levi_poincare(lt)
+
+    # one build for the report, its ladder and its Poincare polynomial
+    assert table_row() == expected
+    assert calls == [levi_nodes(lt)]
+    # the per-type memo answers a repeat without building again
+    assert table_row() == expected
     assert calls == [levi_nodes(lt)]

@@ -207,10 +207,67 @@ def test_chevalley_builds_each_result_once(capsys, monkeypatch):
         calls.append((lie_type, frozenset(nodes)))
         return real(lie_type, nodes)
 
+    cohomology._levi_ladder.cache_clear()
     monkeypatch.setattr(cohomology, "min_coset_reps", counting)
     monkeypatch.setattr(weyl, "min_coset_reps", counting)
     code, out, _ = run(capsys, "chevalley", "G2")
     assert code == 0
     assert out.strip() == "G2: a = [1, 3, 2, 3, 1] (rational-only)"
-    # one build for the ladder, one for the Poincare polynomial
+    # the ladder and the Poincare polynomial come from one build
+    assert len(calls) == 1
+
+
+FACTORIZE_A2_JSON = """{
+  "command": "factorize",
+  "convention_hash": "0157cd568b25",
+  "payload": {
+    "element": "word:2,0,1,2,0",
+    "factors": [
+      "word:2,0",
+      "word:1,2,0"
+    ],
+    "star_refactors": true
+  },
+  "schema_version": 1,
+  "type_label": "A2"
+}
+"""
+
+
+def test_factorize_builds_factorization_once(capsys, monkeypatch):
+    import affschub.schubert as schubert
+
+    calls = []
+    real = schubert.segment_factorize
+
+    def counting(w, **kwargs):
+        calls.append(w)
+        return real(w, **kwargs)
+
+    monkeypatch.setattr(schubert, "segment_factorize", counting)
+    code, out, _ = run(capsys, "factorize", "A2", "--element", "word:2,0,1,2,0")
+    assert (code, out) == (0, "word:2,0 * word:1,2,0\n")
+    assert len(calls) == 1
+    code, out, _ = run(capsys, "factorize", "A2", "--element", "word:2,0,1,2,0", "--json")
+    assert (code, out) == (0, FACTORIZE_A2_JSON)
     assert len(calls) == 2
+
+
+def test_verify_segments_factorizes_each_element_once(monkeypatch):
+    import affschub.schubert as schubert
+    import affschub.verify as verify
+    from affschub.cartan import parse_type
+
+    calls = []
+    real = schubert.segment_factorizations
+
+    def counting(w, **kwargs):
+        calls.append(w)
+        return real(w, **kwargs)
+
+    monkeypatch.setattr(schubert, "segment_factorizations", counting)
+    monkeypatch.setattr(verify, "segment_factorizations", counting)
+    results = verify.suite_segments(parse_type("A2"), max_len=5)
+    assert all(r.passed for r in results)
+    # one factorization per representative, reused by the star refold check
+    assert len(calls) == len(set(calls)) > 1

@@ -12,7 +12,7 @@ from affschub.cohomology import (
     levi_poincare,
     thom_pd_status,
 )
-from affschub.weyl import min_coset_reps, simple_reflection
+from affschub.weyl import min_coset_reps, reflection, simple_reflection
 
 
 def datum(label):
@@ -80,6 +80,34 @@ def test_chevalley_raises_grading_by_one(label):
                 assert prod.support_lengths() == {w.length() + 1}
                 for ws, _ in prod.coeffs:
                     assert not any(ws.has_right_descent(lbl) for lbl in nodes)
+
+
+def _unfiltered_chevalley(lt, nodes, mu, w):
+    """Every positive root tried, pairing through the Cartan matrix: the oracle."""
+    d = root_datum(lt)
+    n = d.rank
+    out = {}
+    for beta, cor in zip(d.pos_roots, d.pos_coroots):
+        ws = w * reflection(d, beta)
+        if ws.length() != w.length() + 1 or any(ws.has_right_descent(lbl) for lbl in nodes):
+            continue
+        coeff = sum(cor[i] * d.cartan[i][j] * mu[j] for i in range(n) for j in range(n))
+        if coeff:
+            out[ws] = out.get(ws, 0) + coeff
+    return out
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "G2", "F4"])
+def test_filtered_chevalley_matches_unfiltered_loop(label):
+    lt = parse_type(label)
+    nodes = levi_nodes(lt)
+    d = datum(label)
+    weights = [d.highest_root] + [tuple(int(i == j) for j in range(d.rank)) for i in range(d.rank)]
+    for level in min_coset_reps(lt, nodes):
+        for w in level:
+            for mu in weights:
+                prod = chevalley_divisor_mult(lt, nodes, mu, w)
+                assert dict(prod.coeffs) == _unfiltered_chevalley(lt, nodes, mu, w)
 
 
 def test_chevalley_rejects_non_representative():

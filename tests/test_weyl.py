@@ -3,6 +3,7 @@
 import pytest
 
 from affschub.cartan import parse_type, root_datum
+from affschub.classify import all_canonical_types
 from affschub.weyl import (
     GradedPoly,
     from_word,
@@ -256,3 +257,22 @@ def test_root_permutation_matches_matrix_oracle(label):
         assert (w.inverse() * w).is_identity()
     # distinct permutations are distinct matrices: the words name |W| elements
     assert len(matrices) == len(elems) == WEYL_ORDERS[label]
+
+
+@pytest.mark.parametrize("label", [str(t) for t in all_canonical_types(8)])
+def test_conjugated_reflections_match_direct_formula(label):
+    # every reflection, simple or built by conjugation, against
+    # gamma -> gamma - <beta^v, gamma> beta with the pairing from the Cartan matrix
+    datum = root_datum(parse_type(label))
+    n = datum.rank
+    big = len(datum.pos_roots)
+    roots = list(datum.pos_roots) + [tuple(-c for c in r) for r in datum.pos_roots]
+    index = {r: j for j, r in enumerate(roots)}
+    for beta, cor in zip(datum.pos_roots, datum.pos_coroots):
+        expected = []
+        for gamma in roots:
+            pair = sum(cor[i] * datum.cartan[i][j] * gamma[j] for i in range(n) for j in range(n))
+            expected.append(index[tuple(g - pair * b for g, b in zip(gamma, beta))])
+        s_beta = reflection(datum, beta)
+        assert s_beta.perm == tuple(expected)
+        assert s_beta.length() % 2 == 1 and len(s_beta.perm) == 2 * big
