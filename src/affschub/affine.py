@@ -37,6 +37,24 @@ alpha_i> alpha_i^v, s_0 sends it to lam + (1 - <lam, theta>) theta^v, and
 w^-1 becomes w^-1 s.  The tests agree with product-and-length on BFS balls
 of A1 through F4 (tests/test_affine.py).
 
+Minimal representatives of the affine group mod W are enumerated over the
+coroot lattice: the coset t_lam W is fixed by lam, so the representatives of
+one length are indexed by distinct lam.  By Deodhar's lemma, for a minimal
+representative x and a generator s, either s x < x, or s x is a minimal
+representative one longer, or s x lies in the coset x W.  The last happens
+exactly when s keeps lam, that is a = 0 for s_i and a = 1 for s_0, where
+a = <lam, alpha_i> (<lam, theta> for s_0).  With the left descent tests
+above, s x is a minimal representative one longer exactly when
+
+* i >= 1 and a > 0; then lam[i-1] decreases by a;
+* i = 0 and a <= 0; then lam increases by (1 - a) theta^v;
+
+and neither test reads w.  Every minimal representative y != 1 has a left
+descent s, and s y is again minimal, so a level BFS over lam reaches them
+all, and the level number is the length.  The finite part w^-1 is carried
+along the first path to each lam (every path ends at the same element) and
+inverted once for the output.  Each level is sorted by lam.
+
 Enumeration-style operations carry configurable length limits (exceeding one
 raises BoundExceededError rather than truncating); closed-formula operations
 get a much larger default since they are linear-time per element.
@@ -45,13 +63,10 @@ get a much larger default since they are linear-time per element.
 from __future__ import annotations
 
 import functools
-import json
-import os
-import warnings
 from dataclasses import dataclass
 from operator import itemgetter, mul
 
-from .cartan import LieType, RootDatum, Vec, convention_hash, root_datum
+from .cartan import LieType, RootDatum, Vec, root_datum
 from .errors import BoundExceededError, ParseError
 from .weyl import WeylElem, identity, simple_reflection, reflection
 
@@ -65,8 +80,6 @@ ELEMENT_BOUND = 64
 
 # default ceiling, in letters, for emitting a canonical reduced word
 WORD_BOUND = 100_000
-
-CACHE_SCHEMA_VERSION = 1
 
 
 class AffineElem:
@@ -216,14 +229,17 @@ def _first_left_descent(d: _Descents, lam: Vec, winv: tuple) -> int:
     raise ArithmeticError(f"no left descent found for t_lam w with lam={lam}")
 
 
+def _left_lam(d: _Descents, label: int, lam: Vec, a: int) -> Vec:
+    """The translation of s x for x = t_lam w, given a = <lam, alpha_label> (<lam, theta> at 0)."""
+    if label:
+        return lam[: label - 1] + (lam[label - 1] - a,) + lam[label:]
+    return tuple(c + (1 - a) * t for c, t in zip(lam, d.theta_cor))
+
+
 def _left_mul(d: _Descents, label: int, lam: Vec, winv: tuple) -> tuple[Vec, tuple]:
     """The state (lam, w^-1's permutation) of s x from that of x = t_lam w."""
     a = sum(map(mul, lam, d.row[label]))
-    if label:
-        lam = lam[: label - 1] + (lam[label - 1] - a,) + lam[label:]
-    else:
-        lam = tuple(c + (1 - a) * t for c, t in zip(lam, d.theta_cor))
-    return lam, d.shift[label](winv)
+    return _left_lam(d, label, lam, a), d.shift[label](winv)
 
 
 def _right_descent(d: _Descents, lam: Vec, perm: tuple, label: int) -> bool:
@@ -326,19 +342,14 @@ class MinRepLevels:
         return tuple(len(level) for level in self.by_length)
 
 
-def enumerate_minreps(
-    lie_type: LieType,
-    max_len: int,
-    *,
-    bound: int | None = None,
-    cache_dir: str | None = None,
-) -> MinRepLevels:
+def enumerate_minreps(lie_type: LieType, max_len: int, *, bound: int | None = None) -> MinRepLevels:
     """All minimal coset representatives of length <= max_len, graded.
 
-    BFS over cosets: apply each generator on the left of a level-k
-    representative, project to the coset minimum, and keep length k+1.
-    Output order is canonical: (translation coords lex, finite word lex)
-    within each level, so runs are reproducible bit for bit.
+    Level BFS over the translations lam (see the module docstring): each
+    up-step s_l x of a level-k representative is tested and taken from the
+    pairing <lam, alpha_l> alone.  Within a level the translations are
+    distinct, and the level is sorted by them, so runs are reproducible bit
+    for bit.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
@@ -346,31 +357,37 @@ def enumerate_minreps(
     limit = bound if bound is not None else default_enum_bound(datum)
     if max_len > limit:
         raise BoundExceededError("min-rep enumeration length", max_len, limit, "bound")
-    if cache_dir is not None:
-        cached = _cache_load(lie_type, max_len, cache_dir)
-        if cached is not None:
-            return cached
-    levels = _compute_minreps(datum, max_len)
-    result = MinRepLevels(lie_type, levels, max_len)
-    if cache_dir is not None:
-        _cache_store(result, cache_dir)
-    return result
+    return MinRepLevels(lie_type, _compute_minreps(datum, max_len), max_len)
 
 
 def _compute_minreps(datum: RootDatum, max_len: int) -> tuple[tuple[AffineElem, ...], ...]:
-    gens = all_generators(datum)
-    seen = {affine_identity(datum)}
-    levels: list[tuple[AffineElem, ...]] = [(affine_identity(datum),)]
-    for target in range(1, max_len + 1):
-        found: set[AffineElem] = set()
-        for x in levels[-1]:
-            for g in gens:
-                y = min_rep(g * x)
-                if y.length() == target and y not in seen:
-                    found.add(y)
-        seen.update(found)
-        levels.append(tuple(sorted(found, key=lambda e: (e.trans, e.fin.word()))))
+    d = _descents(datum)
+    # level: lam -> w^-1's permutation, for the representative t_lam w
+    level = {(0,) * datum.rank: identity(datum).perm}
+    levels = [_build_level(datum, level, 0)]
+    for k in range(1, max_len + 1):
+        nxt: dict[Vec, tuple] = {}
+        for lam, winv in level.items():
+            for label, row in enumerate(d.row):
+                a = sum(map(mul, lam, row))
+                # s x is a minimal representative one longer (module docstring)
+                if (a > 0) if label else (a <= 0):
+                    new = _left_lam(d, label, lam, a)
+                    if new not in nxt:
+                        nxt[new] = d.shift[label](winv)
+        level = nxt
+        levels.append(_build_level(datum, level, k))
     return tuple(levels)
+
+
+def _build_level(datum: RootDatum, level: dict, k: int) -> tuple[AffineElem, ...]:
+    """The elements t_lam w of one level, sorted by lam, with their length seeded."""
+    out = []
+    for lam in sorted(level):
+        x = AffineElem(datum, lam, WeylElem(datum, level[lam]).inverse())
+        x._len = k
+        out.append(x)
+    return tuple(out)
 
 
 def bruhat_leq(v: AffineElem, w: AffineElem, *, bound: int = ELEMENT_BOUND) -> bool:
@@ -506,57 +523,3 @@ def _parse_coords(datum: RootDatum, body: str) -> Vec:
             f"bad translation {body!r}: expected {datum.rank} coordinates"
         )
     return tuple(coords)
-
-
-# ---------------------------------------------------------------------------
-# On-disk cache for enumerated min-rep levels.
-
-
-def _cache_path(lie_type: LieType, cache_dir: str) -> str:
-    return os.path.join(
-        cache_dir, f"minreps_{lie_type}_{convention_hash(lie_type)}.json"
-    )
-
-
-def _cache_store(levels: MinRepLevels, cache_dir: str) -> None:
-    os.makedirs(cache_dir, exist_ok=True)
-    payload = {
-        "schema_version": CACHE_SCHEMA_VERSION,
-        "type": str(levels.lie_type),
-        "convention_hash": convention_hash(levels.lie_type),
-        "max_length": levels.max_length,
-        "levels": [[format_element(x) for x in level] for level in levels.by_length],
-    }
-    path = _cache_path(levels.lie_type, cache_dir)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    os.replace(tmp, path)
-
-
-def _cache_load(lie_type: LieType, max_len: int, cache_dir: str) -> MinRepLevels | None:
-    path = _cache_path(lie_type, cache_dir)
-    if not os.path.exists(path):
-        return None
-    datum = root_datum(lie_type)
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-        if (
-            payload["schema_version"] != CACHE_SCHEMA_VERSION
-            or payload["convention_hash"] != convention_hash(lie_type)
-            or payload["max_length"] < max_len
-        ):
-            return None
-        levels = tuple(
-            tuple(parse_element(datum, text) for text in level)
-            for level in payload["levels"][: max_len + 1]
-        )
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        warnings.warn(f"ignoring corrupt min-rep cache {path}: {exc}")
-        return None
-    for k, level in enumerate(levels):
-        if any(x.length() != k or not is_min_rep(x) for x in level):
-            warnings.warn(f"ignoring inconsistent min-rep cache {path}")
-            return None
-    return MinRepLevels(lie_type, levels, max_len)

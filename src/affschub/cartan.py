@@ -240,29 +240,13 @@ def pairing(datum: RootDatum, lam: tuple, alpha: tuple) -> int:
     return sum(lam[i] * a[i][j] * alpha[j] for i in range(n) for j in range(n))
 
 
-def root_norm_half(datum: RootDatum, alpha: Vec) -> int:
-    """(alpha, alpha)/2 in the units where symmetrizers[i] = (alpha_i, alpha_i)/2."""
-    d = datum.symmetrizers
-    a = datum.cartan
-    n = datum.rank
-    norm2 = sum(alpha[i] * alpha[j] * d[i] * a[i][j] for i in range(n) for j in range(n))
-    if norm2 <= 0 or norm2 % 2:
-        raise ArithmeticError(f"squared norm {norm2} of {alpha} is not a positive even integer")
-    return norm2 // 2
-
-
 def coroot_of(datum: RootDatum, alpha: Vec) -> Vec:
-    """Coroot coordinates of alpha^v = sum c_i (d_i / d_alpha) alpha_i^v."""
+    """Coroot coordinates of alpha^v, read from ``pos_coroots`` (negated for a negative root)."""
     if not datum.is_root(alpha):
         raise ValueError(f"{alpha} is not a root of {datum.lie_type}")
-    d_alpha = root_norm_half(datum, alpha)
-    coords = []
-    for i, c in enumerate(alpha):
-        num = c * datum.symmetrizers[i]
-        if num % d_alpha:
-            raise ArithmeticError("coroot must be integral")
-        coords.append(num // d_alpha)
-    return tuple(coords)
+    sign = 1 if any(c > 0 for c in alpha) else -1
+    k = datum.root_index(tuple(sign * c for c in alpha))
+    return tuple(sign * c for c in datum.pos_coroots[k])
 
 
 def _exponents(pos_roots: tuple[Vec, ...], rank: int) -> Vec:
@@ -279,6 +263,26 @@ def _exponents(pos_roots: tuple[Vec, ...], rank: int) -> Vec:
     return tuple(sorted(exps))
 
 
+def _coroot(cartan: Matrix, d: Vec, alpha: Vec) -> Vec:
+    """alpha^v = sum c_i (d_i / d_alpha) alpha_i^v, where d_alpha = (alpha, alpha)/2.
+
+    The norm is taken in the units where d_i = (alpha_i, alpha_i)/2.  An odd
+    or non-positive norm, or a non-integral coordinate, raises ArithmeticError.
+    """
+    n = len(alpha)
+    norm2 = sum(alpha[i] * alpha[j] * d[i] * cartan[i][j] for i in range(n) for j in range(n))
+    if norm2 <= 0 or norm2 % 2:
+        raise ArithmeticError(f"squared norm {norm2} of {alpha} is not a positive even integer")
+    da = norm2 // 2
+    coords = []
+    for c, di in zip(alpha, d):
+        q, r = divmod(c * di, da)
+        if r:
+            raise ArithmeticError(f"coroot of {alpha} is not integral")
+        coords.append(q)
+    return tuple(coords)
+
+
 @functools.lru_cache(maxsize=None)
 def root_datum(lie_type: LieType) -> RootDatum:
     """Build (and intern) the root datum for a canonical LieType."""
@@ -288,16 +292,11 @@ def root_datum(lie_type: LieType) -> RootDatum:
     pos = _positive_roots(cartan)
     theta = pos[-1]
 
-    def _coroot(alpha: Vec) -> Vec:
-        norm2 = sum(alpha[i] * alpha[j] * d[i] * cartan[i][j] for i in range(n) for j in range(n))
-        da = norm2 // 2
-        return tuple(alpha[i] * d[i] // da for i in range(n))
-
-    pos_coroots = tuple(_coroot(r) for r in pos)
+    pos_coroots = tuple(_coroot(cartan, d, r) for r in pos)
     pairing_rows = tuple(
         tuple(sum(cartan[i][j] * r[j] for j in range(n)) for i in range(n)) for r in pos
     )
-    theta_cor = _coroot(theta)
+    theta_cor = pos_coroots[-1]
 
     aff = [[0] * (n + 1) for _ in range(n + 1)]
     aff[0][0] = 2

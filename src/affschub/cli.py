@@ -5,16 +5,14 @@ names the offending token), 3 configured bound exceeded (the message names
 the limit and the flag that raises it), 4 internal failure (a broken
 invariant of the engine, never a property of the input).
 
-The min-rep enumeration cache lives under $AFFSCHUB_CACHE_DIR (default
-~/.cache/affschub); cache files carry the per-type convention hash, so a
-convention change invalidates them instead of serving stale data.
+Nothing is cached on disk: ``enumerate`` recomputes its levels on every run,
+and its ``--no-cache`` flag is accepted for older scripts and does nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -36,14 +34,6 @@ BOUND_FLAGS = {
     "verify": "--max-len",
     "star": "--max-word-len",
 }
-
-
-def default_cache_dir() -> str | None:
-    env = os.environ.get("AFFSCHUB_CACHE_DIR")
-    if env:
-        return env
-    home = os.path.expanduser("~")
-    return os.path.join(home, ".cache", "affschub")
 
 
 def _size(text: str) -> int:
@@ -98,8 +88,7 @@ def cmd_report(args) -> int:
 
 def cmd_enumerate(args) -> int:
     lt = parse_type(args.type)
-    cache_dir = None if args.no_cache else default_cache_dir()
-    levels = enumerate_minreps(lt, args.max_len, cache_dir=cache_dir)
+    levels = enumerate_minreps(lt, args.max_len)
     payload = {
         "max_length": levels.max_length,
         "level_sizes": list(levels.level_sizes()),
@@ -253,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("enumerate", cmd_enumerate, help="minimal coset representatives by length")
     p.add_argument("type")
     p.add_argument("--max-len", type=_size, default=8)
-    p.add_argument("--no-cache", action="store_true", help="bypass the enumeration cache")
+    p.add_argument("--no-cache", action="store_true", help="does nothing: there is no enumeration cache")
 
     p = add("poincare", cmd_poincare, help="cell counts of one Schubert variety")
     p.add_argument("type")

@@ -24,7 +24,7 @@ import functools
 from dataclasses import dataclass
 
 from .cartan import LieType, Vec, pairing, root_datum
-from .weyl import GradedPoly, WeylElem, min_coset_reps, reflection
+from .weyl import GradedPoly, WeylElem, identity, min_coset_reps, reflection
 
 
 class PDStatus(enum.Enum):
@@ -121,8 +121,7 @@ def c1_class(lie_type: LieType) -> CohomClass:
     """First Chern class of the orbit's normal line bundle: degree 1, weight +theta."""
     datum = root_datum(lie_type)
     nodes = levi_nodes(lie_type)
-    base = min_coset_reps(lie_type, nodes)[0][0]  # the identity
-    return chevalley_divisor_mult(lie_type, nodes, datum.highest_root, base)
+    return chevalley_divisor_mult(lie_type, nodes, datum.highest_root, identity(datum))
 
 
 @functools.cache

@@ -1,13 +1,12 @@
 """Affine Weyl group arithmetic, lengths, min reps, Bruhat order, formats."""
 
 import itertools
-import warnings
 from collections import Counter
 
 import pytest
 
 from affschub import affine
-from affschub.cartan import parse_type, root_datum
+from affschub.cartan import pairing, parse_type, root_datum
 from affschub.errors import BoundExceededError, ParseError
 from affschub.affine import (
     affine_identity,
@@ -277,6 +276,53 @@ def test_enumeration_bound():
         enumerate_minreps(parse_type("A2"), 40)
 
 
+def coset_bfs_oracle(d, max_len):
+    """Minimal representatives by coset BFS: g * x, then min_rep, then length.
+
+    Sorted by (translation, finite word), the canonical order of the levels.
+    """
+    gens = all_generators(d)
+    seen = {affine_identity(d)}
+    levels = [(affine_identity(d),)]
+    for target in range(1, max_len + 1):
+        found = set()
+        for x in levels[-1]:
+            for g in gens:
+                y = min_rep(g * x)
+                if y.length() == target and y not in seen:
+                    found.add(y)
+        seen.update(found)
+        levels.append(tuple(sorted(found, key=lambda e: (e.trans, e.fin.word()))))
+    return levels
+
+
+def closed_minrep_length(d, lam):
+    """sum |<lam, gamma>| - #{gamma > 0 : <lam, gamma> > 0} over the positive roots."""
+    pairs = [pairing(d, lam, gamma) for gamma in d.pos_roots]
+    return sum(abs(p) for p in pairs) - sum(1 for p in pairs if p > 0)
+
+
+@pytest.mark.parametrize("label,max_len", [
+    ("A1", 12), ("A2", 12), ("C2", 12), ("G2", 12),
+    ("A3", 8), ("B3", 8), ("C3", 8), ("D4", 8), ("F4", 8), ("E6", 5),
+])
+def test_lattice_bfs_matches_coset_oracle(label, max_len):
+    d = datum(label)
+    levels = enumerate_minreps(parse_type(label), max_len).by_length
+    oracle = coset_bfs_oracle(d, max_len)
+    assert len(levels) == len(oracle)
+    for k, (level, expected) in enumerate(zip(levels, oracle)):
+        assert [x.trans for x in level] == [y.trans for y in expected]
+        assert [x.fin.perm for x in level] == [y.fin.perm for y in expected]
+        for x in level:
+            fresh = affine.AffineElem(d, x.trans, x.fin)
+            assert is_min_rep(fresh)
+            assert fresh.length() == k == closed_minrep_length(d, x.trans)
+            inv = x.fin._inv
+            assert inv is not None and x.fin.inverse() is inv and inv._inv is x.fin
+            assert all(inv.perm[j] == i for i, j in enumerate(x.fin.perm))
+
+
 # --- antidominance equivalences ----------------------------------------------
 
 
@@ -423,47 +469,6 @@ def test_parse_errors_name_token():
         parse_element(d, "t:1,0|w:0")
     with pytest.raises(ParseError):
         parse_element(d, "foo")
-
-
-# --- cache -------------------------------------------------------------------
-
-
-def test_cache_roundtrip(tmp_path):
-    lt = parse_type("C2")
-    fresh = enumerate_minreps(lt, 6)
-    stored = enumerate_minreps(lt, 6, cache_dir=str(tmp_path))
-    reloaded = enumerate_minreps(lt, 6, cache_dir=str(tmp_path))
-    assert fresh.by_length == stored.by_length == reloaded.by_length
-    shorter = enumerate_minreps(lt, 4, cache_dir=str(tmp_path))
-    assert shorter.by_length == fresh.by_length[:5]
-
-
-def test_cache_corruption_recovers(tmp_path):
-    lt = parse_type("A2")
-    enumerate_minreps(lt, 5, cache_dir=str(tmp_path))
-    (path,) = tmp_path.iterdir()
-    path.write_text("{ not json")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        levels = enumerate_minreps(lt, 5, cache_dir=str(tmp_path))
-        assert any("corrupt" in str(w.message) for w in caught)
-    assert levels.by_length == enumerate_minreps(lt, 5).by_length
-
-
-def test_cache_rejects_wrong_contents(tmp_path):
-    import json
-
-    lt = parse_type("A2")
-    enumerate_minreps(lt, 4, cache_dir=str(tmp_path))
-    (path,) = tmp_path.iterdir()
-    payload = json.loads(path.read_text())
-    payload["levels"][1] = ["word:1"]  # not a min rep
-    path.write_text(json.dumps(payload))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        levels = enumerate_minreps(lt, 4, cache_dir=str(tmp_path))
-        assert any("inconsistent" in str(w.message) for w in caught)
-    assert levels.by_length == enumerate_minreps(lt, 4).by_length
 
 
 def test_type_mismatch():

@@ -1,4 +1,4 @@
-"""The command-line surface: outputs, exit codes, determinism, cache."""
+"""The command-line surface: outputs, exit codes, determinism."""
 
 import json
 
@@ -66,13 +66,13 @@ def test_enumerate(capsys, tmp_path, monkeypatch):
     assert payload["levels"][1] == ["word:0"]
 
 
-def test_cache_and_no_cache_agree(capsys, tmp_path, monkeypatch):
+def test_no_cache_flag_is_a_no_op(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("AFFSCHUB_CACHE_DIR", str(tmp_path))
-    _, first, _ = run(capsys, "enumerate", "G2", "--max-len", "6", "--json")
-    _, cached, _ = run(capsys, "enumerate", "G2", "--max-len", "6", "--json")
-    _, bare, _ = run(capsys, "enumerate", "G2", "--max-len", "6", "--json", "--no-cache")
-    assert first == cached == bare
-    assert list(tmp_path.iterdir())  # the cache file exists
+    _, plain, _ = run(capsys, "enumerate", "G2", "--max-len", "6", "--json")
+    _, flagged, _ = run(capsys, "enumerate", "G2", "--max-len", "6", "--json", "--no-cache")
+    assert plain == flagged
+    assert json.loads(plain)["payload"]["level_sizes"] == [1, 1, 1, 1, 1, 2, 2]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_byte_identical_output(capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from affschub import cohomology, weyl
 from affschub.cartan import parse_type, root_datum
 from affschub.cohomology import (
     PDStatus,
@@ -59,6 +60,26 @@ def test_a2_c1_distributes_over_both_divisors():
 
 def test_a3_not_a_chain():
     assert chain_coeffs(parse_type("A3")) is None
+
+
+def test_c1_class_builds_no_quotient(monkeypatch):
+    lt = parse_type("E8")
+    nodes = levi_nodes(lt)
+    real = weyl.min_coset_reps
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "min_coset_reps", counting)
+    monkeypatch.setattr(weyl, "min_coset_reps", counting)
+    c1 = c1_class(lt)
+    assert calls == []
+    # the base the class was built from before: the first element of the quotient
+    base = real(lt, nodes)[0][0]
+    assert c1 == chevalley_divisor_mult(lt, nodes, datum("E8").highest_root, base)
+    assert c1.coeffs == ((simple_reflection(datum("E8"), 8), 1),)
 
 
 def test_g2_c1_is_first_chain_class():
