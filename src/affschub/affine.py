@@ -55,9 +55,17 @@ all, and the level number is the length.  The finite part w^-1 is carried
 along the first path to each lam (every path ends at the same element) and
 inverted once for the output.  Each level is sorted by lam.
 
-Enumeration-style operations carry configurable length limits (exceeding one
-raises BoundExceededError rather than truncating); closed-formula operations
-get a much larger default since they are linear-time per element.
+Lower intervals: if l(s y) > l(y), then [e, s y] = [e, y] u s[e, y] (the
+subword property; Bjorner-Brenti, GTM 231, Thm 2.2.2).  The coset minimum u
+of v has u <= v (a reduced word of u is a prefix of one of v), so projecting
+to the affine group mod W keeps v <= x as u <= x: the representatives below
+x are the coset minima of [e, x].  A coset is its lam, and s moves it by the
+left step above, so lower_interval reads a reduced word of x right to left
+from {0}, joining the lattice points with their images under each letter.
+
+Enumeration-style operations carry configurable length limits, checked by
+check_enum_bound (exceeding one raises BoundExceededError rather than
+truncating); closed-formula operations get a much larger default.
 """
 
 from __future__ import annotations
@@ -73,6 +81,13 @@ from .weyl import WeylElem, identity, simple_reflection, reflection
 def default_enum_bound(datum: RootDatum) -> int:
     """Default length ceiling for enumerations (min-rep levels, intervals)."""
     return 12 if datum.rank <= 2 else 10
+
+
+def check_enum_bound(datum: RootDatum, what: str, n: int, bound: int | None) -> None:
+    """Raise BoundExceededError if n exceeds bound (default_enum_bound when None)."""
+    limit = bound if bound is not None else default_enum_bound(datum)
+    if n > limit:
+        raise BoundExceededError(what, n, limit, "bound")
 
 
 # default ceiling for closed-formula recursions (Bruhat tests, star powers)
@@ -354,9 +369,7 @@ def enumerate_minreps(lie_type: LieType, max_len: int, *, bound: int | None = No
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     datum = root_datum(lie_type)
-    limit = bound if bound is not None else default_enum_bound(datum)
-    if max_len > limit:
-        raise BoundExceededError("min-rep enumeration length", max_len, limit, "bound")
+    check_enum_bound(datum, "min-rep enumeration length", max_len, bound)
     return MinRepLevels(lie_type, _compute_minreps(datum, max_len), max_len)
 
 
@@ -417,6 +430,18 @@ def bruhat_leq(v: AffineElem, w: AffineElem, *, bound: int = ELEMENT_BOUND) -> b
         if _left_descent(d, *sv, label):
             sv, lv = _left_mul(d, label, *sv), lv - 1
     return lv == 0
+
+
+def lower_interval(x: AffineElem) -> list[AffineElem]:
+    """The minimal representatives below x in Bruhat order, sorted by (length, lam)."""
+    d = _descents(x.datum)
+    pts = {(0,) * x.datum.rank}
+    for label in reversed(reduced_word(x)):
+        row = d.row[label]
+        pts |= {_left_lam(d, label, lam, sum(map(mul, lam, row))) for lam in pts}
+    out = [min_rep(translation(x.datum, lam)) for lam in pts]
+    out.sort(key=lambda v: (v.length(), v.trans))
+    return out
 
 
 @dataclass(frozen=True)
@@ -483,11 +508,8 @@ def parse_element(datum: RootDatum, text: str) -> AffineElem:
                 raise ParseError(f"bad element token {tail!r}: expected w:<word> after '|'")
             word_part = tail[len("w:"):]
         coords = _parse_coords(datum, body)
-        x = translation(datum, coords)
-        if word_part is not None:
-            for label in _parse_labels(datum, word_part, affine_ok=False):
-                x = x * generator(datum, label)
-        return x
+        labels = [] if word_part is None else _parse_labels(datum, word_part, affine_ok=False)
+        return translation(datum, coords) * from_word(datum, labels)
     raise ParseError(f"bad element {text!r}: expected 'word:...' or 't:...' form")
 
 

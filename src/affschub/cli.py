@@ -95,8 +95,8 @@ def cmd_enumerate(args) -> int:
         "levels": [[format_element(x) for x in level] for level in levels.by_length],
     }
     lines = [f"minimal representatives of {lt} through length {args.max_len}"]
-    for k, level in enumerate(levels.by_length):
-        lines.append(f"  length {k:2d} ({len(level):3d}): " + " ".join(format_element(x) for x in level))
+    for k, words in enumerate(payload["levels"]):
+        lines.append(f"  length {k:2d} ({len(words):3d}): " + " ".join(words))
     _emit(args, lt, payload, lines)
     return 0
 

@@ -21,11 +21,12 @@ from .affine import (
     ELEMENT_BOUND,
     affine_identity,
     bruhat_leq,
-    default_enum_bound,
+    check_enum_bound,
     embed_finite,
     enumerate_minreps,
     generator,
     is_min_rep,
+    lower_interval,
     min_rep,
     seed_translation,
     translation,
@@ -106,9 +107,7 @@ def segment_factorizations(
     still a minimal representative.
     """
     datum = w.datum
-    limit = bound if bound is not None else default_enum_bound(datum)
-    if w.length() > limit:
-        raise BoundExceededError("factorization length", w.length(), limit, "bound")
+    check_enum_bound(datum, "factorization length", w.length(), bound)
     if not is_min_rep(w):
         raise ValueError("only minimal coset representatives factor into segments")
     segs = segments(datum.lie_type)
@@ -155,25 +154,19 @@ def star_refolds(w: AffineElem, factors: list[SchubertClass]) -> bool:
     return acc.elem == w
 
 
-def star_decompose(
-    omega: AffineElem, sigma: AffineElem, lam: Vec, *, bound: int | None = None
-) -> tuple[SchubertClass, SchubertClass]:
+def star_decompose(omega: AffineElem, sigma: AffineElem, lam: Vec) -> tuple[SchubertClass, SchubertClass]:
     """Split [X_omega] as [X_tau] * [X_nu] with tau below sigma, nu below t_lam.
 
-    Searches nu of maximal length among representatives under t_lam, then
-    checks tau = omega * nu^{-1} lands under sigma.  Requires omega below the
-    coset minimum of sigma * t_lam.
+    Tries the representatives nu under t_lam longest first (by lam within a
+    length: the stable sort keeps lower_interval's order) and checks that
+    tau = omega * nu^{-1} lands under sigma.  Requires omega below the coset
+    minimum of sigma * t_lam.
     """
-    datum = omega.datum
-    t = translation(datum, lam)
+    t = translation(omega.datum, lam)
     top = min_rep(sigma * t)
     if not bruhat_leq(omega, top, bound=max(top.length(), ELEMENT_BOUND)):
         raise ValueError("omega is not below the product class")
-    limit = bound if bound is not None else max(t.length(), default_enum_bound(datum))
-    levels = enumerate_minreps(datum.lie_type, t.length(), bound=limit)
-    candidates = [x for x in levels.flat() if bruhat_leq(x, t)]
-    candidates.sort(key=lambda x: (-x.length(), x.trans, x.fin.word()))
-    for nu in candidates:
+    for nu in sorted(lower_interval(t), key=lambda x: -x.length()):
         if nu.length() > omega.length():
             continue
         tau = omega * nu.inverse()
@@ -189,16 +182,9 @@ def star_decompose(
 def schubert_poincare(cls: SchubertClass, *, bound: int | None = None) -> GradedPoly:
     """Cell counts of X_w: coefficient of q^k counts representatives of length k below w."""
     w = cls.elem
-    datum = w.datum
-    limit = bound if bound is not None else default_enum_bound(datum)
-    if w.length() > limit:
-        raise BoundExceededError("Poincare polynomial length", w.length(), limit, "bound")
-    levels = enumerate_minreps(datum.lie_type, w.length(), bound=limit)
-    counts = [
-        sum(1 for v in level if bruhat_leq(v, w, bound=max(w.length(), ELEMENT_BOUND)))
-        for level in levels.by_length
-    ]
-    return GradedPoly.from_coeffs(counts)
+    check_enum_bound(w.datum, "Poincare polynomial length", w.length(), bound)
+    lengths = [v.length() for v in lower_interval(w)]
+    return GradedPoly.from_coeffs(lengths.count(k) for k in range(w.length() + 1))
 
 
 @dataclass(frozen=True)

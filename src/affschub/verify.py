@@ -8,7 +8,6 @@ search for Bruhat order) the suite runs both routes and compares.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import random
 from dataclasses import dataclass
@@ -17,7 +16,6 @@ from .cartan import LieType, root_datum
 from .weyl import min_coset_reps
 from . import affine
 from .affine import (
-    bruhat_leq,
     enumerate_minreps,
     format_element,
     is_antidominant,
@@ -174,11 +172,8 @@ def suite_segments(
     datum = root_datum(lie_type)
     segs = schubert.segments(lie_type)
     seed_t = affine.seed_translation(datum)
-    interval = {
-        x
-        for x in enumerate_minreps(lie_type, seed_t.length(), bound=bound).flat()
-        if x.length() > 0 and bruhat_leq(x, seed_t)
-    }
+    affine.check_enum_bound(datum, "min-rep enumeration length", seed_t.length(), bound)
+    interval = {x for x in affine.lower_interval(seed_t) if x.length() > 0}
     orbit = {
         min_rep(affine.embed_finite(v) * affine.generator(datum, 0))
         for level in min_coset_reps(lie_type, ())
@@ -334,15 +329,11 @@ def suite_decompose(
     total = 0
     for sigma in enumerate_minreps(lie_type, sigma_len, bound=bound).flat():
         top = min_rep(sigma * t)
-        below = [
-            x
-            for x in enumerate_minreps(lie_type, top.length(), bound=bound).flat()
-            if bruhat_leq(x, top)
-        ]
-        for omega in below:
+        affine.check_enum_bound(datum, "min-rep enumeration length", top.length(), bound)
+        for omega in affine.lower_interval(top):
             total += 1
             try:
-                tau, nu = schubert.star_decompose(omega, sigma, lam, bound=bound)
+                tau, nu = schubert.star_decompose(omega, sigma, lam)
             except (ValueError, ArithmeticError):
                 failures += 1
                 continue
@@ -385,7 +376,7 @@ def run_suite(
     for key in names:
         fn = SUITES[key]
         kwargs = {"seed": seed}
-        if bound is not None and "bound" in inspect.signature(fn).parameters:
+        if bound is not None and key in {"segments", "decompose"}:
             kwargs["bound"] = bound
         out.extend(fn(lie_type, **kwargs))
     return out

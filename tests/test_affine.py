@@ -474,3 +474,47 @@ def test_parse_errors_name_token():
 def test_type_mismatch():
     with pytest.raises(ValueError, match="type mismatch"):
         affine_identity(datum("A1")) * affine_identity(datum("A2"))
+
+
+# --- lower intervals ---------------------------------------------------------
+
+
+def interval_oracle(ball, x):
+    """The minimal representatives below x: the ball filtered by bruhat_leq."""
+    return [v for v in ball if bruhat_leq(v, x)]
+
+
+# the balls of test_lattice_bfs_matches_coset_oracle
+LOWER_INTERVAL_BALLS = [
+    ("A1", 12), ("A2", 12), ("C2", 12), ("G2", 12),
+    ("A3", 8), ("B3", 8), ("C3", 8), ("D4", 8), ("F4", 8), ("E6", 5),
+]
+
+
+@pytest.mark.parametrize("label,max_len", LOWER_INTERVAL_BALLS)
+def test_lower_interval_matches_enumerate_oracle(label, max_len):
+    d = datum(label)
+    ball = list(enumerate_minreps(parse_type(label), max_len).flat())
+    for x in ball:
+        got = affine.lower_interval(x)
+        expected = interval_oracle(ball, x)
+        assert got == expected
+        assert [v.length() for v in got] == [v.length() for v in expected]
+        assert got[-1] == x
+        # x s_i is not minimal; its coset minimum x is the top of its interval
+        for i in range(1, d.rank + 1):
+            y = x * generator(d, i)
+            assert affine.lower_interval(y) == interval_oracle(ball, y) == got
+
+
+@pytest.mark.parametrize("label,text", [("A2", "t:-10,-10"), ("A4", "t:-4,-4,-4,-4")])
+def test_schubert_poincare_matches_enumerate_oracle(label, text):
+    from affschub.schubert import SchubertClass, schubert_poincare
+
+    x = parse_element(datum(label), text)
+    n = x.length()
+    assert n == {"A2": 40, "A4": 32}[label]
+    ball = enumerate_minreps(parse_type(label), n, bound=n).flat()
+    counts = Counter(v.length() for v in interval_oracle(ball, x))
+    poly = schubert_poincare(SchubertClass(x), bound=n)
+    assert list(poly.coeffs) == [counts[k] for k in range(n + 1)]

@@ -271,3 +271,23 @@ def test_verify_segments_factorizes_each_element_once(monkeypatch):
     assert all(r.passed for r in results)
     # one factorization per representative, reused by the star refold check
     assert len(calls) == len(set(calls)) > 1
+
+
+@pytest.mark.parametrize("extra", [(), ("--json",)])
+def test_enumerate_formats_each_element_once(capsys, monkeypatch, extra):
+    import affschub.cli as cli
+
+    calls = []
+    real = cli.format_element
+
+    def counting(x, **kwargs):
+        calls.append(x)
+        return real(x, **kwargs)
+
+    monkeypatch.setattr(cli, "format_element", counting)
+    code, out, _ = run(capsys, "enumerate", "D4", "--max-len", "10", *extra)
+    assert code == 0
+    # D4 has 63 minimal representatives through length 10; the text lines
+    # reuse the words of the payload
+    assert len(calls) == len(set(calls)) == 63
+    assert out.count("word:") == 63
