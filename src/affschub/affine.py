@@ -30,12 +30,15 @@ negative, l(x s) < l(x) iff x sends it negative.  For x = t_lam w:
 * right descent at i >= 1: x(alpha_i) = w(alpha_i) - <lam, w alpha_i> delta;
   with w(alpha_i) = +-gamma, <lam, gamma> > 0 when +, <lam, gamma> <= 0 when -.
 
-Each test is one pairing from ``pairing_rows`` and one root-permutation
-lookup.  Reduced words, coset minima and Bruhat comparisons walk the state
-(lam, w^-1) instead of forming products: s_i sends lam to lam - <lam,
-alpha_i> alpha_i^v, s_0 sends it to lam + (1 - <lam, theta>) theta^v, and
-w^-1 becomes w^-1 s.  The tests agree with product-and-length on BFS balls
-of A1 through F4 (tests/test_affine.py).
+Each test is one pairing and one root-permutation lookup.  Reduced words
+and Bruhat comparisons walk the state (p, winv), not products: winv is w^-1's
+permutation and p = (<lam, theta>, <lam, alpha_1>, ..., <lam, alpha_n>).  As
+s_i sends lam to lam - <lam, alpha_i> alpha_i^v and s_0 sends it to lam + (1 -
+<lam, theta>) theta^v, the left step at l is p -= a * step[l], winv = winv * s,
+with a = p[l] (p[0] - 1 at l = 0), step[l][m] = <alpha_l^v, root_m> for l >= 1
+and step[0][m] = <theta^v, root_m> (root_0 = theta, root_m = alpha_m): O(rank)
+per letter, not a pairing per label.  The tests agree with product-and-length
+on BFS balls of A1 through F4 (tests/test_affine.py).
 
 Minimal representatives of the affine group mod W are enumerated over the
 coroot lattice: the coset t_lam W is fixed by lam, so the representatives of
@@ -76,7 +79,7 @@ from operator import itemgetter, mul
 
 from .cartan import LieType, RootDatum, Vec, root_datum
 from .errors import BoundExceededError, ParseError
-from .weyl import WeylElem, identity, simple_reflection, reflection
+from .weyl import WeylElem, identity, min_coset_reps, simple_reflection, reflection
 
 def default_enum_bound(datum: RootDatum) -> int:
     """Default length ceiling for enumerations (min-rep levels, intervals)."""
@@ -126,7 +129,8 @@ class AffineElem:
         return hash((self.trans, self.fin.perm))
 
     def __repr__(self) -> str:
-        text = format_element(self, bound=self.length())
+        # parse_element's t:lam|w:word spelling: its size is bounded by the type, not by l(x)
+        text = f"t:{','.join(map(str, self.trans))}|w:{','.join(map(str, self.fin.word()))}"
         return f"AffineElem({self.datum.lie_type}, {text!r})"
 
     def is_identity(self) -> bool:
@@ -154,9 +158,6 @@ class AffineElem:
                     total += abs(pairs[j - big] - 1)
             self._len = total
         return self._len
-
-    def sort_key(self) -> tuple:
-        return (self.length(), self.trans, self.fin.word())
 
 
 def affine_identity(datum: RootDatum) -> AffineElem:
@@ -206,9 +207,10 @@ class _Descents:
     """Per-datum tables for the closed-form descent tests on x = t_lam w.
 
     For a node label l, ``root[l]`` is the root index of alpha_l (of theta
-    when l = 0), ``row[l]`` its pairing row, and ``shift[l]`` maps a root
-    permutation p to that of p * s, where s is the finite part of the
-    generator at l (s_theta when l = 0).
+    when l = 0), ``row[l]`` its pairing row, ``step[l]`` the pairs (m, e)
+    with e = step[l][m] != 0 of the walk (module docstring), and ``shift[l]``
+    maps a root permutation q to that of q * s, where s is the finite part
+    of the generator at l (s_theta when l = 0).
     """
 
     def __init__(self, datum: RootDatum):
@@ -222,26 +224,37 @@ class _Descents:
         self.shift = tuple(itemgetter(*generator(datum, l).fin.perm) for l in range(n + 1))
         self.theta_cor = datum.highest_coroot
 
+    @functools.cached_property
+    def step(self) -> tuple:  # built on the first walk: enumeration never reads it
+        step = [[sum(map(mul, self.theta_cor, r)) for r in self.row]]
+        step += [[r[l] for r in self.row] for l in range(len(self.theta_cor))]
+        return tuple(tuple((m, e) for m, e in enumerate(s) if e) for s in step)
+
 
 @functools.cache
 def _descents(datum: RootDatum) -> _Descents:
     return _Descents(datum)
 
 
-def _left_descent(d: _Descents, lam: Vec, winv: tuple, label: int) -> bool:
-    """l(s x) < l(x) for the generator s at label and x = t_lam w, given w^-1's permutation."""
-    a = sum(map(mul, lam, d.row[label]))
+def _walk_state(d: _Descents, x: AffineElem) -> tuple[list[int], tuple]:
+    """The walk state (p, winv) of x = t_lam w (module docstring)."""
+    return [sum(map(mul, x.trans, r)) for r in d.row], x.fin.inverse().perm
+
+
+def _left_descent(d: _Descents, p: list[int], winv: tuple, label: int) -> bool:
+    """l(s x) < l(x) for the generator s at label, given x's walk state."""
+    a = p[label]
     if label:
         return a < 0 or (a == 0 and winv[d.root[label]] >= d.big)
     return a > 1 or (a == 1 and winv[d.root[0]] < d.big)
 
 
-def _first_left_descent(d: _Descents, lam: Vec, winv: tuple) -> int:
-    """The smallest label with a left descent; ArithmeticError if there is none."""
-    for label in range(len(d.root)):
-        if _left_descent(d, lam, winv, label):
-            return label
-    raise ArithmeticError(f"no left descent found for t_lam w with lam={lam}")
+def _left_step(d: _Descents, p: list[int], winv: tuple, label: int) -> tuple:
+    """Turn x's walk state into that of s x: p changes in place, the new winv is returned."""
+    a = p[label] if label else p[0] - 1
+    for m, e in d.step[label]:
+        p[m] -= a * e
+    return d.shift[label](winv)
 
 
 def _left_lam(d: _Descents, label: int, lam: Vec, a: int) -> Vec:
@@ -249,12 +262,6 @@ def _left_lam(d: _Descents, label: int, lam: Vec, a: int) -> Vec:
     if label:
         return lam[: label - 1] + (lam[label - 1] - a,) + lam[label:]
     return tuple(c + (1 - a) * t for c, t in zip(lam, d.theta_cor))
-
-
-def _left_mul(d: _Descents, label: int, lam: Vec, winv: tuple) -> tuple[Vec, tuple]:
-    """The state (lam, w^-1's permutation) of s x from that of x = t_lam w."""
-    a = sum(map(mul, lam, d.row[label]))
-    return _left_lam(d, label, lam, a), d.shift[label](winv)
 
 
 def _right_descent(d: _Descents, lam: Vec, perm: tuple, label: int) -> bool:
@@ -283,12 +290,16 @@ def reduced_word(x: AffineElem, *, bound: int = WORD_BOUND) -> list[int]:
     if n > bound:
         raise BoundExceededError("reduced word length", n, bound, "bound")
     d = _descents(x.datum)
-    lam, winv = x.trans, x.fin.inverse().perm
+    p, winv = _walk_state(d, x)
     word: list[int] = []
     for _ in range(n):
-        label = _first_left_descent(d, lam, winv)
+        for label in range(len(p)):
+            if _left_descent(d, p, winv, label):
+                break
+        else:
+            raise ArithmeticError(f"no left descent found for the walk state p={p}")
         word.append(label)
-        lam, winv = _left_mul(d, label, lam, winv)
+        winv = _left_step(d, p, winv, label)
     return word
 
 
@@ -415,20 +426,15 @@ def bruhat_leq(v: AffineElem, w: AffineElem, *, bound: int = ELEMENT_BOUND) -> b
     if w.length() > bound:
         raise BoundExceededError("Bruhat comparison length", w.length(), bound, "bound")
     d = _descents(w.datum)
-    lv, lw = v.length(), w.length()
-    sv = (v.trans, v.fin.inverse().perm)
-    sw = (w.trans, w.fin.inverse().perm)
-    while lw > 0:
+    lv = v.length()
+    p, winv = _walk_state(d, v)
+    for lw, label in zip(range(w.length(), 0, -1), reduced_word(w, bound=bound)):
         if lv > lw:
             return False
         if lv == 0:
             return True
-        if sv == sw:
-            return True
-        label = _first_left_descent(d, *sw)
-        sw, lw = _left_mul(d, label, *sw), lw - 1
-        if _left_descent(d, *sv, label):
-            sv, lv = _left_mul(d, label, *sv), lv - 1
+        if _left_descent(d, p, winv, label):
+            winv, lv = _left_step(d, p, winv, label), lv - 1
     return lv == 0
 
 
@@ -467,22 +473,14 @@ def antidominant_equivalences(
     t = translation(datum, lam)
     a = is_min_rep(t)
     top = min_rep(t)
-    needed = max(top.length(), 1)
-    b = True
-    for v in _finite_elements(datum):
-        other = min_rep(embed_finite(v) * t)
-        if not bruhat_leq(other, top, bound=max(needed, ELEMENT_BOUND)):
-            b = False
-            break
+    bound = max(top.length(), ELEMENT_BOUND)
+    b = all(
+        bruhat_leq(min_rep(embed_finite(v) * t), top, bound=bound)
+        for level in min_coset_reps(datum.lie_type, ())
+        for v in level
+    )
     c = is_antidominant(datum, lam)
     return AntidominanceReport(a, b, c)
-
-
-def _finite_elements(datum: RootDatum):
-    from .weyl import min_coset_reps
-
-    for level in min_coset_reps(datum.lie_type, ()):
-        yield from level
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +489,7 @@ def _finite_elements(datum: RootDatum):
 
 
 def format_element(x: AffineElem, *, bound: int = WORD_BOUND) -> str:
-    return "word:" + ",".join(str(i) for i in reduced_word(x, bound=bound))
+    return "word:" + ",".join(map(str, reduced_word(x, bound=bound)))
 
 
 def parse_element(datum: RootDatum, text: str) -> AffineElem:

@@ -24,7 +24,6 @@ LieType(family='A', rank=1)
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import re
 from dataclasses import dataclass, field
@@ -420,6 +419,7 @@ def fundamental_coweight(lie_type: LieType, label: int) -> tuple[Fraction, ...]:
 
 def convention_hash(lie_type: LieType) -> str:
     """Fingerprint of the conventions behind serialized data for one type."""
+    import hashlib
     datum = root_datum(lie_type)
     text = f"affschub:1;{lie_type};cartan={datum.cartan};theta={datum.highest_root}"
     return hashlib.sha256(text.encode()).hexdigest()[:12]

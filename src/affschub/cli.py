@@ -23,12 +23,12 @@ from .affine import enumerate_minreps, format_element, parse_element
 from . import schubert
 from .classify import classify_all, type_report
 from .cohomology import chain_coeffs, levi_nodes, levi_poincare, pd_status
-from .verify import run_suite
 
 SCHEMA_VERSION = 1
 
 # the flag that raises the library keyword ``bound``, per command
 BOUND_FLAGS = {
+    "enumerate": "--max-enum-len",
     "poincare": "--max-len",
     "factorize": "--max-len",
     "verify": "--max-len",
@@ -88,7 +88,7 @@ def cmd_report(args) -> int:
 
 def cmd_enumerate(args) -> int:
     lt = parse_type(args.type)
-    levels = enumerate_minreps(lt, args.max_len)
+    levels = enumerate_minreps(lt, args.max_len, bound=args.max_enum_len)
     payload = {
         "max_length": levels.max_length,
         "level_sizes": list(levels.level_sizes()),
@@ -205,6 +205,7 @@ def cmd_classify_all(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
     lt = parse_type(args.type)
     results = run_suite(lt, args.suite, seed=args.seed, bound=args.max_len)
     payload = {
@@ -242,6 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("enumerate", cmd_enumerate, help="minimal coset representatives by length")
     p.add_argument("type")
     p.add_argument("--max-len", type=_size, default=8)
+    p.add_argument("--max-enum-len", type=_size, default=None, help="raise the enumeration bound")
     p.add_argument("--no-cache", action="store_true", help="does nothing: there is no enumeration cache")
 
     p = add("poincare", cmd_poincare, help="cell counts of one Schubert variety")

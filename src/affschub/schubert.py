@@ -11,6 +11,7 @@ equivalent; see star_reading_discrepancies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .cartan import LieType, Vec, root_datum
@@ -86,15 +87,21 @@ def segments(lie_type: LieType) -> list[SchubertClass]:
     in the representative set and the W-orbit description (equalities
     exercised in the test suite at desk scale).
     """
+    return [seg for seg, _ in _segments(lie_type)]
+
+
+@functools.cache
+def _segments(lie_type: LieType) -> tuple[tuple[SchubertClass, AffineElem], ...]:
+    """The segments of one type, sorted by (length, lam), each with its index's inverse."""
     datum = root_datum(lie_type)
     j_nodes = frozenset(range(1, datum.rank + 1)) - datum.affine_neighbors()
     s0 = generator(datum, 0)
     out = []
     for level in min_coset_reps(lie_type, j_nodes):
-        for v in level:
-            out.append(SchubertClass(embed_finite(v) * s0))
-    out.sort(key=lambda c: c.elem.sort_key())
-    return out
+        out += (SchubertClass(embed_finite(v) * s0) for v in level)
+    # lam is unique among minimal representatives, so it breaks every length tie
+    out.sort(key=lambda c: (c.dim(), c.elem.trans))
+    return tuple((seg, seg.elem.inverse()) for seg in out)
 
 
 def segment_factorizations(
@@ -110,16 +117,16 @@ def segment_factorizations(
     check_enum_bound(datum, "factorization length", w.length(), bound)
     if not is_min_rep(w):
         raise ValueError("only minimal coset representatives factor into segments")
-    segs = segments(datum.lie_type)
+    segs = _segments(datum.lie_type)
 
     def search(x: AffineElem) -> list[list[SchubertClass]]:
         if x.is_identity():
             return [[]]
         out = []
-        for seg in segs:
+        for seg, inv in segs:
             if seg.dim() > x.length():
                 continue
-            y = x * seg.elem.inverse()
+            y = x * inv
             if y.length() == x.length() - seg.dim() and is_min_rep(y):
                 for prefix in search(y):
                     out.append(prefix + [seg])
@@ -163,10 +170,17 @@ def star_decompose(omega: AffineElem, sigma: AffineElem, lam: Vec) -> tuple[Schu
     minimum of sigma * t_lam.
     """
     t = translation(omega.datum, lam)
+    return _star_decompose(omega, sigma, t, sorted(lower_interval(t), key=lambda x: -x.length()))
+
+
+def _star_decompose(
+    omega: AffineElem, sigma: AffineElem, t: AffineElem, candidates: list[AffineElem]
+) -> tuple[SchubertClass, SchubertClass]:
+    """star_decompose for t = t_lam, given the classes under t in the order it tries them."""
     top = min_rep(sigma * t)
     if not bruhat_leq(omega, top, bound=max(top.length(), ELEMENT_BOUND)):
         raise ValueError("omega is not below the product class")
-    for nu in sorted(lower_interval(t), key=lambda x: -x.length()):
+    for nu in candidates:
         if nu.length() > omega.length():
             continue
         tau = omega * nu.inverse()

@@ -63,7 +63,7 @@ def suite_lengths(lie_type: LieType, *, max_len: int = 8, seed: int = 0) -> list
     ]
     datum = root_datum(lie_type)
     rng = random.Random(seed)
-    sample = rng.sample(sorted(dist, key=lambda x: x.sort_key()), min(64, len(dist)))
+    sample = rng.sample(sorted(dist, key=lambda x: (x.length(), x.trans, x.fin.word())), min(64, len(dist)))
     bad_words = [
         x for x in sample
         if affine.from_word(datum, reduced_word(x)) != x or len(reduced_word(x)) != x.length()
@@ -325,6 +325,7 @@ def suite_decompose(
     datum = root_datum(lie_type)
     lam = tuple(-c for c in datum.highest_coroot)
     t = translation(datum, lam)
+    candidates = sorted(affine.lower_interval(t), key=lambda x: -x.length())
     failures = 0
     total = 0
     for sigma in enumerate_minreps(lie_type, sigma_len, bound=bound).flat():
@@ -333,7 +334,7 @@ def suite_decompose(
         for omega in affine.lower_interval(top):
             total += 1
             try:
-                tau, nu = schubert.star_decompose(omega, sigma, lam)
+                tau, nu = schubert._star_decompose(omega, sigma, t, candidates)
             except (ValueError, ArithmeticError):
                 failures += 1
                 continue

@@ -1,6 +1,7 @@
 """Affine Weyl group arithmetic, lengths, min reps, Bruhat order, formats."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -193,15 +194,46 @@ def test_closed_form_descents_match_products(label, depth):
     tables = affine._descents(d)
     for x in length_bfs_oracle(parse_type(label), depth):
         n = x.length()
-        winv = x.fin.inverse().perm
+        p, winv = affine._walk_state(tables, x)
         for l, g in enumerate(gens):
-            assert affine._left_descent(tables, x.trans, winv, l) == ((g * x).length() < n)
+            assert affine._left_descent(tables, p, winv, l) == ((g * x).length() < n)
+            q = list(p)
+            assert (q, affine._left_step(tables, q, winv, l)) == affine._walk_state(tables, g * x)
             if l:
                 assert affine._right_descent(tables, x.trans, x.fin.perm, l) == (
                     (x * g).length() < n
                 )
-        assert reduced_word(x) == greedy_word_oracle(x)
         assert is_min_rep(x) == all((x * g).length() > n for g in gens[1:])
+
+
+# every type through rank 4, plus G2 and E6
+SWEEP_TYPES = ["A1", "A2", "C2", "G2", "A3", "B3", "C3", "A4", "B4", "C4", "D4", "F4", "E6"]
+
+
+def random_elements(label, count):
+    """Seeded t:lam|w:word elements: coordinates in -4..4, finite words of up to 8 letters."""
+    d = datum(label)
+    rng = random.Random(label)
+    for _ in range(count):
+        lam = ",".join(str(rng.randint(-4, 4)) for _ in range(d.rank))
+        word = ",".join(str(rng.randint(1, d.rank)) for _ in range(rng.randint(0, 8)))
+        yield parse_element(d, f"t:{lam}|w:{word}")
+
+
+@pytest.mark.parametrize("label", SWEEP_TYPES)
+def test_reduced_word_closed_form_matches_greedy_products(label):
+    depth = dict(DESCENT_BALLS).get(label)
+    ball = length_bfs_oracle(parse_type(label), depth) if depth else {}
+    for x in itertools.chain(ball, random_elements(label, 25)):
+        word = reduced_word(x)
+        assert word == greedy_word_oracle(x)
+        assert from_word(x.datum, word) == x
+
+
+def test_reduced_word_closed_form_rebuilds_long_translation():
+    d = datum("A2")
+    x = parse_element(d, "t:-1000,-1000")
+    assert from_word(d, reduced_word(x)) == x
 
 
 # --- min reps ----------------------------------------------------------------

@@ -131,13 +131,19 @@ def test_bound_exceeded_exit_3(capsys):
         (("poincare", "A3", "--element", "t:-3,0,0"), "pass --max-len 16 "),
         (("star", "A1", "t:-10000000", "t:-1"), "pass --max-word-len 20000002 "),
         (("star", "A1", "t:-2000", "t:-1", "--max-word-len", "4001"), "pass --max-word-len 4002 "),
-        (("enumerate", "A2", "--max-len", "30"), "no flag of 'enumerate' raises it"),
+        (("enumerate", "A2", "--max-len", "30"), "pass --max-enum-len 30 "),
     ],
 )
 def test_bound_exceeded_names_flag(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert expected in err and "bound=" not in err
+
+
+def test_max_enum_len_raises_the_bound(capsys):
+    code, out, _ = run(capsys, "enumerate", "A2", "--max-len", "13", "--max-enum-len", "13", "--json")
+    assert code == 0
+    assert json.loads(out)["payload"]["level_sizes"][-1] == 7
 
 
 def test_star_word_within_bound(capsys):
@@ -156,7 +162,8 @@ def test_internal_failure_exit_4(capsys, monkeypatch):
     assert code == 4 and out == ""
     assert "internal error" in err and "found 2" in err
     monkeypatch.undo()
-    monkeypatch.setattr(affine, "_left_descent", lambda *args: False)
+    true_length = affine.AffineElem.length
+    monkeypatch.setattr(affine.AffineElem, "length", lambda self: true_length(self) + 1)
     code, out, err = run(capsys, "star", "A1", "word:0", "word:1,0")
     assert code == 4 and out == ""
     assert "no left descent" in err
@@ -186,6 +193,7 @@ def test_verify_json(capsys):
         (("factorize", "A2", "--element", "word:0", "--max-len", "-2"), "--max-len"),
         (("verify", "A1", "--suite", "canonical", "--max-len", "-1"), "--max-len"),
         (("classify-all", "--max-rank", "-1"), "--max-rank"),
+        (("enumerate", "A2", "--max-enum-len", "-1"), "--max-enum-len"),
     ],
 )
 def test_negative_size_exit_2(capsys, argv, flag):
@@ -271,6 +279,28 @@ def test_verify_segments_factorizes_each_element_once(monkeypatch):
     assert all(r.passed for r in results)
     # one factorization per representative, reused by the star refold check
     assert len(calls) == len(set(calls)) > 1
+
+
+def test_verify_decompose_walks_each_interval_once(monkeypatch):
+    import affschub.affine as affine
+    import affschub.schubert as schubert
+    import affschub.verify as verify
+    from affschub.cartan import parse_type
+
+    calls = []
+    real = affine.lower_interval
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(affine, "lower_interval", counting)
+    monkeypatch.setattr(schubert, "lower_interval", counting)
+    results = verify.suite_decompose(parse_type("B3"), bound=11)
+    assert all(r.passed for r in results)
+    # the classes under t_lam once, then the classes under each product once
+    sigmas = list(affine.enumerate_minreps(parse_type("B3"), 3).flat())
+    assert len(calls) == 1 + len(sigmas) == 6
 
 
 @pytest.mark.parametrize("extra", [(), ("--json",)])
