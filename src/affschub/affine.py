@@ -74,7 +74,7 @@ truncating); closed-formula operations get a much larger default.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter, mul
 
 from .cartan import LieType, RootDatum, Vec, root_datum
@@ -352,13 +352,10 @@ def length_bfs_oracle(lie_type: LieType, up_to: int = 10, *, hard_cap: int = 24)
     return dist
 
 
-@dataclass(frozen=True)
-class MinRepLevels:
+class MinRepLevels(namedtuple("MinRepLevels", "lie_type by_length max_length")):
     """Shortest coset representatives of the affine group mod W, by length."""
 
-    lie_type: LieType
-    by_length: tuple[tuple[AffineElem, ...], ...]
-    max_length: int
+    __slots__ = ()
 
     def flat(self):
         for level in self.by_length:
@@ -450,13 +447,14 @@ def lower_interval(x: AffineElem) -> list[AffineElem]:
     return out
 
 
-@dataclass(frozen=True)
-class AntidominanceReport:
-    """The three equivalent characterizations of antidominance, evaluated."""
+class AntidominanceReport(
+    namedtuple("AntidominanceReport", "min_rep_of_coset orbit_maximal chamber")
+):
+    """The three equivalent characterizations of antidominance, evaluated:
+    t_lam is the shortest element of its coset, its coset Bruhat-dominates
+    the whole W-orbit, and lam pairs <= 0 with every simple root."""
 
-    min_rep_of_coset: bool  # t_lam is the shortest element of its coset
-    orbit_maximal: bool  # its coset Bruhat-dominates the whole W-orbit
-    chamber: bool  # lam pairs <= 0 with every simple root
+    __slots__ = ()
 
     def all_agree(self) -> bool:
         return self.min_rep_of_coset == self.orbit_maximal == self.chamber

@@ -10,8 +10,9 @@ Conventions, fixed here once and relied on by every other module:
   so ``A[i][:]`` pairs the coroot ``alpha_{i+1}^v`` against each simple root.
 * ``symmetrizers`` are the minimal positive integers ``d`` with
   ``d[i]*A[i][j]`` symmetric; a node is long iff ``d[i] == max(d)``.
-* No floats anywhere.  Coweights are computed in integers (fraction-free
-  elimination) and become Fractions only in the returned coordinates.
+* No floats anywhere.  The inverse Cartan matrix is kept as an integer
+  adjugate and determinant (fraction-free elimination); coweights become
+  Fractions only in :func:`fundamental_coweight`'s returned coordinates.
 * A finite node is minuscule (special) iff its coefficient in the highest
   root is 1.
 
@@ -26,8 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections import namedtuple
 
 from .errors import ParseError
 
@@ -40,12 +40,10 @@ FAMILIES = "ABCDEFG"
 _ALIASES = {("C", 1): ("A", 1), ("B", 2): ("C", 2), ("D", 3): ("A", 3)}
 
 
-@dataclass(frozen=True)
-class LieType:
+class LieType(namedtuple("LieType", "family rank")):
     """A validated simple-type label, e.g. G2 or D5."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -124,23 +122,28 @@ def _cartan_matrix(family: str, n: int) -> Matrix:
 
 
 def _symmetrizers(cartan: Matrix) -> Vec:
-    """Minimal positive integers d with d[i]*A[i][j] symmetric."""
+    """Minimal positive integers d with d[i]*A[i][j] symmetric.
+
+    Spreads d over the diagram from node 1 as d[j] = d[i]*A[i][j]/A[j][i],
+    in integers: when that ratio is not integral, every value found so far
+    is first scaled by |A[j][i]|.  The gcd is divided out at the end.
+    """
     n = len(cartan)
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
+    d = [0] * n  # 0 marks a node not reached yet
+    d[0] = 1
     todo = [0]
     while todo:
         i = todo.pop()
         for j in range(n):
-            if i != j and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * cartan[i][j] / cartan[j][i]
+            if i != j and cartan[i][j] != 0 and not d[j]:
+                if d[i] * cartan[i][j] % cartan[j][i]:
+                    d = [x * abs(cartan[j][i]) for x in d]
+                d[j] = d[i] * cartan[i][j] // cartan[j][i]
                 todo.append(j)
-    if any(x is None for x in d):
+    if not all(d):
         raise ArithmeticError("diagram must be connected")
-    scale = math.lcm(*(x.denominator for x in d))
-    ints = [int(x * scale) for x in d]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints)
+    g = math.gcd(*d)
+    return tuple(x // g for x in d)
 
 
 def _positive_roots(cartan: Matrix) -> tuple[Vec, ...]:
@@ -176,25 +179,41 @@ def _positive_roots(cartan: Matrix) -> tuple[Vec, ...]:
     return tuple(sorted(roots, key=lambda v: (sum(v), v)))
 
 
-@dataclass(frozen=True, eq=False)
 class RootDatum:
     """Everything the rest of the engine needs to know about one simple type.
 
-    Instances are interned by :func:`root_datum`, so identity comparison is
-    the intended equality.  All fields are immutable after construction.
+    Instances are interned by :func:`root_datum`, so identity is the
+    equality and the hash.  Every field is read-only after construction.
     """
 
-    lie_type: LieType
-    cartan: Matrix
-    symmetrizers: Vec
-    pos_roots: tuple[Vec, ...]  # root-basis coords, sorted by (height, lex)
-    pos_coroots: tuple[Vec, ...]  # coroot coords of pos_roots[k]^v
-    pairing_rows: tuple[Vec, ...]  # row r with <mu, pos_roots[k]> = sum(mu[i]*r[i])
-    highest_root: Vec
-    highest_coroot: Vec  # coroot coords of highest_root^v
-    exponents: Vec
-    affine_cartan: Matrix  # (rank+1)^2, index 0 = affine node, i>=1 = label i
-    _index: dict = field(default_factory=dict, repr=False)
+    _FIELDS = (
+        "lie_type",  # LieType
+        "cartan",  # Matrix
+        "symmetrizers",  # Vec
+        "pos_roots",  # root-basis coords, sorted by (height, lex)
+        "pos_coroots",  # coroot coords of pos_roots[k]^v
+        "pairing_rows",  # row r with <mu, pos_roots[k]> = sum(mu[i]*r[i])
+        "highest_root",  # Vec
+        "highest_coroot",  # coroot coords of highest_root^v
+        "exponents",  # Vec
+        "affine_cartan",  # (rank+1)^2, index 0 = affine node, i>=1 = label i
+    )
+    __slots__ = _FIELDS + ("_index",)  # _index: positive root -> its index
+
+    def __init__(self, **fields):
+        if set(fields) != set(self._FIELDS):
+            raise TypeError(f"RootDatum takes exactly the fields {self._FIELDS}")
+        for name in self._FIELDS:
+            object.__setattr__(self, name, fields[name])
+        object.__setattr__(self, "_index", {r: k for k, r in enumerate(self.pos_roots)})
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to RootDatum.{name}: its fields are read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"RootDatum({', '.join(f'{k}={getattr(self, k)!r}' for k in self._FIELDS)})"
 
     @property
     def rank(self) -> int:
@@ -202,8 +221,6 @@ class RootDatum:
 
     def root_index(self, alpha: Vec) -> int:
         """Index of a positive root in pos_roots, or raise ValueError."""
-        if not self._index:
-            self._index.update({r: k for k, r in enumerate(self.pos_roots)})
         try:
             return self._index[alpha]
         except KeyError:
@@ -370,17 +387,18 @@ def minuscule_nodes(lie_type: LieType) -> frozenset[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _cartan_inverse(lie_type: LieType) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse Cartan matrix by fraction-free (Bareiss) Gauss-Jordan elimination.
+def _cartan_inverse(lie_type: LieType) -> tuple[Matrix, int]:
+    """The inverse Cartan matrix as (adjugate, determinant), both in integers.
 
-    Every entry stays an integer: each step replaces a row entry by the 2x2
-    determinant ``(piv*x - f*y)`` divided exactly by the previous pivot
-    (Sylvester's identity; Bareiss, Math. Comp. 22, 1968).  No row swaps
+    Fraction-free (Bareiss) Gauss-Jordan elimination keeps every entry an
+    integer: each step replaces a row entry by the 2x2 determinant
+    ``(piv*x - f*y)`` divided exactly by the previous pivot (Sylvester's
+    identity; Bareiss, Math. Comp. 22, 1968).  No row swaps
     are needed, because every leading principal minor of a finite-type
     Cartan matrix is positive.  The left block ends as ``det * I`` and the
-    right block as the adjugate, so the only division by the determinant
-    happens when the returned Fractions are built.  A remainder in a step
-    raises ArithmeticError (a zero pivot raises ZeroDivisionError, one too).
+    right block as the adjugate, so nothing is divided by the determinant
+    here.  A remainder in a step raises ArithmeticError (a zero pivot raises
+    ZeroDivisionError, one too).
     """
     a = root_datum(lie_type).cartan
     n = len(a)
@@ -401,7 +419,7 @@ def _cartan_inverse(lie_type: LieType) -> tuple[tuple[Fraction, ...], ...]:
                 row.append(q)
             m[i] = row
         prev = piv
-    return tuple(tuple(Fraction(x, prev) for x in row[n:]) for row in m)
+    return tuple(tuple(row[n:]) for row in m), prev
 
 
 def fundamental_coweight(lie_type: LieType, label: int) -> tuple[Fraction, ...]:
@@ -409,12 +427,14 @@ def fundamental_coweight(lie_type: LieType, label: int) -> tuple[Fraction, ...]:
 
     The result x satisfies <x, alpha_j> = 1 at node ``label`` and 0 at every
     other finite node; it lies in the coroot lattice iff all coordinates are
-    integers.
+    integers.  This is the one place the engine builds a Fraction.
     """
+    from fractions import Fraction
     datum = root_datum(lie_type)
     if not 1 <= label <= datum.rank:
         raise ValueError(f"node label {label} is not a finite node of {lie_type}")
-    return _cartan_inverse(lie_type)[label - 1]
+    adj, det = _cartan_inverse(lie_type)
+    return tuple(Fraction(x, det) for x in adj[label - 1])
 
 
 def convention_hash(lie_type: LieType) -> str:

@@ -3,16 +3,16 @@ smoothness facts for a simple type."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cartan import (
     LieType,
-    fundamental_coweight,
+    _cartan_inverse,
     minuscule_nodes,
     parse_type,
     root_datum,
 )
-from .cohomology import PDStatus, chain_coeffs, levi_nodes, pd_status
+from .cohomology import chain_coeffs, levi_nodes, pd_status
 
 # Largest dimension of a smooth Schubert variety in the three exceptional
 # types with no minuscule node; cited constants, not recomputed here.
@@ -23,30 +23,31 @@ def bott_nodes(lie_type: LieType) -> frozenset[int]:
     """Finite nodes with a long simple root whose dual coweight is a coroot.
 
     Each such node provides a smooth Levi-orbit generating variety via the
-    classical commutator construction.
+    classical commutator construction.  The coweight is row ``label`` of the
+    inverse Cartan matrix, so it is a coroot iff that row of the integer
+    adjugate is divisible by the determinant.
     """
     datum = root_datum(lie_type)
-    out = set()
-    for label in range(1, datum.rank + 1):
-        if not datum.is_long(label):
-            continue
-        if all(c.denominator == 1 for c in fundamental_coweight(lie_type, label)):
-            out.add(label)
-    return frozenset(out)
+    adj, det = _cartan_inverse(lie_type)
+    return frozenset(
+        label
+        for label in range(1, datum.rank + 1)
+        if datum.is_long(label) and all(c % det == 0 for c in adj[label - 1])
+    )
 
 
-@dataclass(frozen=True)
-class TypeReport:
-    lie_type: LieType
-    levi_nodes: tuple[int, ...]
-    levi_descriptor: str
-    chain: bool
-    pd_status: PDStatus
-    bott_nodes: tuple[int, ...]
-    minuscule_nodes: tuple[int, ...]
-    smooth_schubert_genv: bool
-    e_top: int
-    max_smooth_schubert_dim: int | None
+class TypeReport(
+    namedtuple(
+        "TypeReport",
+        "lie_type levi_nodes levi_descriptor chain pd_status bott_nodes"
+        " minuscule_nodes smooth_schubert_genv e_top max_smooth_schubert_dim",
+    )
+):
+    """One classification row.  Node fields are sorted tuples of labels;
+    ``pd_status`` is a PDStatus and ``max_smooth_schubert_dim`` is None
+    outside E8, F4 and G2."""
+
+    __slots__ = ()
 
 
 def _levi_descriptor(lie_type: LieType) -> str:

@@ -113,7 +113,7 @@ def cmd_poincare(args) -> int:
         "palindromic": poly.is_palindromic(),
         "chain": poly.is_chain(),
     }
-    _emit(args, lt, payload, [f"X[{format_element(elem)}]: {poly}",
+    _emit(args, lt, payload, [f"X[{payload['element']}]: {poly}",
                               f"palindromic: {poly.is_palindromic()}  chain: {poly.is_chain()}"])
     return 0
 
@@ -147,7 +147,7 @@ def cmd_segments(args) -> int:
         ],
     }
     lines = [f"{len(segs)} segments"] + [
-        f"  length {s.dim():2d}: {format_element(s.elem)}" for s in segs
+        f"  length {s['length']:2d}: {s['element']}" for s in payload["segments"]
     ]
     _emit(args, lt, payload, lines)
     return 0
@@ -163,7 +163,7 @@ def cmd_factorize(args) -> int:
         "factors": [format_element(s.elem) for s in factors],
         "star_refactors": schubert.star_refolds(elem, factors),
     }
-    lines = [" * ".join(format_element(s.elem) for s in factors) or "(empty product)"]
+    lines = [" * ".join(payload["factors"]) or "(empty product)"]
     _emit(args, lt, payload, lines)
     return 0
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cartan import LieType, Vec, pairing, root_datum
 from .weyl import GradedPoly, WeylElem, identity, min_coset_reps, reflection
@@ -35,13 +35,11 @@ class PDStatus(enum.Enum):
     INTEGRAL = "integral"
 
 
-@dataclass(frozen=True)
-class CohomClass:
-    """Integer vector over the Schubert basis of one parabolic quotient."""
+class CohomClass(namedtuple("CohomClass", "lie_type nodes coeffs")):
+    """Integer vector over the Schubert basis of one parabolic quotient:
+    ``nodes`` is the parabolic subset I, ``coeffs`` sorted zero-free pairs."""
 
-    lie_type: LieType
-    nodes: frozenset[int]  # the parabolic subset I
-    coeffs: tuple[tuple[WeylElem, int], ...]  # sorted, zero-free
+    __slots__ = ()
 
     @staticmethod
     def from_dict(lie_type: LieType, nodes, data: dict[WeylElem, int]) -> "CohomClass":

@@ -12,7 +12,7 @@ equivalent; see star_reading_discrepancies.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cartan import LieType, Vec, root_datum
 from .errors import BoundExceededError
@@ -34,15 +34,15 @@ from .affine import (
 )
 
 
-@dataclass(frozen=True)
-class SchubertClass:
+class SchubertClass(namedtuple("SchubertClass", "elem")):
     """[X_w] for w a minimal coset representative; dimension = length of w."""
 
-    elem: AffineElem
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_min_rep(self.elem):
+    def __new__(cls, elem: AffineElem) -> "SchubertClass":
+        if not is_min_rep(elem):
             raise ValueError("Schubert classes are indexed by minimal coset representatives")
+        return super().__new__(cls, elem)
 
     def dim(self) -> int:
         return self.elem.length()
@@ -201,15 +201,15 @@ def schubert_poincare(cls: SchubertClass, *, bound: int | None = None) -> Graded
     return GradedPoly.from_coeffs(lengths.count(k) for k in range(w.length() + 1))
 
 
-@dataclass(frozen=True)
-class PowerStep:
-    """One step of the generating-variety power check."""
+class PowerStep(
+    namedtuple(
+        "PowerStep", "n nonzero index_is_expected_translation length expected_length"
+    )
+):
+    """One step of the generating-variety power check; ``length`` is None
+    when the n-th power is zero."""
 
-    n: int
-    nonzero: bool
-    index_is_expected_translation: bool
-    length: int | None
-    expected_length: int
+    __slots__ = ()
 
 
 def check_generator_powers(lie_type: LieType, n_max: int, *, bound: int = ELEMENT_BOUND) -> list[PowerStep]:

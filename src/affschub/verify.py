@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cartan import LieType, root_datum
 from .weyl import min_coset_reps
@@ -34,11 +34,10 @@ from .schubert import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(namedtuple("CheckResult", "name passed detail")):
+    """One checked property: its name, whether it held, and a one-line detail."""
+
+    __slots__ = ()
 
 
 def _series_coeffs(exps, through: int) -> list[int]:
@@ -331,7 +330,9 @@ def suite_decompose(
     for sigma in enumerate_minreps(lie_type, sigma_len, bound=bound).flat():
         top = min_rep(sigma * t)
         affine.check_enum_bound(datum, "min-rep enumeration length", top.length(), bound)
-        for omega in affine.lower_interval(top):
+        # the identity sigma gives top == t, whose classes are the candidates
+        below = candidates if top == t else affine.lower_interval(top)
+        for omega in below:
             total += 1
             try:
                 tau, nu = schubert._star_decompose(omega, sigma, t, candidates)

@@ -23,7 +23,7 @@ topological degree 2k.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
 
 from .cartan import LieType, RootDatum, Vec, root_datum
@@ -246,11 +246,10 @@ def min_coset_reps(lie_type: LieType, nodes) -> list[list[WeylElem]]:
     return levels
 
 
-@dataclass(frozen=True)
-class GradedPoly:
+class GradedPoly(namedtuple("GradedPoly", "coeffs")):
     """Integer polynomial in q, where q^k records complex cell dimension k."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
     @staticmethod
     def from_coeffs(values) -> "GradedPoly":

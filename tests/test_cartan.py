@@ -1,5 +1,6 @@
 """Root datum construction against the classical tables."""
 
+import math
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from affschub.cartan import (
     parse_type,
     root_datum,
 )
-from affschub.classify import all_canonical_types
+from affschub.classify import all_canonical_types, bott_nodes
 from affschub.errors import ParseError
 
 # Frozen classical tables: the independent oracle the height-partition
@@ -224,6 +225,48 @@ def test_fundamental_coweight_matches_fraction_oracle(label):
         cw = fundamental_coweight(lt, s)
         assert cw == expected[s - 1]
         assert all(type(c) is Fraction for c in cw)
+
+
+def _fraction_symmetrizers(a):
+    """Symmetrizers over Fractions, kept here as the oracle.
+
+    Spreads d[j] = d[i]*A[i][j]/A[j][i] breadth first from the last node,
+    then clears denominators and divides out the gcd.
+    """
+    n = len(a)
+    d = {n - 1: Fraction(1)}
+    queue = [n - 1]
+    for i in queue:
+        for j in range(n):
+            if j not in d and a[i][j]:
+                d[j] = d[i] * a[i][j] / a[j][i]
+                queue.append(j)
+    scale = math.lcm(*(x.denominator for x in d.values()))
+    ints = [int(d[i] * scale) for i in range(n)]
+    return tuple(x // math.gcd(*ints) for x in ints)
+
+
+@pytest.mark.parametrize("label", TYPES_RANK10)
+def test_symmetrizers_match_fraction_oracle(label):
+    a = root_datum(parse_type(label)).cartan
+    d = _symmetrizers(a)
+    assert d == _fraction_symmetrizers(a)
+    n = len(a)
+    assert all(d[i] * a[i][j] == d[j] * a[j][i] for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("label", TYPES_RANK10)
+def test_bott_nodes_match_fraction_oracle(label):
+    # a long node whose coweight, a row of the Fraction inverse, is integral
+    lt = parse_type(label)
+    a = root_datum(lt).cartan
+    d = _fraction_symmetrizers(a)
+    inverse = _fraction_inverse(a)
+    expected = {
+        s for s in range(1, lt.rank + 1)
+        if d[s - 1] == max(d) and all(c.denominator == 1 for c in inverse[s - 1])
+    }
+    assert bott_nodes(lt) == expected
 
 
 def test_automorphisms_are_a_group():

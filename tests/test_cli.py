@@ -298,13 +298,27 @@ def test_verify_decompose_walks_each_interval_once(monkeypatch):
     monkeypatch.setattr(schubert, "lower_interval", counting)
     results = verify.suite_decompose(parse_type("B3"), bound=11)
     assert all(r.passed for r in results)
-    # the classes under t_lam once, then the classes under each product once
+    # the classes under t_lam once, then the classes under each product
+    # other than t_lam itself (the identity sigma's) once
     sigmas = list(affine.enumerate_minreps(parse_type("B3"), 3).flat())
-    assert len(calls) == 1 + len(sigmas) == 6
+    assert len(calls) == len(sigmas) == 5
 
 
-@pytest.mark.parametrize("extra", [(), ("--json",)])
-def test_enumerate_formats_each_element_once(capsys, monkeypatch, extra):
+# Each command formats every element once: its text lines reuse the words
+# of the payload.  (argv, distinct elements formatted, words in the text)
+FORMAT_ONCE = [
+    # D4 has 63 minimal representatives through length 10
+    (("enumerate", "D4", "--max-len", "10"), 63, 63),
+    (("poincare", "A2", "--element", "t:-30,-30", "--max-len", "120"), 1, 1),
+    # the element and its two factors; the text line shows the factors only
+    (("factorize", "A2", "--element", "word:2,0,1,2,0"), 3, 2),
+    (("segments", "F4"), 24, 24),
+]
+
+
+@pytest.mark.parametrize("extra", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize("argv,formatted,words", FORMAT_ONCE, ids=[c[0][0] for c in FORMAT_ONCE])
+def test_enumerate_formats_each_element_once(capsys, monkeypatch, extra, argv, formatted, words):
     import affschub.cli as cli
 
     calls = []
@@ -315,9 +329,7 @@ def test_enumerate_formats_each_element_once(capsys, monkeypatch, extra):
         return real(x, **kwargs)
 
     monkeypatch.setattr(cli, "format_element", counting)
-    code, out, _ = run(capsys, "enumerate", "D4", "--max-len", "10", *extra)
+    code, out, _ = run(capsys, *argv, *extra)
     assert code == 0
-    # D4 has 63 minimal representatives through length 10; the text lines
-    # reuse the words of the payload
-    assert len(calls) == len(set(calls)) == 63
-    assert out.count("word:") == 63
+    assert len(calls) == len(set(calls)) == formatted
+    assert out.count("word:") == (formatted if extra else words)

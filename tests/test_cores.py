@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from affschub.affine import from_word, is_min_rep
+from affschub.affine import bruhat_leq, enumerate_minreps, from_word, is_min_rep, reduced_word
 from affschub.cartan import parse_type, root_datum
 from affschub.schubert import SchubertClass, schubert_poincare
 
@@ -63,7 +63,64 @@ def cores_below(top, n):
     return seen
 
 
-@pytest.mark.parametrize("label,length", [("A1", 40), ("A2", 60), ("A3", 30)])
+def core_of(x, n):
+    """The core of a minimal representative: its reduced word applied right to left."""
+    core = ()
+    for i in reversed(reduced_word(x)):
+        assert addable_rows(core, i, n), "a letter that does not raise the length"
+        core = grow(core, i, n)
+    return core
+
+
+def cores_by_length(n, max_len):
+    """All (n+1)-cores of length 0..max_len, each level grown from the one below."""
+    levels = [{()}]
+    for _ in range(max_len):
+        levels.append({grow(c, i, n) for c in levels[-1] for i in range(n + 1) if addable_rows(c, i, n)})
+    return levels
+
+
+def contains(big, small):
+    return len(small) <= len(big) and all(a <= b for a, b in zip(small, big))
+
+
+ENUM_DEPTHS = [("A1", 40), ("A2", 60), ("A3", 30), ("A4", 20)]
+
+
+@pytest.mark.parametrize("label,length", ENUM_DEPTHS)
+def test_enumerate_minreps_levels_match_cores(label, length):
+    lt = parse_type(label)
+    n = lt.rank
+    levels = enumerate_minreps(lt, length, bound=length)
+    want = cores_by_length(n, length)
+    assert list(levels.level_sizes()) == [len(level) for level in want]
+    for k, level in enumerate(levels.by_length):
+        cores = {core_of(x, n) for x in level}
+        assert cores == want[k]
+        assert all(core_length(c, n) == k for c in cores)
+
+
+@pytest.mark.parametrize("label,length", ENUM_DEPTHS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_bruhat_leq_matches_core_containment(label, length, seed):
+    lt = parse_type(label)
+    n = lt.rank
+    elems = list(enumerate_minreps(lt, length, bound=length).flat())
+    core = {x: core_of(x, n) for x in elems}
+    rng = random.Random(seed)
+    seen = Counter()
+    for _ in range(300):
+        u, v = sorted(rng.sample(elems, 2), key=lambda x: x.length())
+        below = contains(core[v], core[u])
+        assert bruhat_leq(u, v, bound=length) == below
+        assert not bruhat_leq(v, u, bound=length)  # v differs from u and is no shorter
+        seen[below] += 1
+    # a sample with only one answer would check little; the representatives
+    # of A1 form a chain, so there every pair is comparable
+    assert seen[True] and (seen[False] or label == "A1")
+
+
+@pytest.mark.parametrize("label,length", [("A1", 40), ("A2", 60), ("A3", 30), ("A4", 20)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_schubert_poincare_matches_core_containment(label, length, seed):
     n = parse_type(label).rank
