@@ -79,7 +79,7 @@ from operator import itemgetter, mul
 
 from .cartan import LieType, RootDatum, Vec, root_datum
 from .errors import BoundExceededError, ParseError
-from .weyl import WeylElem, identity, min_coset_reps, simple_reflection, reflection
+from .weyl import WeylElem, _tables, identity, min_coset_reps, simple_reflection, reflection
 
 def default_enum_bound(datum: RootDatum) -> int:
     """Default length ceiling for enumerations (min-rep levels, intervals)."""
@@ -217,9 +217,7 @@ class _Descents:
         n = datum.rank
         self.big = len(datum.pos_roots)
         self.rows = datum.pairing_rows
-        self.root = (datum.root_index(datum.highest_root),) + tuple(
-            datum.root_index(tuple(int(i == j) for j in range(n))) for i in range(n)
-        )
+        self.root = (datum.root_index(datum.highest_root),) + _tables(datum).simple_index
         self.row = tuple(self.rows[k] for k in self.root)
         self.shift = tuple(itemgetter(*generator(datum, l).fin.perm) for l in range(n + 1))
         self.theta_cor = datum.highest_coroot
@@ -378,10 +376,6 @@ def enumerate_minreps(lie_type: LieType, max_len: int, *, bound: int | None = No
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     datum = root_datum(lie_type)
     check_enum_bound(datum, "min-rep enumeration length", max_len, bound)
-    return MinRepLevels(lie_type, _compute_minreps(datum, max_len), max_len)
-
-
-def _compute_minreps(datum: RootDatum, max_len: int) -> tuple[tuple[AffineElem, ...], ...]:
     d = _descents(datum)
     # level: lam -> w^-1's permutation, for the representative t_lam w
     level = {(0,) * datum.rank: identity(datum).perm}
@@ -398,7 +392,7 @@ def _compute_minreps(datum: RootDatum, max_len: int) -> tuple[tuple[AffineElem, 
                         nxt[new] = d.shift[label](winv)
         level = nxt
         levels.append(_build_level(datum, level, k))
-    return tuple(levels)
+    return MinRepLevels(lie_type, tuple(levels), max_len)
 
 
 def _build_level(datum: RootDatum, level: dict, k: int) -> tuple[AffineElem, ...]:

@@ -10,6 +10,11 @@ Conventions, fixed here once and relied on by every other module:
   so ``A[i][:]`` pairs the coroot ``alpha_{i+1}^v`` against each simple root.
 * ``symmetrizers`` are the minimal positive integers ``d`` with
   ``d[i]*A[i][j]`` symmetric; a node is long iff ``d[i] == max(d)``.
+* The positive roots, their coroots and their pairing rows come from one
+  closure under the simple reflections, starting at the simple roots (whose
+  coroots are the unit vectors); sorted by (height, lex), the highest root
+  is last.  ``RootDatum.index`` numbers every root: ``k`` for
+  ``pos_roots[k]`` and ``k + N`` for its negative.
 * No floats anywhere.  The inverse Cartan matrix is kept as an integer
   adjugate and determinant (fraction-free elimination); coweights become
   Fractions only in :func:`fundamental_coweight`'s returned coordinates.
@@ -28,6 +33,7 @@ import functools
 import math
 import re
 from collections import namedtuple
+from operator import mul
 
 from .errors import ParseError
 
@@ -146,37 +152,35 @@ def _symmetrizers(cartan: Matrix) -> Vec:
     return tuple(x // g for x in d)
 
 
-def _positive_roots(cartan: Matrix) -> tuple[Vec, ...]:
-    """All positive roots, generated height by height via root strings.
+def _positive_roots(cartan: Matrix) -> tuple[tuple[Vec, ...], tuple[Vec, ...], Matrix]:
+    """Positive roots with their coroots and pairing rows, by one reflection closure.
 
-    alpha + alpha_i is a root iff the alpha_i-string through alpha ascends,
-    i.e. q = p - <alpha_i^v, alpha> >= 1 where p counts how far the string
-    descends.  Processing by height keeps the descent side already known.
+    Every positive root is reached from a simple root by simple reflections
+    that raise it (Humphreys, GTM 9, 10.2): s_i alpha = alpha - a_i alpha_i
+    with a_i = <alpha_i^v, alpha> < 0.  Its coroot is s_i(alpha^v), i.e.
+    coordinate i of alpha^v minus <alpha^v, alpha_i>.  Each root is kept with
+    its row (a_1, ..., a_n), and the three are returned sorted by (height, lex).
+    A coroot that does not pair to 2 with its root raises ArithmeticError.
     """
     n = len(cartan)
     simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    roots: set[Vec] = set(simple)
-    frontier = list(simple)
-    while frontier:
-        new: list[Vec] = []
-        for alpha in frontier:
-            for i in range(n):
-                pair = sum(cartan[i][j] * alpha[j] for j in range(n))
-                p = 0
-                down = alpha
-                while True:
-                    down = tuple(c - int(j == i) for j, c in enumerate(down))
-                    if down in roots:
-                        p += 1
-                    else:
-                        break
-                if p - pair >= 1:
-                    up = tuple(c + int(j == i) for j, c in enumerate(alpha))
-                    if up not in roots:
-                        roots.add(up)
-                        new.append(up)
-        frontier = new
-    return tuple(sorted(roots, key=lambda v: (sum(v), v)))
+    coroot = dict(zip(simple, simple))
+    rows: dict[Vec, Vec] = {}
+    todo = list(simple)
+    for alpha in todo:  # grows as roots are found
+        cor = coroot[alpha]
+        row = rows[alpha] = tuple(sum(map(mul, r, alpha)) for r in cartan)
+        if sum(map(mul, cor, row)) != 2:
+            raise ArithmeticError(f"coroot {cor} of {alpha} does not pair to 2 with it")
+        for i, a in enumerate(row):
+            if a < 0:
+                beta = alpha[:i] + (alpha[i] - a,) + alpha[i + 1:]
+                if beta not in coroot:
+                    c = sum(cor[j] * cartan[j][i] for j in range(n))
+                    coroot[beta] = cor[:i] + (cor[i] - c,) + cor[i + 1:]
+                    todo.append(beta)
+    roots = tuple(sorted(todo, key=lambda v: (sum(v), v)))
+    return roots, tuple(coroot[r] for r in roots), tuple(rows[r] for r in roots)
 
 
 class RootDatum:
@@ -198,14 +202,17 @@ class RootDatum:
         "exponents",  # Vec
         "affine_cartan",  # (rank+1)^2, index 0 = affine node, i>=1 = label i
     )
-    __slots__ = _FIELDS + ("_index",)  # _index: positive root -> its index
+    # index: root -> k for pos_roots[k] and k + N for its negative (N positive roots)
+    __slots__ = _FIELDS + ("index",)
 
     def __init__(self, **fields):
         if set(fields) != set(self._FIELDS):
             raise TypeError(f"RootDatum takes exactly the fields {self._FIELDS}")
         for name in self._FIELDS:
             object.__setattr__(self, name, fields[name])
-        object.__setattr__(self, "_index", {r: k for k, r in enumerate(self.pos_roots)})
+        pos = self.pos_roots
+        roots = pos + tuple(tuple(-c for c in r) for r in pos)
+        object.__setattr__(self, "index", {r: k for k, r in enumerate(roots)})
 
     def __setattr__(self, name, *_):
         raise AttributeError(f"cannot assign to RootDatum.{name}: its fields are read-only")
@@ -221,20 +228,14 @@ class RootDatum:
 
     def root_index(self, alpha: Vec) -> int:
         """Index of a positive root in pos_roots, or raise ValueError."""
-        try:
-            return self._index[alpha]
-        except KeyError:
-            raise ValueError(f"{alpha} is not a positive root of {self.lie_type}") from None
+        k = self.index.get(alpha)
+        if k is None or k >= len(self.pos_roots):
+            raise ValueError(f"{alpha} is not a positive root of {self.lie_type}")
+        return k
 
     def is_root(self, alpha: Vec) -> bool:
-        if any(c > 0 for c in alpha) and any(c < 0 for c in alpha):
-            return False
-        probe = alpha if any(c > 0 for c in alpha) else tuple(-c for c in alpha)
-        try:
-            self.root_index(probe)
-            return True
-        except ValueError:
-            return False
+        """Whether alpha is a root, positive or negative."""
+        return alpha in self.index
 
     def is_long(self, label: int) -> bool:
         """Whether the simple root at a finite node label is long."""
@@ -260,9 +261,8 @@ def coroot_of(datum: RootDatum, alpha: Vec) -> Vec:
     """Coroot coordinates of alpha^v, read from ``pos_coroots`` (negated for a negative root)."""
     if not datum.is_root(alpha):
         raise ValueError(f"{alpha} is not a root of {datum.lie_type}")
-    sign = 1 if any(c > 0 for c in alpha) else -1
-    k = datum.root_index(tuple(sign * c for c in alpha))
-    return tuple(sign * c for c in datum.pos_coroots[k])
+    negative, k = divmod(datum.index[alpha], len(datum.pos_roots))
+    return tuple(-c for c in datum.pos_coroots[k]) if negative else datum.pos_coroots[k]
 
 
 def _exponents(pos_roots: tuple[Vec, ...], rank: int) -> Vec:
@@ -279,46 +279,20 @@ def _exponents(pos_roots: tuple[Vec, ...], rank: int) -> Vec:
     return tuple(sorted(exps))
 
 
-def _coroot(cartan: Matrix, d: Vec, alpha: Vec) -> Vec:
-    """alpha^v = sum c_i (d_i / d_alpha) alpha_i^v, where d_alpha = (alpha, alpha)/2.
-
-    The norm is taken in the units where d_i = (alpha_i, alpha_i)/2.  An odd
-    or non-positive norm, or a non-integral coordinate, raises ArithmeticError.
-    """
-    n = len(alpha)
-    norm2 = sum(alpha[i] * alpha[j] * d[i] * cartan[i][j] for i in range(n) for j in range(n))
-    if norm2 <= 0 or norm2 % 2:
-        raise ArithmeticError(f"squared norm {norm2} of {alpha} is not a positive even integer")
-    da = norm2 // 2
-    coords = []
-    for c, di in zip(alpha, d):
-        q, r = divmod(c * di, da)
-        if r:
-            raise ArithmeticError(f"coroot of {alpha} is not integral")
-        coords.append(q)
-    return tuple(coords)
-
-
 @functools.lru_cache(maxsize=None)
 def root_datum(lie_type: LieType) -> RootDatum:
     """Build (and intern) the root datum for a canonical LieType."""
     n = lie_type.rank
     cartan = _cartan_matrix(lie_type.family, n)
     d = _symmetrizers(cartan)
-    pos = _positive_roots(cartan)
-    theta = pos[-1]
-
-    pos_coroots = tuple(_coroot(cartan, d, r) for r in pos)
-    pairing_rows = tuple(
-        tuple(sum(cartan[i][j] * r[j] for j in range(n)) for i in range(n)) for r in pos
-    )
-    theta_cor = pos_coroots[-1]
+    pos, pos_coroots, pairing_rows = _positive_roots(cartan)
+    theta, theta_cor = pos[-1], pos_coroots[-1]
 
     aff = [[0] * (n + 1) for _ in range(n + 1)]
     aff[0][0] = 2
     for j in range(1, n + 1):
         aff[0][j] = -sum(theta_cor[i] * cartan[i][j - 1] for i in range(n))
-        aff[j][0] = -sum(cartan[j - 1][k] * theta[k] for k in range(n))
+        aff[j][0] = -pairing_rows[-1][j - 1]
         for k in range(1, n + 1):
             aff[j][k] = cartan[j - 1][k - 1]
 

@@ -26,13 +26,14 @@ from .cohomology import chain_coeffs, levi_nodes, levi_poincare, pd_status
 
 SCHEMA_VERSION = 1
 
-# the flag that raises the library keyword ``bound``, per command
+# each command's flag that raises a limit, and the quantity that limit bounds
+# (the ``what`` of BoundExceededError)
 BOUND_FLAGS = {
-    "enumerate": "--max-enum-len",
-    "poincare": "--max-len",
-    "factorize": "--max-len",
-    "verify": "--max-len",
-    "star": "--max-word-len",
+    "enumerate": ("--max-enum-len", "min-rep enumeration length"),
+    "poincare": ("--max-len", "Poincare polynomial length"),
+    "factorize": ("--max-len", "factorization length"),
+    "verify": ("--max-len", "min-rep enumeration length"),
+    "star": ("--max-word-len", "reduced word length"),
 }
 
 
@@ -306,10 +307,13 @@ def main(argv=None) -> int:
 
 
 def _bound_message(command: str, exc: BoundExceededError) -> str:
-    """The library's message, with its keyword replaced by the command's flag."""
+    """The library's message, with its keyword replaced by the command's flag.
+
+    A flag is named only when it raises the limit that was hit.
+    """
     head = f"{exc.what} {exc.value} exceeds the configured limit {exc.limit}"
-    flag = BOUND_FLAGS.get(command) if exc.knob == "bound" else None
-    if flag is None:
+    flag, what = BOUND_FLAGS.get(command, (None, None))
+    if exc.what != what:
         return f"{head}; no flag of '{command}' raises it"
     return f"{head}; pass {flag} {exc.value} (or larger) to raise it"
 

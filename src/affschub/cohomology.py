@@ -100,19 +100,13 @@ def chevalley_divisor_mult(
 
 
 def levi_nodes(lie_type: LieType) -> frozenset[int]:
-    """Finite nodes pairing to zero with the highest coroot.
+    """Finite nodes not adjacent to node 0 in the affine diagram.
 
-    Equivalently (and by construction of the affine diagram) the finite nodes
-    not adjacent to node 0; they cut out the Levi orbit under the bottom
-    translation.
+    Equivalently the finite nodes pairing to zero with the highest coroot;
+    they cut out the Levi orbit under the bottom translation.
     """
     datum = root_datum(lie_type)
-    hc = datum.highest_coroot
-    a = datum.cartan
-    n = datum.rank
-    return frozenset(
-        j + 1 for j in range(n) if sum(hc[i] * a[i][j] for i in range(n)) == 0
-    )
+    return frozenset(range(1, datum.rank + 1)) - datum.affine_neighbors()
 
 
 def c1_class(lie_type: LieType) -> CohomClass:

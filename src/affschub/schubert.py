@@ -118,21 +118,28 @@ def segment_factorizations(
     if not is_min_rep(w):
         raise ValueError("only minimal coset representatives factor into segments")
     segs = _segments(datum.lie_type)
-
-    def search(x: AffineElem) -> list[list[SchubertClass]]:
+    out = []
+    # depth first on an explicit stack of (x, chain), where chain links the
+    # segments stripped so far, leftmost at its head; segments are pushed in
+    # reverse, so the factorizations come out ordered by their last factor,
+    # then by the one before it, and so on
+    stack = [(w, None)]
+    while stack:
+        x, chain = stack.pop()
         if x.is_identity():
-            return [[]]
-        out = []
-        for seg, inv in segs:
+            factors = []
+            while chain is not None:
+                seg, chain = chain
+                factors.append(seg)
+            out.append(factors)
+            continue
+        for seg, inv in reversed(segs):
             if seg.dim() > x.length():
                 continue
             y = x * inv
             if y.length() == x.length() - seg.dim() and is_min_rep(y):
-                for prefix in search(y):
-                    out.append(prefix + [seg])
-        return out
-
-    return search(w)
+                stack.append((y, (seg, chain)))
+    return out
 
 
 def segment_factorize(w: AffineElem, *, bound: int | None = None) -> list[SchubertClass]:
@@ -152,13 +159,8 @@ def star_refactor_check(w: AffineElem, *, bound: int | None = None) -> bool:
 
 def star_refolds(w: AffineElem, factors: list[SchubertClass]) -> bool:
     """True iff folding star over ``factors``, left to right, gives [X_w]."""
-    acc = identity_class(w.datum.lie_type)
-    for seg in factors:
-        nxt = star(acc, seg)
-        if nxt is None:
-            return False
-        acc = nxt
-    return acc.elem == w
+    acc = star_fold(w.datum.lie_type, factors)
+    return acc is not None and acc.elem == w
 
 
 def star_decompose(omega: AffineElem, sigma: AffineElem, lam: Vec) -> tuple[SchubertClass, SchubertClass]:

@@ -3,7 +3,7 @@
 An element is stored as the permutation it induces on the root system, one
 uniform representation across every type.  Root index ``k < N`` stands for
 ``pos_roots[k]`` and ``k + N`` for its negative, where N is the number of
-positive roots.  A product is a composition of permutations, the inverse is
+positive roots (the numbering of ``RootDatum.index``).  A product is a composition of permutations, the inverse is
 the inverse permutation, the length is the number of positive indices sent
 to negative ones, and a right descent at node i is one lookup: whether the
 image of alpha_i is negative.  The action on coroot (or root) coordinates is
@@ -135,17 +135,14 @@ class WeylElem:
 
 
 class _RootPerms:
-    """Per-datum tables: root indices, and reflections as root permutations."""
+    """Per-datum tables: simple-root indices, and reflections as root permutations."""
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
-        pos = datum.pos_roots
-        roots = pos + tuple(tuple(-c for c in r) for r in pos)
-        self.index = {r: j for j, r in enumerate(roots)}
         n = datum.rank
         # root index of alpha_i, for i = 0..rank-1
-        self.simple_index = tuple(self.index[tuple(int(i == j) for j in range(n))] for i in range(n))
-        self.identity = WeylElem(datum, tuple(range(len(roots))))
+        self.simple_index = tuple(datum.index[tuple(int(i == j) for j in range(n))] for i in range(n))
+        self.identity = WeylElem(datum, tuple(range(len(datum.index))))
         self._reflections: dict[int, WeylElem] = {}
         self.simple_reflections = tuple(self.reflection(k) for k in self.simple_index)
 
@@ -167,7 +164,7 @@ class _RootPerms:
                 for gamma, pairs in zip(datum.pos_roots, datum.pairing_rows):
                     image = list(gamma)
                     image[i] -= pairs[i]
-                    perm.append(self.index[tuple(image)])
+                    perm.append(datum.index[tuple(image)])
                 perm += [(j + big) % (2 * big) for j in perm]
                 perm = tuple(perm)
             else:
@@ -176,7 +173,7 @@ class _RootPerms:
                 lower = list(beta)
                 lower[i] -= row[i]
                 s_i = self.reflection(self.simple_index[i]).perm
-                s_lower = self.reflection(self.index[tuple(lower)]).perm
+                s_lower = self.reflection(datum.index[tuple(lower)]).perm
                 perm = itemgetter(*itemgetter(*s_i)(s_lower))(s_i)
             self._reflections[k] = WeylElem(datum, perm)
         return self._reflections[k]

@@ -1,5 +1,6 @@
 """Root datum construction against the classical tables."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import affschub
 from affschub.cartan import (
+    _positive_roots,
     _symmetrizers,
     LieType,
     coroot_of,
@@ -369,3 +371,119 @@ def test_invariant_checks_survive_optimize_flag():
 def test_disconnected_diagram_raises():
     with pytest.raises(ArithmeticError, match="connected"):
         _symmetrizers(((2, 0), (0, 2)))
+
+
+# sha256 of repr((pos_roots, pos_coroots, pairing_rows, highest_coroot,
+# affine_cartan, exponents, symmetrizers)), frozen from the root-string and
+# norm-formula construction that the reflection closure replaced
+ROOT_DATA_SHA256 = {
+    "A1": "e6d5b836061f7c7388a851223674432996c3a983b1dbabdd0d1af018b82618f9",
+    "A2": "3d622aee8918fd091f2fb0d96491e68ca066096eed39638993f1f3d2814895eb",
+    "C2": "ffda55680438222fab04b1b04286622df742527a968201c730b46e30267839d0",
+    "G2": "611dd286d182ec69d1e198f7d8f0d69856b5f4878e2862e7cce281c16ed40e03",
+    "A3": "8c0fafcb2f74c36a90bcef2821e17a0362e0bea38076e21e167c663d884ccd8a",
+    "B3": "1463639e91ed707823f88436f96d3fbb25b35475932719873c2908de367f879a",
+    "C3": "3b792c5a0c5a34a5b24dee1d3c41e296c80d1eaf33b35add6f0a4cdc8112b5ba",
+    "A4": "f970dc50407fffdd0b19643f1eda69c45636f7ec8e14b0cb3b3001be6344e78a",
+    "B4": "26d58cc17c71a426817680d5774414fe9009099f1199690d95af23fe6da54211",
+    "C4": "99b2d196181b568c31a0a4f763a0b38b373c999311363054c7c56a90fc46c8ed",
+    "D4": "fb945056507c1b7dbf8f6d9fc81f369c9893bce78b72ea36941fd27b73f64af9",
+    "F4": "d5258de4d05555aeccfcd99f72b00eca510e9d243335075c4474572239caf65a",
+    "A5": "8bf63d782aa2b5b1cc12a65d11c1c0e7482ce1f2bd1fb2d2369c3dcfd15b7aa9",
+    "B5": "88ff57ca77d132f89801663a4ae7445538d8b8219512d2736a5bd72293a97495",
+    "C5": "22e4d1779ee7f83dcf17299cc5fee3f630cfe03f4e6935c85c533bae44902e4c",
+    "D5": "7708884cc471246a15eab840e26c798bd8decfe921e4f918b369be7febea0465",
+    "A6": "2fe8d1e53b3c2657ac6138b7db56fc8bb299ea7cfffc0126560ae36c61507fb6",
+    "B6": "13b4df71fafa5d6b3f5536bcd6bb3259e71368fec934fec94b0f8138eb734143",
+    "C6": "ae1a544e922fcf0e011f414138a5e6508c7d45334a7af88079964b1a66fb0962",
+    "D6": "8b0740c7259cb7c414786c660a81587b6356ee69f42ba549241064b18004fb97",
+    "E6": "46275761131ba0c4bcc10150b59e4cba1134a3eddf4b352e6455e0ce41c8a225",
+    "A7": "cb976b3a99c87357a084a6bc3d1591d6ac134eba44ec14e2f0632d24ada29c2a",
+    "B7": "dd089beb6cc06304d3e8478eb4f57d16ae5febcfea202da98c1b9bcdb5e1e81c",
+    "C7": "65b42229d9d95167dc8e9493eaca7cb70fc69569e3ed5fba553860a032595595",
+    "D7": "1f84d93e6e1846eefc87671e4096d8928f3398feb88a7307ca80d69da6d48fd2",
+    "E7": "6b0c4cbbe9a829c6b9d862d602ee0cfe263c236b1d65c160935f3a5918a8e25b",
+    "A8": "bf085615bc8c3690bf8db13991ce47dfb982d6b61bdc8b2ce51b089af2b6f4d1",
+    "B8": "7b968366d771757cad3851c9cf666686243aba731bd8a50d76f28dd16ee16d36",
+    "C8": "8957f38bc8fe80f3aa078995dc8211ff42ae6bc2f562fa9d59b2d13431d931b2",
+    "D8": "93126f78b42d11fb033afff90af1bebb68f7e074c3f81b2ea98b9524afd060d0",
+    "E8": "aded255af358cd1a698a936057a0d8ad2e679926ac752cf796cc768c29e68764",
+    "A9": "5e001422122d6e8890058694b28ec0adfee4358f1853273559c0877229bec4fc",
+    "B9": "c51debc7caf1fd159f8afae947193d2f33170d853355280ac1ded52780f71763",
+    "C9": "7dcb98712ec8aad26d8fdc1551023a04b23c78dbfdb2a0441d4c8556aba9e697",
+    "D9": "8b7ee19d1f345bb7ceb3e888695d622e81cbb37ad83a378b3fa41c34783b77a0",
+    "A10": "5f631bb5a678dc99778492d0a97598bc4fdc581a1de6ec6891c0415ff4223d10",
+    "B10": "d9dc3e9169ba3f8e4609e23a6cca831dd38d9e00635555dcc091ecfe57bf4310",
+    "C10": "0cf9ef6cb3cba4d1f5e03bcf890f88f96a960aea102c4a88313a1b357874013f",
+    "D10": "4a06070267c13ad0491b19cedc0c86f3f026e36b225705ea9a811f3da1898cfa",
+    "A11": "956d56fbc7d0a7c07a06bda103f4359b2240bd4c2a715003e0df2429855ea131",
+    "B11": "9947aa05fd985dfb6cd1f38fd6c55856dc737046ef96e4fab35064b3f821da46",
+    "C11": "eee1a66e181e539dbd1f7b029fe2532ac3fe02c789063c0348769c1ee7faf7d8",
+    "D11": "bb15b0f68d85122801c42acb03d48b3787495a08173a8515fde8515b9e56561f",
+    "A12": "3239120223c6196f023b016b0a876c733aa6fb57bd0109bc72fb7e23fea94689",
+    "B12": "26222cf077c98337981d2af7757c32c4c5542f29909d60c600b8cd55ee531393",
+    "C12": "74cbf4895147a91a2ddaffe7e2018a4088f0aada87288b59d85ad7bcadd2b766",
+    "D12": "f491c00c94ec946ac2e18cbebd1f5b235c33d44c01896caf92908bb646819e47",
+}
+DIGEST_FIELDS = (
+    "pos_roots", "pos_coroots", "pairing_rows", "highest_coroot",
+    "affine_cartan", "exponents", "symmetrizers",
+)
+
+
+def test_frozen_digests_cover_every_type_through_rank_12():
+    assert sorted(ROOT_DATA_SHA256) == sorted(str(t) for t in all_canonical_types(12))
+
+
+@pytest.mark.parametrize("label", sorted(ROOT_DATA_SHA256))
+def test_root_data_match_frozen_digest(label):
+    datum = root_datum(parse_type(label))
+    text = repr(tuple(getattr(datum, f) for f in DIGEST_FIELDS))
+    assert hashlib.sha256(text.encode()).hexdigest() == ROOT_DATA_SHA256[label]
+
+
+def _norm_formula_coroot(cartan, d, beta):
+    """beta^v = sum b_i (d_i / d_beta) alpha_i^v with d_beta = (beta, beta)/2, in Fractions.
+
+    The norm is taken in the units where d_i = (alpha_i, alpha_i)/2.  Kept
+    here as the oracle for the reflection closure's coroots.
+    """
+    n = len(beta)
+    d_beta = Fraction(
+        sum(beta[i] * beta[j] * d[i] * cartan[i][j] for i in range(n) for j in range(n)), 2
+    )
+    return tuple(Fraction(b * di) / d_beta for b, di in zip(beta, d))
+
+
+@pytest.mark.parametrize("label", TYPES_RANK10)
+def test_coroots_match_norm_formula_oracle(label):
+    datum = root_datum(parse_type(label))
+    for beta, cor in zip(datum.pos_roots, datum.pos_coroots):
+        assert cor == _norm_formula_coroot(datum.cartan, datum.symmetrizers, beta)
+
+
+@pytest.mark.parametrize("label", ["A1", "A3", "C3", "G2", "F4"])
+def test_root_membership_on_negative_mixed_and_zero_vectors(label):
+    datum = root_datum(parse_type(label))
+    n = datum.rank
+    for k, beta in enumerate(datum.pos_roots):
+        neg = tuple(-c for c in beta)
+        assert datum.is_root(beta) and datum.is_root(neg)
+        assert datum.root_index(beta) == k
+        with pytest.raises(ValueError, match="not a positive root"):
+            datum.root_index(neg)
+        assert coroot_of(datum, neg) == tuple(-c for c in datum.pos_coroots[k])
+    assert not datum.is_root((0,) * n)
+    assert not datum.is_root(tuple(2 * c for c in datum.highest_root))
+    if n >= 2:
+        mixed = (1, -1) + (0,) * (n - 2)
+        assert not datum.is_root(mixed)
+        with pytest.raises(ValueError, match="not a positive root"):
+            datum.root_index(mixed)
+
+
+def test_closure_invariant_raises():
+    # a coroot pairing to 3 with its root: the check is a raise, not an assert,
+    # so it holds under python -O too (CI runs this test with -O)
+    with pytest.raises(ArithmeticError, match="does not pair to 2"):
+        _positive_roots(((2, -1), (-1, 3)))

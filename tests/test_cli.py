@@ -132,12 +132,26 @@ def test_bound_exceeded_exit_3(capsys):
         (("star", "A1", "t:-10000000", "t:-1"), "pass --max-word-len 20000002 "),
         (("star", "A1", "t:-2000", "t:-1", "--max-word-len", "4001"), "pass --max-word-len 4002 "),
         (("enumerate", "A2", "--max-len", "30"), "pass --max-enum-len 30 "),
+        # the word bound is hit, which --max-len does not raise
+        (
+            ("poincare", "A1", "--element", "t:-60000", "--max-len", "200000"),
+            "reduced word length 120000 exceeds the configured limit 100000; "
+            "no flag of 'poincare' raises it",
+        ),
     ],
 )
 def test_bound_exceeded_names_flag(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert expected in err and "bound=" not in err
+
+
+def test_factorize_many_factors_without_recursion(capsys):
+    code, out, _ = run(capsys, "factorize", "A1", "--element", "t:-1000", "--max-len", "2000", "--json")
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["factors"] == ["word:1,0"] * 1000
+    assert payload["star_refactors"] is True
 
 
 def test_max_enum_len_raises_the_bound(capsys):

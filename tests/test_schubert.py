@@ -4,6 +4,8 @@ import itertools
 
 import pytest
 
+from affschub import schubert
+
 from affschub.cartan import parse_type, root_datum
 from affschub import affine
 from affschub.affine import (
@@ -180,6 +182,32 @@ def test_a1_example_factorization():
 
 def test_identity_factors_empty():
     assert segment_factorize(affine.affine_identity(datum("A2"))) == []
+
+
+def test_factorization_order_matches_recursive_oracle(monkeypatch):
+    # with every segment listed twice (as distinct objects) an element of k
+    # factors has 2^k factorizations, so the order of the results shows
+    lt = parse_type("A2")
+    segs = schubert._segments(lt)
+    doubled = tuple((SchubertClass(s.elem), inv) for s, inv in segs) + segs
+    tag = {id(s): k for k, (s, _) in enumerate(doubled)}
+
+    def oracle(x):  # the recursive search the explicit stack replaced
+        if x.is_identity():
+            return [[]]
+        out = []
+        for seg, inv in doubled:
+            y = x * inv
+            if seg.dim() <= x.length() and y.length() == x.length() - seg.dim() and is_min_rep(y):
+                out += [prefix + [seg] for prefix in oracle(y)]
+        return out
+
+    monkeypatch.setattr(schubert, "_segments", lambda _: doubled)
+    for x in enumerate_minreps(lt, 8).flat():
+        found = segment_factorizations(x)
+        expected = oracle(x)
+        assert len(found) == 2 ** len(expected[0])
+        assert [[tag[id(s)] for s in f] for f in found] == [[tag[id(s)] for s in f] for f in expected]
 
 
 @pytest.mark.parametrize("label", ["A2", "C2", "G2"])
