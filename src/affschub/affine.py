@@ -62,9 +62,11 @@ Lower intervals: if l(s y) > l(y), then [e, s y] = [e, y] u s[e, y] (the
 subword property; Bjorner-Brenti, GTM 231, Thm 2.2.2).  The coset minimum u
 of v has u <= v (a reduced word of u is a prefix of one of v), so projecting
 to the affine group mod W keeps v <= x as u <= x: the representatives below
-x are the coset minima of [e, x].  A coset is its lam, and s moves it by the
-left step above, so lower_interval reads a reduced word of x right to left
-from {0}, joining the lattice points with their images under each letter.
+x are the coset minima of [e, x].  A coset is its lam, so lower_interval
+reads a reduced word of x right to left from the point {0}.  By Deodhar's
+lemma a letter s sends a representative v down (s v < v is already below),
+into v's own coset, or up, so only up-steps add points.  Like the
+enumeration, the walk keeps its points by length and carries each w^-1.
 
 Enumeration-style operations carry configurable length limits, checked by
 check_enum_bound (exceeding one raises BoundExceededError rather than
@@ -255,11 +257,12 @@ def _left_step(d: _Descents, p: list[int], winv: tuple, label: int) -> tuple:
     return d.shift[label](winv)
 
 
-def _left_lam(d: _Descents, label: int, lam: Vec, a: int) -> Vec:
-    """The translation of s x for x = t_lam w, given a = <lam, alpha_label> (<lam, theta> at 0)."""
+def _up_step(d: _Descents, label: int, lam: Vec) -> Vec | None:
+    """lam of s x, for minimal x = t_lam w and s at label, if s x is minimal and one longer; else None."""
+    a = sum(map(mul, lam, d.row[label]))
     if label:
-        return lam[: label - 1] + (lam[label - 1] - a,) + lam[label:]
-    return tuple(c + (1 - a) * t for c, t in zip(lam, d.theta_cor))
+        return lam[: label - 1] + (lam[label - 1] - a,) + lam[label:] if a > 0 else None
+    return tuple(c + (1 - a) * t for c, t in zip(lam, d.theta_cor)) if a <= 0 else None
 
 
 def _right_descent(d: _Descents, lam: Vec, perm: tuple, label: int) -> bool:
@@ -377,26 +380,24 @@ def enumerate_minreps(lie_type: LieType, max_len: int, *, bound: int | None = No
     datum = root_datum(lie_type)
     check_enum_bound(datum, "min-rep enumeration length", max_len, bound)
     d = _descents(datum)
+    labels = range(datum.rank + 1)
     # level: lam -> w^-1's permutation, for the representative t_lam w
     level = {(0,) * datum.rank: identity(datum).perm}
-    levels = [_build_level(datum, level, 0)]
+    levels = [_minreps(datum, level, 0)]
     for k in range(1, max_len + 1):
         nxt: dict[Vec, tuple] = {}
         for lam, winv in level.items():
-            for label, row in enumerate(d.row):
-                a = sum(map(mul, lam, row))
-                # s x is a minimal representative one longer (module docstring)
-                if (a > 0) if label else (a <= 0):
-                    new = _left_lam(d, label, lam, a)
-                    if new not in nxt:
-                        nxt[new] = d.shift[label](winv)
+            for label in labels:
+                new = _up_step(d, label, lam)
+                if new is not None and new not in nxt:
+                    nxt[new] = d.shift[label](winv)
         level = nxt
-        levels.append(_build_level(datum, level, k))
+        levels.append(_minreps(datum, level, k))
     return MinRepLevels(lie_type, tuple(levels), max_len)
 
 
-def _build_level(datum: RootDatum, level: dict, k: int) -> tuple[AffineElem, ...]:
-    """The elements t_lam w of one level, sorted by lam, with their length seeded."""
+def _minreps(datum: RootDatum, level: dict, k: int) -> tuple[AffineElem, ...]:
+    """The representatives t_lam w of length k, for level lam -> w^-1's permutation, sorted by lam."""
     out = []
     for lam in sorted(level):
         x = AffineElem(datum, lam, WeylElem(datum, level[lam]).inverse())
@@ -431,14 +432,18 @@ def bruhat_leq(v: AffineElem, w: AffineElem, *, bound: int = ELEMENT_BOUND) -> b
 
 def lower_interval(x: AffineElem) -> list[AffineElem]:
     """The minimal representatives below x in Bruhat order, sorted by (length, lam)."""
-    d = _descents(x.datum)
-    pts = {(0,) * x.datum.rank}
+    datum = x.datum
+    d = _descents(datum)
+    levels = [{(0,) * datum.rank: identity(datum).perm}]  # as in enumerate_minreps, by length
     for label in reversed(reduced_word(x)):
-        row = d.row[label]
-        pts |= {_left_lam(d, label, lam, sum(map(mul, lam, row))) for lam in pts}
-    out = [min_rep(translation(x.datum, lam)) for lam in pts]
-    out.sort(key=lambda v: (v.length(), v.trans))
-    return out
+        levels.append({})
+        # a point this letter adds steps back down under it, so it adds nothing more
+        for level, up in zip(levels, levels[1:]):
+            for lam, winv in level.items():
+                new = _up_step(d, label, lam)
+                if new is not None and new not in up:
+                    up[new] = d.shift[label](winv)
+    return [v for k, level in enumerate(levels) for v in _minreps(datum, level, k)]
 
 
 class AntidominanceReport(

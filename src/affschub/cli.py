@@ -158,9 +158,10 @@ def cmd_factorize(args) -> int:
     lt = parse_type(args.type)
     datum = root_datum(lt)
     elem = parse_element(datum, args.element)
+    word = format_element(elem)  # the word bound stops a long element before the search
     factors = schubert.segment_factorize(elem, bound=args.max_len)
     payload = {
-        "element": format_element(elem),
+        "element": word,
         "factors": [format_element(s.elem) for s in factors],
         "star_refactors": schubert.star_refolds(elem, factors),
     }

@@ -16,16 +16,14 @@ from collections import namedtuple
 
 from .cartan import LieType, Vec, root_datum
 from .errors import BoundExceededError
-from .weyl import GradedPoly, min_coset_reps
+from .weyl import GradedPoly
 from .affine import (
     AffineElem,
     ELEMENT_BOUND,
     affine_identity,
     bruhat_leq,
     check_enum_bound,
-    embed_finite,
     enumerate_minreps,
-    generator,
     is_min_rep,
     lower_interval,
     min_rep,
@@ -82,10 +80,8 @@ def star_fold(lie_type: LieType, classes) -> SchubertClass | None:
 def segments(lie_type: LieType) -> list[SchubertClass]:
     """The nonidentity classes below the generating translation, by length.
 
-    Constructed as {v * s_0 : v in W^J} where J omits the neighbors of the
-    affine node; this matches both the Bruhat lower interval of t_{-theta^v}
-    in the representative set and the W-orbit description (equalities
-    exercised in the test suite at desk scale).
+    This is the lower interval of t_{-theta^v}; the tests check it against the
+    W-orbit of s_0 and against {v * s_0 : v in W^J}, J the Levi nodes.
     """
     return [seg for seg, _ in _segments(lie_type)]
 
@@ -93,15 +89,8 @@ def segments(lie_type: LieType) -> list[SchubertClass]:
 @functools.cache
 def _segments(lie_type: LieType) -> tuple[tuple[SchubertClass, AffineElem], ...]:
     """The segments of one type, sorted by (length, lam), each with its index's inverse."""
-    datum = root_datum(lie_type)
-    j_nodes = frozenset(range(1, datum.rank + 1)) - datum.affine_neighbors()
-    s0 = generator(datum, 0)
-    out = []
-    for level in min_coset_reps(lie_type, j_nodes):
-        out += (SchubertClass(embed_finite(v) * s0) for v in level)
-    # lam is unique among minimal representatives, so it breaks every length tie
-    out.sort(key=lambda c: (c.dim(), c.elem.trans))
-    return tuple((seg, seg.elem.inverse()) for seg in out)
+    below = lower_interval(seed_translation(root_datum(lie_type)))[1:]  # all but the identity
+    return tuple((SchubertClass(x), x.inverse()) for x in below)
 
 
 def segment_factorizations(

@@ -16,6 +16,10 @@ one coordinate of each root, and any other reflection is the conjugate
 recovered on demand by stripping descents, always choosing the smallest node
 label, so the cached word is canonical.
 
+Quotients W^I are walked by up-steps only.  For w minimal in w W_I and base
+fixed by W_I alone, <w(base), alpha_i^v> > 0 exactly when s_i w is minimal
+and one longer; it is 0 when s_i w stays in w W_I, and < 0 when s_i w < w.
+
 The grading variable q counts complex cell dimension: q^k stands for
 topological degree 2k.
 """
@@ -213,8 +217,10 @@ def min_coset_reps(lie_type: LieType, nodes) -> list[list[WeylElem]]:
     I is a set of finite node labels.  Enumeration runs a level-synchronous
     BFS on the orbit of a vector whose stabilizer is exactly W_I (tracked by
     its integer tuple of pairings against the simple roots), so the group is
-    never listed.  Level k holds exactly the representatives of length k,
-    each with no right descent in I, sorted by their orbit point.
+    never listed.  Only up-steps are taken (point[i] > 0, module docstring),
+    so no level reaches an earlier one.  Level k holds exactly the
+    representatives of length k, each with no right descent in I, sorted by
+    their orbit point.
     """
     datum = root_datum(lie_type)
     nodeset = frozenset(nodes)
@@ -224,7 +230,6 @@ def min_coset_reps(lie_type: LieType, nodes) -> list[list[WeylElem]]:
     a = datum.cartan
     n = datum.rank
     base = tuple(0 if (i + 1) in nodeset else 1 for i in range(n))
-    seen = {base}
     frontier: list[tuple[Vec, WeylElem]] = [(base, identity(datum))]
     levels: list[list[WeylElem]] = []
     while frontier:
@@ -233,12 +238,10 @@ def min_coset_reps(lie_type: LieType, nodes) -> list[list[WeylElem]]:
         nxt: dict[Vec, WeylElem] = {}
         for point, w in frontier:
             for i in range(n):
-                if point[i] == 0:
-                    continue
-                moved = tuple(point[j] - point[i] * a[i][j] for j in range(n))
-                if moved not in seen and moved not in nxt:
-                    nxt[moved] = simple_reflection(datum, i + 1) * w
-        seen.update(nxt)
+                if point[i] > 0:  # the up-step rule
+                    moved = tuple(point[j] - point[i] * a[i][j] for j in range(n))
+                    if moved not in nxt:
+                        nxt[moved] = simple_reflection(datum, i + 1) * w
         frontier = list(nxt.items())
     return levels
 

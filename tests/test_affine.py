@@ -539,6 +539,26 @@ def test_lower_interval_matches_enumerate_oracle(label, max_len):
             assert affine.lower_interval(y) == interval_oracle(ball, y) == got
 
 
+def _ball_tops():
+    for label, max_len in LOWER_INTERVAL_BALLS:
+        for x in enumerate_minreps(parse_type(label), max_len).by_length[-1]:
+            yield label, x
+
+
+@pytest.mark.parametrize(
+    "label,top",
+    [(label, format_element(x)) for label, x in _ball_tops()] + [("A2", "t:-30,-30"), ("C3", "t:-4,-6,-4")],
+)
+def test_lower_interval_carries_coset_minima(label, top):
+    # the walk carries each point's w^-1 and length from the point it stepped
+    # from; both must be those of the coset minimum built from scratch
+    d = datum(label)
+    x = parse_element(d, top)
+    for v in affine.lower_interval(x):
+        assert v.fin.perm == min_rep(translation(d, v.trans)).fin.perm
+        assert v.length() == affine.AffineElem(d, v.trans, v.fin).length()
+
+
 @pytest.mark.parametrize("label,text", [("A2", "t:-10,-10"), ("A4", "t:-4,-4,-4,-4")])
 def test_schubert_poincare_matches_enumerate_oracle(label, text):
     from affschub.schubert import SchubertClass, schubert_poincare

@@ -295,6 +295,41 @@ def test_verify_segments_factorizes_each_element_once(monkeypatch):
     assert len(calls) == len(set(calls)) > 1
 
 
+def test_factorize_word_bound_stops_before_the_search(capsys, monkeypatch):
+    import affschub.schubert as schubert
+
+    calls = []
+    monkeypatch.setattr(schubert, "segment_factorizations", lambda w, **kw: calls.append(w))
+    code, out, err = run(capsys, "factorize", "A1", "--element", "t:-60000", "--max-len", "200000")
+    assert (code, out, calls) == (3, "", [])
+    assert err == (
+        "bound exceeded: reduced word length 120000 exceeds the configured limit 100000; "
+        "no flag of 'factorize' raises it\n"
+    )
+
+
+def test_verify_segments_walks_the_seed_interval_once(monkeypatch):
+    import affschub.affine as affine
+    import affschub.schubert as schubert
+    import affschub.verify as verify
+    from affschub.cartan import parse_type
+
+    calls = []
+    real = affine.lower_interval
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(affine, "lower_interval", counting)
+    monkeypatch.setattr(schubert, "lower_interval", counting)
+    schubert._segments.cache_clear()
+    results = verify.suite_segments(parse_type("A2"), max_len=5)
+    assert all(r.passed for r in results)
+    # the segments are the seed interval; the suite does not walk it again
+    assert len(calls) == 1
+
+
 def test_verify_decompose_walks_each_interval_once(monkeypatch):
     import affschub.affine as affine
     import affschub.schubert as schubert

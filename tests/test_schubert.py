@@ -157,7 +157,10 @@ def test_segment_characterizations_agree(label):
         for w in level
     }
     orbit.discard(affine.affine_identity(d))
-    assert constructed == interval == orbit
+    # {v * s_0 : v in W^J}, J the finite nodes off the affine node's neighbors
+    s0 = generator(d, 0)
+    coset = {embed_finite(v) * s0 for level in min_coset_reps(lt, levi_nodes(lt)) for v in level}
+    assert constructed == interval == orbit == coset
 
 
 def test_top_segment_is_seed_translation():

@@ -4,6 +4,7 @@ import pytest
 
 from affschub.cartan import parse_type, root_datum
 from affschub.classify import all_canonical_types
+from affschub.cohomology import levi_nodes
 from affschub.weyl import (
     GradedPoly,
     from_word,
@@ -276,3 +277,50 @@ def test_conjugated_reflections_match_direct_formula(label):
         s_beta = reflection(datum, beta)
         assert s_beta.perm == tuple(expected)
         assert s_beta.length() % 2 == 1 and len(s_beta.perm) == 2 * big
+
+
+def coset_orbit_oracle(lie_type, nodes):
+    """W^I by the orbit BFS that steps both ways and drops revisits through a seen set.
+
+    The route min_coset_reps took before it kept up-steps only.
+    """
+    datum = root_datum(lie_type)
+    a = datum.cartan
+    n = datum.rank
+    base = tuple(0 if (i + 1) in nodes else 1 for i in range(n))
+    seen = {base}
+    frontier = [(base, identity(datum))]
+    levels = []
+    while frontier:
+        frontier.sort(key=lambda pw: pw[0])
+        levels.append([w for _, w in frontier])
+        nxt = {}
+        for point, w in frontier:
+            for i in range(n):
+                if point[i] == 0:
+                    continue
+                moved = tuple(point[j] - point[i] * a[i][j] for j in range(n))
+                if moved not in seen and moved not in nxt:
+                    nxt[moved] = simple_reflection(datum, i + 1) * w
+        seen.update(nxt)
+        frontier = list(nxt.items())
+    return levels
+
+
+def _perm_levels(levels):
+    return [[w.perm for w in level] for level in levels]
+
+
+# every type through rank 4, G2 and F4 among them
+@pytest.mark.parametrize("label", [str(t) for t in all_canonical_types(4) if t.rank <= 4])
+def test_min_coset_reps_up_steps_match_orbit_oracle(label):
+    lt = parse_type(label)
+    for nodes in [(), tuple(sorted(levi_nodes(lt)))] + [(i,) for i in range(1, lt.rank + 1)]:
+        assert _perm_levels(min_coset_reps(lt, nodes)) == _perm_levels(coset_orbit_oracle(lt, nodes))
+
+
+@pytest.mark.parametrize("label", ["E6", "E7", "E8"])
+def test_exceptional_levi_quotients_match_orbit_oracle(label):
+    lt = parse_type(label)
+    nodes = levi_nodes(lt)
+    assert _perm_levels(min_coset_reps(lt, nodes)) == _perm_levels(coset_orbit_oracle(lt, nodes))
