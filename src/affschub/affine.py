@@ -30,15 +30,37 @@ negative, l(x s) < l(x) iff x sends it negative.  For x = t_lam w:
 * right descent at i >= 1: x(alpha_i) = w(alpha_i) - <lam, w alpha_i> delta;
   with w(alpha_i) = +-gamma, <lam, gamma> > 0 when +, <lam, gamma> <= 0 when -.
 
-Each test is one pairing and one root-permutation lookup.  Reduced words
-and Bruhat comparisons walk the state (p, winv), not products: winv is w^-1's
-permutation and p = (<lam, theta>, <lam, alpha_1>, ..., <lam, alpha_n>).  As
-s_i sends lam to lam - <lam, alpha_i> alpha_i^v and s_0 sends it to lam + (1 -
-<lam, theta>) theta^v, the left step at l is p -= a * step[l], winv = winv * s,
-with a = p[l] (p[0] - 1 at l = 0), step[l][m] = <alpha_l^v, root_m> for l >= 1
-and step[0][m] = <theta^v, root_m> (root_0 = theta, root_m = alpha_m): O(rank)
-per letter, not a pairing per label.  The tests agree with product-and-length
-on BFS balls of A1 through F4 (tests/test_affine.py).
+Each test is one pairing and one root-permutation lookup.
+
+Reduced words and Bruhat comparisons walk one integer vector, the alcove
+vector r, with no root permutation.  Give delta the height M = ht(theta) + 1,
+so that alpha_0 = delta - theta has height 1; r[l] is the height of the
+affine root x^-1(alpha_l):
+
+    r[l] = M <lam, alpha_l> + ht(w^-1 alpha_l)     for l >= 1,
+    r[0] = M (1 - <lam, theta>) - ht(w^-1 theta),
+
+the pairings of the scaled point M lam + w(rho^v) = M x(rho^v / M), an
+interior point of the alcove x(A_0), with the affine simple roots
+(Humphreys, Reflection Groups and Coxeter Groups, 4.3-4.5).  The signed
+heights are read through perm.index, so no inverse is built.  As
+|ht(w^-1 alpha)| <= ht(theta) < M, the sign of r[l] is that of the
+delta-coefficient unless it is 0, and then that of the height: the tests
+above, tie-break included, so l(s_l x) < l(x) iff r[l] < 0.  The identity
+has r = (1, ..., 1), and every walk to it is checked to end there.  As
+(s_l x)^-1 alpha_m = x^-1(alpha_m - <alpha_l^v, alpha_m> alpha_l), the letter
+l is the numbers-game move r[m] -= r[l] * A[l][m] over the nonzero entries
+of row l of the affine Cartan matrix A: the diagonal and the neighbours of
+l in the affine diagram, at most 5 updates in any type (Bjorner-Brenti,
+GTM 231, 4.3).  A letter costs a scan of at most rank + 1 signs for the
+smallest negative entry and those updates; the start costs rank + 1
+pairings and rank + 1 perm.index scans, once per walk.  The tests and the
+moves agree with product-and-length on BFS balls of A1 through F4
+(tests/test_affine.py).
+
+from_word builds t_lam w by right steps: x s_l = t_lam (w s_l) for l >= 1
+is a shift of w's permutation, and x s_0 = t_{lam + w(theta^v)} (w s_theta),
+with w(theta^v) = +-pos_coroots[j] for w(theta) = +-pos_roots[j].
 
 Minimal representatives of the affine group mod W are enumerated over the
 coroot lattice: the coset t_lam W is fixed by lam, so the representatives of
@@ -77,7 +99,7 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul, sub
 
 from .cartan import LieType, RootDatum, Vec, root_datum
 from .errors import BoundExceededError, ParseError
@@ -209,10 +231,10 @@ class _Descents:
     """Per-datum tables for the closed-form descent tests on x = t_lam w.
 
     For a node label l, ``root[l]`` is the root index of alpha_l (of theta
-    when l = 0), ``row[l]`` its pairing row, ``step[l]`` the pairs (m, e)
-    with e = step[l][m] != 0 of the walk (module docstring), and ``shift[l]``
-    maps a root permutation q to that of q * s, where s is the finite part
-    of the generator at l (s_theta when l = 0).
+    when l = 0), ``row[l]`` its pairing row, and ``shift[l]`` maps a root
+    permutation q to that of q * s, where s is the finite part of the
+    generator at l (s_theta when l = 0).  The alcove-vector tables (module
+    docstring) are built on the first walk: enumeration never reads them.
     """
 
     def __init__(self, datum: RootDatum):
@@ -223,12 +245,23 @@ class _Descents:
         self.row = tuple(self.rows[k] for k in self.root)
         self.shift = tuple(itemgetter(*generator(datum, l).fin.perm) for l in range(n + 1))
         self.theta_cor = datum.highest_coroot
+        self.datum = datum
 
     @functools.cached_property
-    def step(self) -> tuple:  # built on the first walk: enumeration never reads it
-        step = [[sum(map(mul, self.theta_cor, r)) for r in self.row]]
-        step += [[r[l] for r in self.row] for l in range(len(self.theta_cor))]
-        return tuple(tuple((m, e) for m, e in enumerate(s) if e) for s in step)
+    def level(self) -> int:
+        """M = ht(theta) + 1, the height given to delta."""
+        return sum(self.datum.highest_root) + 1
+
+    @functools.cached_property
+    def heights(self) -> tuple[int, ...]:
+        """The signed height of every root, by root index."""
+        up = tuple(map(sum, self.datum.pos_roots))
+        return up + tuple(-h for h in up)
+
+    @functools.cached_property
+    def cartan(self) -> tuple:
+        """Row l of the affine Cartan matrix as the pairs (m, <alpha_l^v, alpha_m>) with a nonzero entry."""
+        return tuple(tuple((m, e) for m, e in enumerate(row) if e) for row in self.datum.affine_cartan)
 
 
 @functools.cache
@@ -236,25 +269,12 @@ def _descents(datum: RootDatum) -> _Descents:
     return _Descents(datum)
 
 
-def _walk_state(d: _Descents, x: AffineElem) -> tuple[list[int], tuple]:
-    """The walk state (p, winv) of x = t_lam w (module docstring)."""
-    return [sum(map(mul, x.trans, r)) for r in d.row], x.fin.inverse().perm
-
-
-def _left_descent(d: _Descents, p: list[int], winv: tuple, label: int) -> bool:
-    """l(s x) < l(x) for the generator s at label, given x's walk state."""
-    a = p[label]
-    if label:
-        return a < 0 or (a == 0 and winv[d.root[label]] >= d.big)
-    return a > 1 or (a == 1 and winv[d.root[0]] < d.big)
-
-
-def _left_step(d: _Descents, p: list[int], winv: tuple, label: int) -> tuple:
-    """Turn x's walk state into that of s x: p changes in place, the new winv is returned."""
-    a = p[label] if label else p[0] - 1
-    for m, e in d.step[label]:
-        p[m] -= a * e
-    return d.shift[label](winv)
+def _alcove(d: _Descents, x: AffineElem) -> list[int]:
+    """The alcove vector r of x = t_lam w (module docstring); w^-1 is read through perm.index."""
+    perm, heights, level = x.fin.perm, d.heights, d.level
+    r = [level * sum(map(mul, x.trans, row)) + heights[perm.index(k)] for row, k in zip(d.row, d.root)]
+    r[0] = level - r[0]  # the entry built for theta is M <lam, theta> + ht(w^-1 theta)
+    return r
 
 
 def _up_step(d: _Descents, label: int, lam: Vec) -> Vec | None:
@@ -284,31 +304,56 @@ def _first_right_descent(d: _Descents, lam: Vec, perm: tuple) -> int:
 def reduced_word(x: AffineElem, *, bound: int = WORD_BOUND) -> list[int]:
     """Greedy left-descent stripping; the word multiplies left-to-right to x.
 
-    Each letter is the smallest label with a left descent.  Words longer
-    than ``bound`` letters raise BoundExceededError before any work.
+    Each letter is the smallest label with a left descent, read off the
+    alcove vector (module docstring).  Words longer than ``bound`` letters
+    raise BoundExceededError before any work.
     """
     n = x.length()
     if n > bound:
         raise BoundExceededError("reduced word length", n, bound, "bound")
     d = _descents(x.datum)
-    p, winv = _walk_state(d, x)
+    cartan = d.cartan
+    r = _alcove(d, x)
+    labels = range(len(r))
     word: list[int] = []
     for _ in range(n):
-        for label in range(len(p)):
-            if _left_descent(d, p, winv, label):
+        for label in labels:
+            if r[label] < 0:
                 break
         else:
-            raise ArithmeticError(f"no left descent found for the walk state p={p}")
+            raise ArithmeticError(f"no left descent found for the alcove vector {r}")
         word.append(label)
-        winv = _left_step(d, p, winv, label)
+        a = r[label]
+        for m, e in cartan[label]:
+            r[m] -= a * e
+    _check_identity(r)
     return word
 
 
+def _check_identity(r: list[int]) -> None:
+    """Raise ArithmeticError unless r is the identity's alcove vector (1, ..., 1)."""
+    if r != [1] * len(r):
+        raise ArithmeticError(f"a walk to the identity ended at the alcove vector {r}")
+
+
 def from_word(datum: RootDatum, labels) -> AffineElem:
-    x = affine_identity(datum)
+    """The product of the generators at labels, left to right, by right steps.
+
+    x s_l = t_lam (w s_l) for l >= 1, and x s_0 = t_{lam + w(theta^v)} (w s_theta),
+    where w(theta^v) = +-pos_coroots[j] for w(theta) = +-pos_roots[j].
+    """
+    d = _descents(datum)
+    big, theta, coroots, shift = d.big, d.root[0], datum.pos_coroots, d.shift
+    lam = (0,) * datum.rank
+    perm = identity(datum).perm
     for label in labels:
-        x = x * generator(datum, label)
-    return x
+        if not 0 <= label < len(shift):
+            raise ValueError(f"node label {label} is not a node of {datum.lie_type}")
+        if not label:
+            j = perm[theta]
+            lam = tuple(map(add, lam, coroots[j])) if j < big else tuple(map(sub, lam, coroots[j - big]))
+        perm = shift[label](perm)
+    return AffineElem(datum, lam, WeylElem(datum, perm))
 
 
 def is_min_rep(x: AffineElem) -> bool:
@@ -418,16 +463,23 @@ def bruhat_leq(v: AffineElem, w: AffineElem, *, bound: int = ELEMENT_BOUND) -> b
     if w.length() > bound:
         raise BoundExceededError("Bruhat comparison length", w.length(), bound, "bound")
     d = _descents(w.datum)
+    cartan = d.cartan
     lv = v.length()
-    p, winv = _walk_state(d, v)
+    r = _alcove(d, v)
     for lw, label in zip(range(w.length(), 0, -1), reduced_word(w, bound=bound)):
         if lv > lw:
             return False
         if lv == 0:
-            return True
-        if _left_descent(d, p, winv, label):
-            winv, lv = _left_step(d, p, winv, label), lv - 1
-    return lv == 0
+            break
+        a = r[label]
+        if a < 0:
+            for m, e in cartan[label]:
+                r[m] -= a * e
+            lv -= 1
+    if lv:
+        return False
+    _check_identity(r)
+    return True
 
 
 def lower_interval(x: AffineElem) -> list[AffineElem]:

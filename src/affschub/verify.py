@@ -13,6 +13,7 @@ import random
 from collections import namedtuple
 
 from .cartan import LieType, root_datum
+from .cohomology import levi_nodes
 from .weyl import min_coset_reps
 from . import affine
 from .affine import (
@@ -164,18 +165,16 @@ def suite_series(lie_type: LieType, *, through: int = 10, seed: int = 0) -> list
     return results
 
 
-def suite_segments(
-    lie_type: LieType, *, max_len: int = 8, bound: int | None = None, seed: int = 0
-) -> list[CheckResult]:
+def suite_segments(lie_type: LieType, *, max_len: int = 8, seed: int = 0) -> list[CheckResult]:
     """Uniqueness of segment factorization and the star refactorization."""
     datum = root_datum(lie_type)
     # the segments are the classes under seed_t, its lower interval less the identity
     segs = schubert.segments(lie_type)
-    seed_t = affine.seed_translation(datum)
-    affine.check_enum_bound(datum, "min-rep enumeration length", seed_t.length(), bound)
+    s0 = affine.generator(datum, 0)
+    # min_rep(v s_0) depends only on the coset v W_J, J the Levi nodes (the stabiliser of theta)
     orbit = {
-        min_rep(affine.embed_finite(v) * affine.generator(datum, 0))
-        for level in min_coset_reps(lie_type, ())
+        min_rep(affine.embed_finite(v) * s0)
+        for level in min_coset_reps(lie_type, levi_nodes(lie_type))
         for v in level
     }
     orbit = {x for x in orbit if x.length() > 0}
@@ -217,6 +216,38 @@ def suite_segments(
         )
     )
     return results
+
+
+# total length up to which star_witness searches after the pairs through max_len
+WITNESS_DEPTH = 16
+
+
+def _noncommuting_pair(elems, low: int, high: int):
+    """The first pair (a, b), in product order, with low <= dim a + dim b <= high and
+    exactly one of a * b, b * a zero; or None."""
+    for a, b in itertools.product(elems, repeat=2):
+        if low <= a.dim() + b.dim() <= high and (star(a, b) is None) != (star(b, a) is None):
+            return a, b
+    return None
+
+
+def star_witness(lie_type: LieType, elems, max_len: int):
+    """A pair of classes whose star product is zero in one order only, and its depth.
+
+    ``elems`` are the classes through ``max_len``; their pairs of total length
+    <= max_len are scanned first, in product order, and the depth is None for
+    a pair found there.  Only when none is, pairs of each total length up to
+    WITNESS_DEPTH are scanned in turn, and the depth is that total length.
+    """
+    pair = _noncommuting_pair(elems, 0, max_len)
+    if pair is not None or max_len >= WITNESS_DEPTH:
+        return pair, None
+    deeper = [SchubertClass(x) for x in enumerate_minreps(lie_type, WITNESS_DEPTH, bound=WITNESS_DEPTH).flat()]
+    for depth in range(max_len + 1, WITNESS_DEPTH + 1):
+        pair = _noncommuting_pair(deeper, depth, depth)
+        if pair is not None:
+            return pair, depth
+    return None, None
 
 
 def suite_star(lie_type: LieType, *, max_len: int = 10, triple_cap: int = 4000, seed: int = 0) -> list[CheckResult]:
@@ -264,25 +295,16 @@ def suite_star(lie_type: LieType, *, max_len: int = 10, triple_cap: int = 4000, 
             "associativity statement fails exactly there",
         ),
     ]
-    witness = None
-    for a, b in itertools.product(elems, repeat=2):
-        if a.dim() + b.dim() > max_len:
-            continue
-        if (star(a, b) is None) != (star(b, a) is None):
-            witness = (a, b)
-            break
-    results.append(
-        CheckResult(
-            "star-noncommutative-witness",
-            witness is not None,
-            "found a pair with one order zero and the other not"
-            + (
-                f": {format_element(witness[0].elem)}, {format_element(witness[1].elem)}"
-                if witness
-                else ""
-            ),
+    witness, depth = star_witness(lie_type, elems, max_len)
+    if witness is None:
+        detail = f"no pair with one order zero and the other not up to total length {WITNESS_DEPTH}"
+    else:
+        where = "" if depth is None else f" at total length {depth}, none up to {max_len}"
+        detail = (
+            f"found a pair with one order zero and the other not{where}: "
+            f"{format_element(witness[0].elem)}, {format_element(witness[1].elem)}"
         )
-    )
+    results.append(CheckResult("star-noncommutative-witness", witness is not None, detail))
     disc = schubert.star_reading_discrepancies(lie_type, min(max_len, 6))
     sample = ", ".join(
         f"({format_element(t)})*({format_element(n)})" for t, n in disc[:2]
@@ -368,8 +390,8 @@ def run_suite(
 ) -> list[CheckResult]:
     """Run one named suite, or all of them.
 
-    ``bound`` raises the enumeration limits of the suites that take one
-    (segments, decompose); other suites ignore it.
+    ``bound`` raises the enumeration limit of the decompose suite; other
+    suites ignore it.
     """
     names = list(SUITES) if name == "all" else [name]
     if name != "all" and name not in SUITES:
@@ -378,7 +400,7 @@ def run_suite(
     for key in names:
         fn = SUITES[key]
         kwargs = {"seed": seed}
-        if bound is not None and key in {"segments", "decompose"}:
+        if bound is not None and key == "decompose":
             kwargs["bound"] = bound
         out.extend(fn(lie_type, **kwargs))
     return out

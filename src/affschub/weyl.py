@@ -204,13 +204,6 @@ def reflection(datum: RootDatum, alpha: Vec) -> WeylElem:
     return _tables(datum).reflection(datum.root_index(alpha))
 
 
-def from_word(datum: RootDatum, labels: tuple[int, ...]) -> WeylElem:
-    w = identity(datum)
-    for label in labels:
-        w = w * simple_reflection(datum, label)
-    return w
-
-
 def min_coset_reps(lie_type: LieType, nodes) -> list[list[WeylElem]]:
     """Minimal-length representatives of W/W_I, graded by length.
 

@@ -192,13 +192,16 @@ def test_closed_form_descents_match_products(label, depth):
     d = datum(label)
     gens = all_generators(d)
     tables = affine._descents(d)
+    assert affine._alcove(tables, affine_identity(d)) == [1] * (d.rank + 1)
     for x in length_bfs_oracle(parse_type(label), depth):
         n = x.length()
-        p, winv = affine._walk_state(tables, x)
+        r = affine._alcove(tables, x)
         for l, g in enumerate(gens):
-            assert affine._left_descent(tables, p, winv, l) == ((g * x).length() < n)
-            q = list(p)
-            assert (q, affine._left_step(tables, q, winv, l)) == affine._walk_state(tables, g * x)
+            assert (r[l] < 0) == ((g * x).length() < n)
+            stepped = list(r)
+            for m, e in tables.cartan[l]:
+                stepped[m] -= r[l] * e
+            assert stepped == affine._alcove(tables, g * x)
             if l:
                 assert affine._right_descent(tables, x.trans, x.fin.perm, l) == (
                     (x * g).length() < n
@@ -228,6 +231,37 @@ def test_reduced_word_closed_form_matches_greedy_products(label):
         word = reduced_word(x)
         assert word == greedy_word_oracle(x)
         assert from_word(x.datum, word) == x
+
+
+def product_fold(d, word):
+    """The left fold of generator products: the oracle for from_word."""
+    gens = all_generators(d)
+    x = affine_identity(d)
+    for label in word:
+        x = x * gens[label]
+    return x
+
+
+def seeded_words(label):
+    """Words of up to 40 letters, with label 0 at every position 0..39 in turn."""
+    rank = datum(label).rank
+    rng = random.Random(f"words-{label}")
+    for i in range(40):
+        word = [rng.randint(0, rank) for _ in range(rng.randint(i + 1, 40))]
+        word[i] = 0
+        yield word
+
+
+@pytest.mark.parametrize("label", SWEEP_TYPES + ["E8"])
+def test_from_word_matches_product_fold(label):
+    d = datum(label)
+    depth = dict(DESCENT_BALLS).get(label)
+    ball = [reduced_word(x) for x in length_bfs_oracle(parse_type(label), depth)] if depth else []
+    for word in itertools.chain(ball, seeded_words(label)):
+        assert from_word(d, word) == product_fold(d, word)
+    for bad in (-1, d.rank + 1):
+        with pytest.raises(ValueError):
+            from_word(d, [0, bad])
 
 
 def test_reduced_word_closed_form_rebuilds_long_translation():

@@ -8,6 +8,7 @@ from affschub import schubert
 
 from affschub.cartan import parse_type, root_datum
 from affschub import affine
+from affschub.classify import all_canonical_types
 from affschub.affine import (
     bruhat_leq,
     embed_finite,
@@ -117,6 +118,23 @@ def test_star_noncommutative_witness():
     assert found
 
 
+@pytest.mark.parametrize("lt", all_canonical_types(8), ids=str)
+def test_star_witness_found_by_depth_14(lt):
+    from affschub.verify import star_witness
+
+    elems = [SchubertClass(x) for x in enumerate_minreps(lt, 10, bound=10).flat()]
+    (a, b), depth = star_witness(lt, elems, 10)
+    assert (star(a, b) is None) != (star(b, a) is None)
+    if str(lt) == "E8":
+        # nothing through total length 10: the deeper scan names its depth
+        assert depth == a.dim() + b.dim() == 14
+        assert (format_element(a.elem), format_element(b.elem)) == (
+            "word:0", "word:8,7,6,5,4,2,3,4,5,6,7,8,0"
+        )
+    else:
+        assert depth is None and a.dim() + b.dim() <= 10
+
+
 def test_star_fold_empty_is_identity():
     assert star_fold(parse_type("G2"), []) == identity_class(parse_type("G2"))
 
@@ -161,6 +179,22 @@ def test_segment_characterizations_agree(label):
     s0 = generator(d, 0)
     coset = {embed_finite(v) * s0 for level in min_coset_reps(lt, levi_nodes(lt)) for v in level}
     assert constructed == interval == orbit == coset
+
+
+# every type through rank 5, and E6: all_canonical_types always adds E8, whose W is too large to walk
+LEVI_ORBIT_TYPES = [t for t in all_canonical_types(5) if t.rank <= 5] + [parse_type("E6")]
+
+
+@pytest.mark.parametrize("lt", LEVI_ORBIT_TYPES, ids=str)
+def test_levi_quotient_orbit_matches_w_orbit(lt):
+    # min_rep(v s_0) depends only on the coset v W_J, J the Levi nodes
+    d = root_datum(lt)
+    s0 = generator(d, 0)
+
+    def orbit(nodes):
+        return {min_rep(embed_finite(v) * s0) for level in min_coset_reps(lt, nodes) for v in level}
+
+    assert orbit(levi_nodes(lt)) == orbit(())
 
 
 def test_top_segment_is_seed_translation():
