@@ -123,6 +123,11 @@ def _levi_ladder(lie_type: LieType) -> tuple[GradedPoly, tuple[int, ...] | None]
     Built once per type from one ``min_coset_reps`` call and interned like
     :func:`root_datum`.  Only immutable values are kept, never the
     representative lists.
+
+    On a chain, c1 * y_{k-1} is a_k y_k with a_k = <alpha_i^v, y_{k-1}(theta)>,
+    where y_k = s_i y_{k-1}: the one Chevalley term, beta = y_{k-1}^-1(alpha_i).
+    As theta is dominant with stabiliser W_J, i is the one node where that
+    pairing is positive (the ``min_coset_reps`` up-step rule).
     """
     nodes = levi_nodes(lie_type)
     levels = min_coset_reps(lie_type, nodes)
@@ -130,12 +135,15 @@ def _levi_ladder(lie_type: LieType) -> tuple[GradedPoly, tuple[int, ...] | None]
     if any(len(level) != 1 for level in levels):
         return poly, None
     datum = root_datum(lie_type)
+    k_theta = datum.root_index(datum.highest_root)
     coeffs = []
-    for k in range(1, len(levels)):
-        prod = chevalley_divisor_mult(lie_type, nodes, datum.highest_root, levels[k - 1][0])
-        coeffs.append(prod.coefficient(levels[k][0]))
-        if any(w != levels[k][0] for w, _ in prod.coeffs):
-            raise ArithmeticError("chain product left the chain")
+    for (y,) in levels[:-1]:
+        negative, j = divmod(y.perm[k_theta], len(datum.pos_roots))
+        pairs = [-c for c in datum.pairing_rows[j]] if negative else datum.pairing_rows[j]
+        ups = [c for c in pairs if c > 0]
+        if len(ups) != 1:
+            raise ArithmeticError(f"{len(ups)} up-steps from a rung of the chain of {lie_type}")
+        coeffs.append(ups[0])
     return poly, tuple(coeffs)
 
 

@@ -35,6 +35,19 @@ from .schubert import (
 )
 
 
+# the sizes each suite checks at
+LENGTHS_MAX_LEN = 8
+ANTIDOMINANT_COORD_BOUND = 2
+ADDITIVITY_SIGMA_LEN = 6
+ADDITIVITY_COORD_LOW = -2
+SERIES_THROUGH = 10
+SEGMENTS_MAX_LEN = 8
+STAR_MAX_LEN = 10
+STAR_TRIPLE_CAP = 4000
+CANONICAL_N_MAX = 3
+DECOMPOSE_SIGMA_LEN = 3
+
+
 class CheckResult(namedtuple("CheckResult", "name passed detail")):
     """One checked property: its name, whether it held, and a one-line detail."""
 
@@ -50,15 +63,15 @@ def _series_coeffs(exps, through: int) -> list[int]:
     return coeffs
 
 
-def suite_lengths(lie_type: LieType, *, max_len: int = 8, seed: int = 0) -> list[CheckResult]:
+def suite_lengths(lie_type: LieType, *, seed: int = 0) -> list[CheckResult]:
     """Closed length formula against the BFS oracle, plus word recovery."""
-    dist = length_bfs_oracle(lie_type, max_len)
+    dist = length_bfs_oracle(lie_type, LENGTHS_MAX_LEN)
     mismatch = [x for x, d in dist.items() if x.length() != d]
     results = [
         CheckResult(
             "length-formula-vs-bfs",
             not mismatch,
-            f"{len(dist)} elements through length {max_len}; {len(mismatch)} mismatches",
+            f"{len(dist)} elements through length {LENGTHS_MAX_LEN}; {len(mismatch)} mismatches",
         )
     ]
     datum = root_datum(lie_type)
@@ -78,9 +91,10 @@ def suite_lengths(lie_type: LieType, *, max_len: int = 8, seed: int = 0) -> list
     return results
 
 
-def suite_antidominant(lie_type: LieType, *, coord_bound: int = 2, seed: int = 0) -> list[CheckResult]:
+def suite_antidominant(lie_type: LieType) -> list[CheckResult]:
     """The three antidominance characterizations agree on a coordinate box."""
     datum = root_datum(lie_type)
+    coord_bound = ANTIDOMINANT_COORD_BOUND
     boxes = itertools.product(range(-coord_bound, coord_bound + 1), repeat=datum.rank)
     disagreements = []
     total = 0
@@ -99,13 +113,13 @@ def suite_antidominant(lie_type: LieType, *, coord_bound: int = 2, seed: int = 0
     ]
 
 
-def suite_additivity(lie_type: LieType, *, sigma_len: int = 6, coord_low: int = -2, seed: int = 0) -> list[CheckResult]:
+def suite_additivity(lie_type: LieType) -> list[CheckResult]:
     """Length additivity of representative times antidominant translation."""
     datum = root_datum(lie_type)
-    levels = enumerate_minreps(lie_type, sigma_len)
+    levels = enumerate_minreps(lie_type, ADDITIVITY_SIGMA_LEN)
     lams = [
         lam
-        for lam in itertools.product(range(coord_low, 1), repeat=datum.rank)
+        for lam in itertools.product(range(ADDITIVITY_COORD_LOW, 1), repeat=datum.rank)
         if is_antidominant(datum, lam)
     ]
     bad = []
@@ -138,12 +152,12 @@ def suite_additivity(lie_type: LieType, *, sigma_len: int = 6, coord_low: int = 
     return results
 
 
-def suite_series(lie_type: LieType, *, through: int = 10, seed: int = 0) -> list[CheckResult]:
+def suite_series(lie_type: LieType) -> list[CheckResult]:
     """Min-rep level sizes against the exponent generating series."""
     datum = root_datum(lie_type)
-    levels = enumerate_minreps(lie_type, through)
+    levels = enumerate_minreps(lie_type, SERIES_THROUGH)
     got = list(levels.level_sizes())
-    want = _series_coeffs(datum.exponents, through)
+    want = _series_coeffs(datum.exponents, SERIES_THROUGH)
     ok = got == want
     results = [
         CheckResult(
@@ -165,7 +179,7 @@ def suite_series(lie_type: LieType, *, through: int = 10, seed: int = 0) -> list
     return results
 
 
-def suite_segments(lie_type: LieType, *, max_len: int = 8, seed: int = 0) -> list[CheckResult]:
+def suite_segments(lie_type: LieType) -> list[CheckResult]:
     """Uniqueness of segment factorization and the star refactorization."""
     datum = root_datum(lie_type)
     # the segments are the classes under seed_t, its lower interval less the identity
@@ -187,13 +201,13 @@ def suite_segments(lie_type: LieType, *, max_len: int = 8, seed: int = 0) -> lis
             + ("match" if same else "differ"),
         )
     ]
-    levels = enumerate_minreps(lie_type, max_len)
+    levels = enumerate_minreps(lie_type, SEGMENTS_MAX_LEN)
     non_unique = []
     refactor_bad = []
     count = 0
     for x in levels.flat():
         count += 1
-        found = segment_factorizations(x, bound=max_len)
+        found = segment_factorizations(x, bound=SEGMENTS_MAX_LEN)
         if len(found) != 1:
             non_unique.append(x)
             continue
@@ -203,7 +217,7 @@ def suite_segments(lie_type: LieType, *, max_len: int = 8, seed: int = 0) -> lis
         CheckResult(
             "segment-factorization-unique",
             not non_unique,
-            f"{count} representatives through length {max_len}; "
+            f"{count} representatives through length {SEGMENTS_MAX_LEN}; "
             f"{len(non_unique)} without a unique factorization",
         )
     )
@@ -250,8 +264,9 @@ def star_witness(lie_type: LieType, elems, max_len: int):
     return None, None
 
 
-def suite_star(lie_type: LieType, *, max_len: int = 10, triple_cap: int = 4000, seed: int = 0) -> list[CheckResult]:
+def suite_star(lie_type: LieType, *, seed: int = 0) -> list[CheckResult]:
     """Associativity, a non-commutative witness, and the reading discrepancies."""
+    max_len = STAR_MAX_LEN
     levels = enumerate_minreps(lie_type, max_len)
     elems = [SchubertClass(x) for x in levels.flat()]
     triples = [
@@ -260,8 +275,8 @@ def suite_star(lie_type: LieType, *, max_len: int = 10, triple_cap: int = 4000, 
         if a.dim() + b.dim() + c.dim() <= max_len
     ]
     rng = random.Random(seed)
-    if len(triples) > triple_cap:
-        triples = rng.sample(triples, triple_cap)
+    if len(triples) > STAR_TRIPLE_CAP:
+        triples = rng.sample(triples, STAR_TRIPLE_CAP)
     assoc_bad = 0
     absorbed = 0
     checked = 0
@@ -321,9 +336,9 @@ def suite_star(lie_type: LieType, *, max_len: int = 10, triple_cap: int = 4000, 
     return results
 
 
-def suite_canonical(lie_type: LieType, *, n_max: int = 3, seed: int = 0) -> list[CheckResult]:
+def suite_canonical(lie_type: LieType) -> list[CheckResult]:
     """Star powers of the generating class hit the expected translations."""
-    steps = check_generator_powers(lie_type, n_max)
+    steps = check_generator_powers(lie_type, CANONICAL_N_MAX)
     ok = all(
         s.nonzero and s.index_is_expected_translation and s.length == s.expected_length
         for s in steps
@@ -339,9 +354,7 @@ def suite_canonical(lie_type: LieType, *, n_max: int = 3, seed: int = 0) -> list
     ]
 
 
-def suite_decompose(
-    lie_type: LieType, *, sigma_len: int = 3, bound: int | None = None, seed: int = 0
-) -> list[CheckResult]:
+def suite_decompose(lie_type: LieType, *, bound: int | None = None) -> list[CheckResult]:
     """Every class under a product splits as a star of classes under the factors."""
     datum = root_datum(lie_type)
     lam = tuple(-c for c in datum.highest_coroot)
@@ -349,7 +362,7 @@ def suite_decompose(
     candidates = sorted(affine.lower_interval(t), key=lambda x: -x.length())
     failures = 0
     total = 0
-    for sigma in enumerate_minreps(lie_type, sigma_len, bound=bound).flat():
+    for sigma in enumerate_minreps(lie_type, DECOMPOSE_SIGMA_LEN, bound=bound).flat():
         top = min_rep(sigma * t)
         affine.check_enum_bound(datum, "min-rep enumeration length", top.length(), bound)
         # the identity sigma gives top == t, whose classes are the candidates
@@ -390,8 +403,8 @@ def run_suite(
 ) -> list[CheckResult]:
     """Run one named suite, or all of them.
 
-    ``bound`` raises the enumeration limit of the decompose suite; other
-    suites ignore it.
+    ``seed`` reaches the lengths and star suites, which sample, and ``bound``
+    raises the enumeration limit of the decompose suite alone.
     """
     names = list(SUITES) if name == "all" else [name]
     if name != "all" and name not in SUITES:
@@ -399,8 +412,8 @@ def run_suite(
     out = []
     for key in names:
         fn = SUITES[key]
-        kwargs = {"seed": seed}
-        if bound is not None and key == "decompose":
+        kwargs = {"seed": seed} if key in ("lengths", "star") else {}
+        if key == "decompose":
             kwargs["bound"] = bound
         out.extend(fn(lie_type, **kwargs))
     return out

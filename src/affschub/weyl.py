@@ -12,9 +12,10 @@ read off the images of the simple roots.
 The permutations of the simple reflections and of other reflections are
 built per root datum on first use of its group: a simple reflection changes
 one coordinate of each root, and any other reflection is the conjugate
-``s_i s_beta' s_i`` of a reflection in a lower root.  Reduced words are
-recovered on demand by stripping descents, always choosing the smallest node
-label, so the cached word is canonical.
+``s_i s_beta' s_i`` of a reflection in a lower root.  A reduced word is
+read by the numbers game on the heights h[i] = ht(w alpha_i) (Bjorner-Brenti,
+GTM 231, 4.3), stripping the right descent (h[i] < 0) at the smallest node
+label each time, so the word is canonical and no product is formed.
 
 Quotients W^I are walked by up-steps only.  For w minimal in w W_I and base
 fixed by W_I alone, <w(base), alpha_i^v> > 0 exactly when s_i w is minimal
@@ -27,6 +28,7 @@ topological degree 2k.
 from __future__ import annotations
 
 import functools
+import math
 from collections import namedtuple
 from operator import itemgetter
 
@@ -39,17 +41,16 @@ Perm = tuple[int, ...]
 class WeylElem:
     """A finite Weyl group element over a fixed root datum.
 
-    Equality and hashing use the root permutation alone; the reduced word,
-    inverse and length are lazy caches.  Multiplication composes actions:
+    Equality and hashing use the root permutation alone; the inverse and
+    length are lazy caches.  Multiplication composes actions:
     (u*w)(v) = u(w(v)).
     """
 
-    __slots__ = ("datum", "perm", "_word", "_inv", "_len")
+    __slots__ = ("datum", "perm", "_inv", "_len")
 
     def __init__(self, datum: RootDatum, perm: Perm):
         self.datum = datum
         self.perm = perm
-        self._word: Word | None = None
         self._inv: WeylElem | None = None
         self._len: int | None = None
 
@@ -72,7 +73,7 @@ class WeylElem:
         return self.perm == _tables(self.datum).identity.perm
 
     def apply_coroot(self, vec: tuple) -> tuple:
-        """Act on a vector in coroot coordinates (ints or Fractions)."""
+        """Act on a vector in coroot coordinates."""
         return self._apply(vec, self.datum.pos_coroots)
 
     def apply_root(self, vec: tuple) -> tuple:
@@ -120,22 +121,25 @@ class WeylElem:
         return self.perm[k] >= len(self.datum.pos_roots)
 
     def word(self) -> Word:
-        """Canonical reduced word (node labels), by smallest-descent stripping."""
-        if self._word is None:
-            labels: list[int] = []
-            cur = self
-            while True:
-                for label in range(1, self.datum.rank + 1):
-                    if cur.has_right_descent(label):
-                        labels.append(label)
-                        cur = cur * simple_reflection(self.datum, label)
-                        break
-                else:
-                    break
-            if not cur.is_identity():
-                raise ArithmeticError(f"descent stripping of {self.perm} did not reach the identity")
-            self._word = tuple(reversed(labels))
-        return self._word
+        """Canonical reduced word (node labels), by smallest-descent stripping.
+
+        As (w s_i)(alpha_m) = w(alpha_m) - A[i][m] w(alpha_i), stripping i moves
+        h[m] -= A[i][m] * h[i]; the walk must end at the identity's (1, ..., 1).
+        """
+        datum = self.datum
+        big = len(datum.pos_roots)
+        h = []
+        for k in _tables(datum).simple_index:
+            negative, j = divmod(self.perm[k], big)
+            h.append(-sum(datum.pos_roots[j]) if negative else sum(datum.pos_roots[j]))
+        labels: list[int] = []
+        while (i := next((m for m, x in enumerate(h) if x < 0), None)) is not None:
+            labels.append(i + 1)
+            hi = h[i]
+            h = [x - c * hi for x, c in zip(h, datum.cartan[i])]
+        if any(x != 1 for x in h):
+            raise ArithmeticError(f"descent stripping of {self.perm} ended at heights {h}, not the identity")
+        return tuple(reversed(labels))
 
 
 class _RootPerms:
@@ -285,5 +289,5 @@ def quotient_poincare(lie_type: LieType, nodes) -> GradedPoly:
 
 
 def weyl_order(lie_type: LieType) -> int:
-    """|W|, via the full graded enumeration (desk-scale ranks only)."""
-    return sum(len(level) for level in min_coset_reps(lie_type, ()))
+    """|W| = prod(e_i + 1) over the exponents e_i, whose e_i + 1 are the degrees of W."""
+    return math.prod(e + 1 for e in root_datum(lie_type).exponents)

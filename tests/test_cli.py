@@ -289,7 +289,7 @@ def test_verify_segments_factorizes_each_element_once(monkeypatch):
 
     monkeypatch.setattr(schubert, "segment_factorizations", counting)
     monkeypatch.setattr(verify, "segment_factorizations", counting)
-    results = verify.suite_segments(parse_type("A2"), max_len=5)
+    results = verify.suite_segments(parse_type("A2"))
     assert all(r.passed for r in results)
     # one factorization per representative, reused by the star refold check
     assert len(calls) == len(set(calls)) > 1
@@ -324,7 +324,7 @@ def test_verify_segments_walks_the_seed_interval_once(monkeypatch):
     monkeypatch.setattr(affine, "lower_interval", counting)
     monkeypatch.setattr(schubert, "lower_interval", counting)
     schubert._segments.cache_clear()
-    results = verify.suite_segments(parse_type("A2"), max_len=5)
+    results = verify.suite_segments(parse_type("A2"))
     assert all(r.passed for r in results)
     # the segments are the seed interval; the suite does not walk it again
     assert len(calls) == 1

@@ -2,8 +2,9 @@
 
 import pytest
 
-from affschub import cohomology, weyl
+from affschub import cli, cohomology, weyl
 from affschub.cartan import parse_type, root_datum
+from affschub.classify import all_canonical_types, type_report
 from affschub.cohomology import (
     PDStatus,
     c1_class,
@@ -136,6 +137,67 @@ def test_chevalley_rejects_non_representative():
     w = simple_reflection(datum("G2"), 1)  # right descent inside the parabolic
     with pytest.raises(ValueError, match="not a minimal representative"):
         chevalley_divisor_mult(lt, levi_nodes(lt), (1, 0), w)
+
+
+# every canonical type through rank 10, E8 among them
+@pytest.mark.parametrize("label", [str(t) for t in all_canonical_types(10)])
+def test_ladder_matches_chevalley_oracle(label):
+    # the ladder and the cell counts against the Chevalley products along the quotient
+    lt = parse_type(label)
+    nodes = levi_nodes(lt)
+    theta = datum(label).highest_root
+    levels = min_coset_reps(lt, nodes)
+    assert levi_poincare(lt).coeffs == tuple(len(level) for level in levels)
+    for below, above in zip(levels, levels[1:]):
+        for w in below:
+            assert {ws for ws, _ in chevalley_divisor_mult(lt, nodes, theta, w).coeffs} <= set(above)
+    if any(len(level) != 1 for level in levels):
+        assert chain_coeffs(lt) is None
+        return
+    ladder = []
+    for (y,), (y_next,) in zip(levels, levels[1:]):
+        ((w, coeff),) = chevalley_divisor_mult(lt, nodes, theta, y).coeffs
+        assert w == y_next
+        ladder.append(coeff)
+    assert chain_coeffs(lt) == tuple(ladder)
+
+
+def test_type_report_forms_no_chevalley_product(monkeypatch):
+    # the classification path: one min_coset_reps walk per type and nothing else
+    calls = {"chevalley": 0, "mul": 0, "word": 0}
+    non_simple = []
+    real_chevalley = cohomology.chevalley_divisor_mult
+    real_mul = weyl.WeylElem.__mul__
+    real_word = weyl.WeylElem.word
+    real_reflection = weyl._RootPerms.reflection
+
+    def count(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def reflection(tables, k):
+        if k not in tables.simple_index:
+            non_simple.append(k)
+        return real_reflection(tables, k)
+
+    monkeypatch.setattr(cohomology, "chevalley_divisor_mult", count("chevalley", real_chevalley))
+    monkeypatch.setattr(weyl.WeylElem, "__mul__", count("mul", real_mul))
+    monkeypatch.setattr(weyl.WeylElem, "word", count("word", real_word))
+    monkeypatch.setattr(weyl._RootPerms, "reflection", reflection)
+    types = all_canonical_types(10)
+    cohomology._levi_ladder.cache_clear()
+    for lt in types:
+        type_report(lt)
+    assert cli.main(["classify-all", "--max-rank", "10", "--json"]) == 0
+    for lt in types:
+        assert cli.main(["chevalley", str(lt), "--json"]) == 0
+        assert cli.main(["report", str(lt)]) == 0
+    # min_coset_reps forms one product per representative other than the identity
+    walk = sum(levi_poincare(lt).total() - 1 for lt in types)
+    assert calls == {"chevalley": 0, "mul": walk, "word": 0}
+    assert non_simple == []
 
 
 CHAIN_TYPES = ["A1", "C2", "C3", "C4", "G2"]

@@ -1,5 +1,7 @@
 """Finite Weyl group algebra and parabolic quotients."""
 
+import random
+
 import pytest
 
 from affschub import affine
@@ -20,6 +22,7 @@ WEYL_ORDERS = {
     "A1": 2, "A2": 6, "A3": 24, "A4": 120,
     "C2": 8, "C3": 48, "B3": 48, "C4": 384, "B4": 384,
     "D4": 192, "G2": 12, "F4": 1152,
+    "E6": 51840, "E7": 2903040, "E8": 696729600,
 }
 
 
@@ -59,7 +62,45 @@ def test_involution_and_lengths():
 
 @pytest.mark.parametrize("label,expected", sorted(WEYL_ORDERS.items()))
 def test_weyl_orders(label, expected):
-    assert weyl_order(parse_type(label)) == expected
+    lt = parse_type(label)
+    assert weyl_order(lt) == expected
+    if lt.rank <= 4:  # every type through rank 4, F4 included: the graded walk of W agrees
+        assert sum(len(level) for level in min_coset_reps(lt, ())) == expected
+
+
+def stripped_word(w):
+    """Canonical reduced word by the product route: strip the smallest right
+    descent with w -> w s_i until the identity is reached."""
+    labels = []
+    while True:
+        label = next((i for i in range(1, w.datum.rank + 1) if w.has_right_descent(i)), None)
+        if label is None:
+            break
+        labels.append(label)
+        w = w * simple_reflection(w.datum, label)
+    assert w.is_identity()
+    return tuple(reversed(labels))
+
+
+# the whole group of every type through rank 3, and G2
+@pytest.mark.parametrize("label", [str(t) for t in all_canonical_types(3) if t.rank <= 3])
+def test_word_matches_stripping_oracle_whole_group(label):
+    for level in min_coset_reps(parse_type(label), ()):
+        for w in level:
+            assert w.word() == stripped_word(w)
+
+
+# 200 seeded elements of every type through rank 8, E8 among them
+@pytest.mark.parametrize("label", [str(t) for t in all_canonical_types(8)])
+def test_word_matches_stripping_oracle_sampled(label):
+    datum = root_datum(parse_type(label))
+    rng = random.Random(label)
+    gens = [simple_reflection(datum, i) for i in range(1, datum.rank + 1)]
+    for _ in range(200):
+        w = identity(datum)
+        for _ in range(rng.randrange(2 * len(datum.pos_roots) + 1)):
+            w = w * rng.choice(gens)
+        assert w.word() == stripped_word(w)
 
 
 @pytest.mark.parametrize("label", ["A2", "C2", "G2", "A3"])
