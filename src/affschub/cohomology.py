@@ -13,8 +13,8 @@ renormalized away.
 
 The Levi quotient's cell counts and chain ladder are computed together,
 once per type (``_levi_ladder``, interned like ``root_datum``), so a
-classification row, ``chain_coeffs`` and ``levi_poincare`` share one
-enumeration of the quotient.
+classification row, ``chain_coeffs`` and ``levi_poincare`` share one walk
+of the quotient, as the orbit of theta: no group element is formed.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from __future__ import annotations
 import enum
 import functools
 from collections import namedtuple
+from operator import mul
 
 from .cartan import LieType, Vec, pairing, root_datum
-from .weyl import GradedPoly, WeylElem, identity, min_coset_reps, reflection
+from .weyl import GradedPoly, WeylElem, _up_steps, identity, reflection
 
 
 class PDStatus(enum.Enum):
@@ -53,12 +54,6 @@ class CohomClass(namedtuple("CohomClass", "lie_type nodes coeffs")):
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def coefficient(self, w: WeylElem) -> int:
-        for elem, c in self.coeffs:
-            if elem == w:
-                return c
-        return 0
 
     def support_lengths(self) -> set[int]:
         return {w.length() for w, _ in self.coeffs}
@@ -116,35 +111,49 @@ def c1_class(lie_type: LieType) -> CohomClass:
     return chevalley_divisor_mult(lie_type, nodes, datum.highest_root, identity(datum))
 
 
+def _theta_orbit(lie_type: LieType) -> list[tuple[Vec, ...]]:
+    """The W-orbit of theta (the long roots) by levels, each point as its
+    pairings (<alpha_i^v, gamma>)_i; level k holds y(theta) for y in W^J of length k.
+
+    theta is dominant with stabiliser W_J, J the Levi nodes, so y -> y(theta)
+    maps W^J onto the orbit and y's up-steps onto the point's.  The walk
+    starts at theta's ``pairing_rows`` entry and moves along columns of the
+    Cartan matrix (``weyl._up_steps``); no group element is formed.  It must
+    end at the lowest root -theta after 2 * (long positive roots) points,
+    else ArithmeticError.
+    """
+    datum = root_datum(lie_type)
+    top = datum.pairing_rows[-1]
+    columns = tuple(zip(*datum.cartan))
+    levels = [(top,)]
+    while nxt := tuple(dict.fromkeys(q for p in levels[-1] for _, q in _up_steps(p, columns))):
+        levels.append(nxt)
+    # (beta, beta) up to one factor: sum_i beta_i (alpha_i, alpha_i) <alpha_i^v, beta>
+    norms = [sum(map(mul, beta, map(mul, datum.symmetrizers, row)))
+             for beta, row in zip(datum.pos_roots, datum.pairing_rows)]
+    if levels[-1] != (tuple(-c for c in top),) or sum(map(len, levels)) != 2 * norms.count(norms[-1]):
+        raise ArithmeticError(f"the walk from theta in {lie_type} missed the long roots or -theta")
+    return levels
+
+
 @functools.cache
 def _levi_ladder(lie_type: LieType) -> tuple[GradedPoly, tuple[int, ...] | None]:
     """The Levi quotient's Poincare polynomial and its chain ladder, per type.
 
-    Built once per type from one ``min_coset_reps`` call and interned like
-    :func:`root_datum`.  Only immutable values are kept, never the
-    representative lists.
+    Read off one walk of the orbit of theta (:func:`_theta_orbit`), whose
+    levels are those of W^J, and interned like :func:`root_datum`; only
+    immutable values are kept.
 
     On a chain, c1 * y_{k-1} is a_k y_k with a_k = <alpha_i^v, y_{k-1}(theta)>,
     where y_k = s_i y_{k-1}: the one Chevalley term, beta = y_{k-1}^-1(alpha_i).
-    As theta is dominant with stabiliser W_J, i is the one node where that
-    pairing is positive (the ``min_coset_reps`` up-step rule).
+    As s_i is the one up-step from rung k-1, a_k is the one positive entry of
+    that rung's point.
     """
-    nodes = levi_nodes(lie_type)
-    levels = min_coset_reps(lie_type, nodes)
-    poly = GradedPoly.from_coeffs(len(level) for level in levels)
+    levels = _theta_orbit(lie_type)
+    poly = GradedPoly.from_coeffs(map(len, levels))
     if any(len(level) != 1 for level in levels):
         return poly, None
-    datum = root_datum(lie_type)
-    k_theta = datum.root_index(datum.highest_root)
-    coeffs = []
-    for (y,) in levels[:-1]:
-        negative, j = divmod(y.perm[k_theta], len(datum.pos_roots))
-        pairs = [-c for c in datum.pairing_rows[j]] if negative else datum.pairing_rows[j]
-        ups = [c for c in pairs if c > 0]
-        if len(ups) != 1:
-            raise ArithmeticError(f"{len(ups)} up-steps from a rung of the chain of {lie_type}")
-        coeffs.append(ups[0])
-    return poly, tuple(coeffs)
+    return poly, tuple(max(p) for (p,) in levels[:-1])
 
 
 def chain_coeffs(lie_type: LieType) -> tuple[int, ...] | None:

@@ -43,6 +43,7 @@ ADDITIVITY_COORD_LOW = -2
 SERIES_THROUGH = 10
 SEGMENTS_MAX_LEN = 8
 STAR_MAX_LEN = 10
+STAR_READING_MAX_LEN = 6
 STAR_TRIPLE_CAP = 4000
 CANONICAL_N_MAX = 3
 DECOMPOSE_SIGMA_LEN = 3
@@ -320,7 +321,7 @@ def suite_star(lie_type: LieType, *, seed: int = 0) -> list[CheckResult]:
             f"{format_element(witness[0].elem)}, {format_element(witness[1].elem)}"
         )
     results.append(CheckResult("star-noncommutative-witness", witness is not None, detail))
-    disc = schubert.star_reading_discrepancies(lie_type, min(max_len, 6))
+    disc = schubert.star_reading_discrepancies(lie_type, STAR_READING_MAX_LEN)
     sample = ", ".join(
         f"({format_element(t)})*({format_element(n)})" for t, n in disc[:2]
     )

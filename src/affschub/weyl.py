@@ -17,9 +17,15 @@ read by the numbers game on the heights h[i] = ht(w alpha_i) (Bjorner-Brenti,
 GTM 231, 4.3), stripping the right descent (h[i] < 0) at the smallest node
 label each time, so the word is canonical and no product is formed.
 
-Quotients W^I are walked by up-steps only.  For w minimal in w W_I and base
-fixed by W_I alone, <w(base), alpha_i^v> > 0 exactly when s_i w is minimal
-and one longer; it is 0 when s_i w stays in w W_I, and < 0 when s_i w < w.
+Quotients W^I are walked by up-steps only, on the orbit of a point x whose
+stabiliser is exactly W_I, tracked by its pairings p with the simple roots
+or coroots.  For w minimal in w W_I, p_i(w x) > 0 exactly when s_i w is
+minimal and one longer; it is 0 when s_i w stays in w W_I, and < 0 when
+s_i w < w.  The step s_i moves p[j] -= p[i] * A[i][j], along row i of the
+Cartan matrix, for a coweight-type point (p[j] = <x, alpha_j>, as in
+``min_coset_reps``), and p[j] -= p[i] * A[j][i], along column i, for a
+root-type point (p[j] = <alpha_j^v, x>): the Levi quotient is walked as
+the orbit of theta (``cohomology._theta_orbit``).
 
 The grading variable q counts complex cell dimension: q^k stands for
 topological degree 2k.
@@ -30,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
+from collections.abc import Iterator
 from operator import itemgetter
 
 from .cartan import LieType, RootDatum, Vec, root_datum
@@ -208,25 +215,34 @@ def reflection(datum: RootDatum, alpha: Vec) -> WeylElem:
     return _tables(datum).reflection(datum.root_index(alpha))
 
 
+def _up_steps(point: Vec, rows: tuple[Vec, ...]) -> Iterator[tuple[int, Vec]]:
+    """(i, s_i point) for each up-step i (point[i] > 0), moving point[j] -= point[i] * rows[i][j].
+
+    ``rows`` is the Cartan matrix for a coweight-type point and its transpose
+    for a root-type point (module docstring).
+    """
+    for i, c in enumerate(point):
+        if c > 0:
+            yield i, tuple([x - c * r for x, r in zip(point, rows[i])])
+
+
 def min_coset_reps(lie_type: LieType, nodes) -> list[list[WeylElem]]:
     """Minimal-length representatives of W/W_I, graded by length.
 
     I is a set of finite node labels.  Enumeration runs a level-synchronous
-    BFS on the orbit of a vector whose stabilizer is exactly W_I (tracked by
-    its integer tuple of pairings against the simple roots), so the group is
-    never listed.  Only up-steps are taken (point[i] > 0, module docstring),
-    so no level reaches an earlier one.  Level k holds exactly the
-    representatives of length k, each with no right descent in I, sorted by
-    their orbit point.
+    BFS on the orbit of a coweight whose stabilizer is exactly W_I (tracked
+    by its integer tuple of pairings against the simple roots), so the group
+    is never listed.  Only up-steps are taken (``_up_steps``), so no level
+    reaches an earlier one.  Level k holds exactly the representatives of
+    length k, each with no right descent in I, sorted by their orbit point.
     """
     datum = root_datum(lie_type)
     nodeset = frozenset(nodes)
     bad = nodeset - set(range(1, datum.rank + 1))
     if bad:
         raise ValueError(f"not finite node labels: {sorted(bad)}")
-    a = datum.cartan
-    n = datum.rank
-    base = tuple(0 if (i + 1) in nodeset else 1 for i in range(n))
+    simple = _tables(datum).simple_reflections
+    base = tuple(0 if (i + 1) in nodeset else 1 for i in range(datum.rank))
     frontier: list[tuple[Vec, WeylElem]] = [(base, identity(datum))]
     levels: list[list[WeylElem]] = []
     while frontier:
@@ -234,11 +250,9 @@ def min_coset_reps(lie_type: LieType, nodes) -> list[list[WeylElem]]:
         levels.append([w for _, w in frontier])
         nxt: dict[Vec, WeylElem] = {}
         for point, w in frontier:
-            for i in range(n):
-                if point[i] > 0:  # the up-step rule
-                    moved = tuple(point[j] - point[i] * a[i][j] for j in range(n))
-                    if moved not in nxt:
-                        nxt[moved] = simple_reflection(datum, i + 1) * w
+            for i, moved in _up_steps(point, datum.cartan):
+                if moved not in nxt:
+                    nxt[moved] = simple[i] * w
         frontier = list(nxt.items())
     return levels
 
@@ -254,9 +268,6 @@ class GradedPoly(namedtuple("GradedPoly", "coeffs")):
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         return GradedPoly(tuple(coeffs))
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def coefficient(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0

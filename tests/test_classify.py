@@ -119,27 +119,25 @@ def test_levi_descriptors():
 @pytest.mark.parametrize("label", ["A3", "C3", "G2", "F4"])
 def test_type_report_builds_levi_quotient_once(label, monkeypatch):
     import affschub.cohomology as cohomology
-    import affschub.weyl as weyl
 
     lt = parse_type(label)
     expected = (type_report(lt), cohomology.chain_coeffs(lt), cohomology.levi_poincare(lt))
     cohomology._levi_ladder.cache_clear()
     calls = []
-    real = weyl.min_coset_reps
+    real = cohomology._theta_orbit
 
-    def counting(lie_type, nodes):
-        calls.append(frozenset(nodes))
-        return real(lie_type, nodes)
+    def counting(lie_type):
+        calls.append(lie_type)
+        return real(lie_type)
 
-    monkeypatch.setattr(cohomology, "min_coset_reps", counting)
-    monkeypatch.setattr(weyl, "min_coset_reps", counting)
+    monkeypatch.setattr(cohomology, "_theta_orbit", counting)
 
     def table_row():
         return type_report(lt), cohomology.chain_coeffs(lt), cohomology.levi_poincare(lt)
 
-    # one build for the report, its ladder and its Poincare polynomial
+    # one walk for the report, its ladder and its Poincare polynomial
     assert table_row() == expected
-    assert calls == [levi_nodes(lt)]
-    # the per-type memo answers a repeat without building again
+    assert calls == [lt]
+    # the per-type memo answers a repeat without walking again
     assert table_row() == expected
-    assert calls == [levi_nodes(lt)]
+    assert calls == [lt]

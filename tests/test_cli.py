@@ -220,22 +220,20 @@ def test_negative_size_exit_2(capsys, argv, flag):
 
 def test_chevalley_builds_each_result_once(capsys, monkeypatch):
     import affschub.cohomology as cohomology
-    import affschub.weyl as weyl
 
     calls = []
-    real = weyl.min_coset_reps
+    real = cohomology._theta_orbit
 
-    def counting(lie_type, nodes):
-        calls.append((lie_type, frozenset(nodes)))
-        return real(lie_type, nodes)
+    def counting(lie_type):
+        calls.append(lie_type)
+        return real(lie_type)
 
     cohomology._levi_ladder.cache_clear()
-    monkeypatch.setattr(cohomology, "min_coset_reps", counting)
-    monkeypatch.setattr(weyl, "min_coset_reps", counting)
+    monkeypatch.setattr(cohomology, "_theta_orbit", counting)
     code, out, _ = run(capsys, "chevalley", "G2")
     assert code == 0
     assert out.strip() == "G2: a = [1, 3, 2, 3, 1] (rational-only)"
-    # the ladder and the Poincare polynomial come from one build
+    # the ladder and the Poincare polynomial come from one walk
     assert len(calls) == 1
 
 

@@ -73,7 +73,6 @@ def test_c1_class_builds_no_quotient(monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cohomology, "min_coset_reps", counting)
     monkeypatch.setattr(weyl, "min_coset_reps", counting)
     c1 = c1_class(lt)
     assert calls == []
@@ -162,14 +161,34 @@ def test_ladder_matches_chevalley_oracle(label):
     assert chain_coeffs(lt) == tuple(ladder)
 
 
+def _long_roots(lt):
+    """Number of long roots, 2 * (long positive roots), from the tables of the simple types."""
+    n = lt.rank
+    return {"A": n * (n + 1), "B": 2 * n * (n - 1), "C": 2 * n, "D": 2 * n * (n - 1),
+            "E": {6: 72, 7: 126, 8: 240}.get(n), "F": 24, "G": 6}[lt.family]
+
+
+@pytest.mark.parametrize("label", [str(t) for t in all_canonical_types(10)])
+def test_theta_orbit_matches_coset_oracle(label):
+    # the walk of theta's orbit against y(theta) for y in min_coset_reps, level by level
+    lt = parse_type(label)
+    d = datum(label)
+    theta = d.highest_root
+    levels = min_coset_reps(lt, levi_nodes(lt))
+    orbit = cohomology._theta_orbit(lt)
+    assert levi_poincare(lt).coeffs == tuple(len(level) for level in levels)
+    for points, level in zip(orbit, levels, strict=True):
+        images = [y.apply_root(theta) for y in level]
+        pairings = {tuple(sum(a * c for a, c in zip(row, g)) for row in d.cartan) for g in images}
+        assert set(points) == pairings and len(points) == len(level)
+    assert sum(map(len, orbit)) == _long_roots(lt)
+    assert orbit[-1] == (tuple(-c for c in d.pairing_rows[-1]),)
+    assert levels[-1][0].apply_root(theta) == tuple(-c for c in theta)
+
+
 def test_type_report_forms_no_chevalley_product(monkeypatch):
-    # the classification path: one min_coset_reps walk per type and nothing else
-    calls = {"chevalley": 0, "mul": 0, "word": 0}
-    non_simple = []
-    real_chevalley = cohomology.chevalley_divisor_mult
-    real_mul = weyl.WeylElem.__mul__
-    real_word = weyl.WeylElem.word
-    real_reflection = weyl._RootPerms.reflection
+    # the classification path walks the orbit of theta: no group element at all
+    calls = {"chevalley": 0, "mul": 0, "word": 0, "elem": 0, "tables": 0}
 
     def count(key, fn):
         def counted(*args, **kwargs):
@@ -177,27 +196,20 @@ def test_type_report_forms_no_chevalley_product(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    def reflection(tables, k):
-        if k not in tables.simple_index:
-            non_simple.append(k)
-        return real_reflection(tables, k)
-
-    monkeypatch.setattr(cohomology, "chevalley_divisor_mult", count("chevalley", real_chevalley))
-    monkeypatch.setattr(weyl.WeylElem, "__mul__", count("mul", real_mul))
-    monkeypatch.setattr(weyl.WeylElem, "word", count("word", real_word))
-    monkeypatch.setattr(weyl._RootPerms, "reflection", reflection)
-    types = all_canonical_types(10)
     cohomology._levi_ladder.cache_clear()
+    monkeypatch.setattr(cohomology, "chevalley_divisor_mult", count("chevalley", cohomology.chevalley_divisor_mult))
+    monkeypatch.setattr(weyl.WeylElem, "__mul__", count("mul", weyl.WeylElem.__mul__))
+    monkeypatch.setattr(weyl.WeylElem, "word", count("word", weyl.WeylElem.word))
+    monkeypatch.setattr(weyl.WeylElem, "__init__", count("elem", weyl.WeylElem.__init__))
+    monkeypatch.setattr(weyl, "_tables", count("tables", weyl._tables))
+    types = all_canonical_types(10)
     for lt in types:
         type_report(lt)
     assert cli.main(["classify-all", "--max-rank", "10", "--json"]) == 0
     for lt in types:
         assert cli.main(["chevalley", str(lt), "--json"]) == 0
         assert cli.main(["report", str(lt)]) == 0
-    # min_coset_reps forms one product per representative other than the identity
-    walk = sum(levi_poincare(lt).total() - 1 for lt in types)
-    assert calls == {"chevalley": 0, "mul": walk, "word": 0}
-    assert non_simple == []
+    assert calls == {"chevalley": 0, "mul": 0, "word": 0, "elem": 0, "tables": 0}
 
 
 CHAIN_TYPES = ["A1", "C2", "C3", "C4", "G2"]
