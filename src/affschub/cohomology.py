@@ -13,8 +13,10 @@ renormalized away.
 
 The Levi quotient's cell counts and chain ladder are computed together,
 once per type (``_levi_ladder``, interned like ``root_datum``), so a
-classification row, ``chain_coeffs`` and ``levi_poincare`` share one walk
-of the quotient, as the orbit of theta: no group element is formed.
+classification row, ``chain_coeffs`` and ``levi_poincare`` share one read
+of the long roots by coroot height: no walk, no group element.  The
+Chevalley-product half (``chevalley_divisor_mult``, ``c1_class``,
+``CohomClass``) has no production caller: public API and the ladder's oracle.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import functools
 from collections import namedtuple
 from operator import mul
 
-from .cartan import LieType, Vec, pairing, root_datum
-from .weyl import GradedPoly, WeylElem, _up_steps, identity, reflection
+from .cartan import LieType, RootDatum, Vec, pairing, root_datum
+from .weyl import GradedPoly, WeylElem, identity, reflection
 
 
 class PDStatus(enum.Enum):
@@ -111,48 +113,50 @@ def c1_class(lie_type: LieType) -> CohomClass:
     return chevalley_divisor_mult(lie_type, nodes, datum.highest_root, identity(datum))
 
 
-def _theta_orbit(lie_type: LieType) -> list[tuple[Vec, ...]]:
-    """The W-orbit of theta (the long roots) by levels, each point as its
-    pairings (<alpha_i^v, gamma>)_i; level k holds y(theta) for y in W^J of length k.
+def _long_root_levels(datum: RootDatum) -> list[list[Vec]]:
+    """The long roots gamma as (<alpha_i^v, gamma>)_i, level k holding y(theta), y in W^J of length k.
 
-    theta is dominant with stabiliser W_J, J the Levi nodes, so y -> y(theta)
-    maps W^J onto the orbit and y's up-steps onto the point's.  The walk
-    starts at theta's ``pairing_rows`` entry and moves along columns of the
-    Cartan matrix (``weyl._up_steps``); no group element is formed.  It must
-    end at the lowest root -theta after 2 * (long positive roots) points,
-    else ArithmeticError.
+    For a long root gamma other than +-alpha_i, |<alpha_i, gamma^v>| <= 1, so an
+    up-step (<alpha_i^v, gamma> > 0) lowers ht(gamma^v) by exactly 1, and
+    alpha_i -> -alpha_i takes it from 1 to -1.  So with H = ht(theta^v), a long
+    root beta > 0 lies at level H - ht(beta^v) and -beta at H + ht(beta^v) - 1.
+    beta is long when max(d) * ht(beta^v) = sum_i beta_i d_i, d the symmetrizers.
     """
-    datum = root_datum(lie_type)
-    top = datum.pairing_rows[-1]
-    columns = tuple(zip(*datum.cartan))
-    levels = [(top,)]
-    while nxt := tuple(dict.fromkeys(q for p in levels[-1] for _, q in _up_steps(p, columns))):
-        levels.append(nxt)
-    # (beta, beta) up to one factor: sum_i beta_i (alpha_i, alpha_i) <alpha_i^v, beta>
-    norms = [sum(map(mul, beta, map(mul, datum.symmetrizers, row)))
-             for beta, row in zip(datum.pos_roots, datum.pairing_rows)]
-    if levels[-1] != (tuple(-c for c in top),) or sum(map(len, levels)) != 2 * norms.count(norms[-1]):
-        raise ArithmeticError(f"the walk from theta in {lie_type} missed the long roots or -theta")
+    d = datum.symmetrizers
+    top, height = max(d), sum(datum.highest_coroot)
+    levels: list[list[Vec]] = [[] for _ in range(2 * height)]
+    for beta, coroot, row in zip(datum.pos_roots, datum.pos_coroots, datum.pairing_rows):
+        h = sum(coroot)
+        if top * h == sum(map(mul, beta, d)):
+            levels[height - h].append(row)
+            levels[height + h - 1].append(tuple(-c for c in row))
     return levels
 
 
 @functools.cache
 def _levi_ladder(lie_type: LieType) -> tuple[GradedPoly, tuple[int, ...] | None]:
-    """The Levi quotient's Poincare polynomial and its chain ladder, per type.
-
-    Read off one walk of the orbit of theta (:func:`_theta_orbit`), whose
-    levels are those of W^J, and interned like :func:`root_datum`; only
-    immutable values are kept.
+    """The Levi quotient's Poincare polynomial and its chain ladder, per type,
+    read off :func:`_long_root_levels` and interned like :func:`root_datum`.
 
     On a chain, c1 * y_{k-1} is a_k y_k with a_k = <alpha_i^v, y_{k-1}(theta)>,
     where y_k = s_i y_{k-1}: the one Chevalley term, beta = y_{k-1}^-1(alpha_i).
     As s_i is the one up-step from rung k-1, a_k is the one positive entry of
-    that rung's point.
+    that rung's point.  Level 0 must be theta alone, the last level -theta alone,
+    and each rung the last moved by its up-step (p[j] -= p[i] * A[j][i]), else
+    ArithmeticError.
     """
-    levels = _theta_orbit(lie_type)
+    datum = root_datum(lie_type)
+    levels = _long_root_levels(datum)
+    theta = datum.pairing_rows[-1]
+    if levels[0] != [theta] or levels[-1] != [tuple(-c for c in theta)]:
+        raise ArithmeticError(f"the long-root levels of {lie_type} do not run from theta to -theta")
     poly = GradedPoly.from_coeffs(map(len, levels))
     if any(len(level) != 1 for level in levels):
         return poly, None
+    for k, ((p,), (q,)) in enumerate(zip(levels, levels[1:]), 1):
+        i = p.index(max(p))
+        if sum(c > 0 for c in p) != 1 or q != tuple(x - p[i] * row[i] for x, row in zip(p, datum.cartan)):
+            raise ArithmeticError(f"rung {k} of the {lie_type} chain is not an up-step")
     return poly, tuple(max(p) for (p,) in levels[:-1])
 
 

@@ -233,7 +233,7 @@ def suite_segments(lie_type: LieType) -> list[CheckResult]:
     return results
 
 
-# total length up to which star_witness searches after the pairs through max_len
+# total length up to which star_witness searches after the pairs through STAR_MAX_LEN
 WITNESS_DEPTH = 16
 
 
@@ -246,19 +246,19 @@ def _noncommuting_pair(elems, low: int, high: int):
     return None
 
 
-def star_witness(lie_type: LieType, elems, max_len: int):
+def star_witness(lie_type: LieType, elems):
     """A pair of classes whose star product is zero in one order only, and its depth.
 
-    ``elems`` are the classes through ``max_len``; their pairs of total length
-    <= max_len are scanned first, in product order, and the depth is None for
-    a pair found there.  Only when none is, pairs of each total length up to
-    WITNESS_DEPTH are scanned in turn, and the depth is that total length.
+    ``elems`` are the classes through STAR_MAX_LEN; their pairs of total length
+    <= STAR_MAX_LEN are scanned first, in product order, and the depth is None
+    for a pair found there.  Only when none is, pairs of each total length up
+    to WITNESS_DEPTH are scanned in turn, and the depth is that total length.
     """
-    pair = _noncommuting_pair(elems, 0, max_len)
-    if pair is not None or max_len >= WITNESS_DEPTH:
+    pair = _noncommuting_pair(elems, 0, STAR_MAX_LEN)
+    if pair is not None:
         return pair, None
     deeper = [SchubertClass(x) for x in enumerate_minreps(lie_type, WITNESS_DEPTH, bound=WITNESS_DEPTH).flat()]
-    for depth in range(max_len + 1, WITNESS_DEPTH + 1):
+    for depth in range(STAR_MAX_LEN + 1, WITNESS_DEPTH + 1):
         pair = _noncommuting_pair(deeper, depth, depth)
         if pair is not None:
             return pair, depth
@@ -267,13 +267,12 @@ def star_witness(lie_type: LieType, elems, max_len: int):
 
 def suite_star(lie_type: LieType, *, seed: int = 0) -> list[CheckResult]:
     """Associativity, a non-commutative witness, and the reading discrepancies."""
-    max_len = STAR_MAX_LEN
-    levels = enumerate_minreps(lie_type, max_len)
+    levels = enumerate_minreps(lie_type, STAR_MAX_LEN)
     elems = [SchubertClass(x) for x in levels.flat()]
     triples = [
         (a, b, c)
         for a, b, c in itertools.product(elems, repeat=3)
-        if a.dim() + b.dim() + c.dim() <= max_len
+        if a.dim() + b.dim() + c.dim() <= STAR_MAX_LEN
     ]
     rng = random.Random(seed)
     if len(triples) > STAR_TRIPLE_CAP:
@@ -301,7 +300,7 @@ def suite_star(lie_type: LieType, *, seed: int = 0) -> list[CheckResult]:
             "star-associativity",
             assoc_bad == 0,
             f"{checked} triples with both intermediate products nonzero "
-            f"(of {len(triples)} with total length <= {max_len}); {assoc_bad} failures",
+            f"(of {len(triples)} with total length <= {STAR_MAX_LEN}); {assoc_bad} failures",
         ),
         CheckResult(
             "star-zero-absorption",
@@ -311,11 +310,11 @@ def suite_star(lie_type: LieType, *, seed: int = 0) -> list[CheckResult]:
             "associativity statement fails exactly there",
         ),
     ]
-    witness, depth = star_witness(lie_type, elems, max_len)
+    witness, depth = star_witness(lie_type, elems)
     if witness is None:
         detail = f"no pair with one order zero and the other not up to total length {WITNESS_DEPTH}"
     else:
-        where = "" if depth is None else f" at total length {depth}, none up to {max_len}"
+        where = "" if depth is None else f" at total length {depth}, none up to {STAR_MAX_LEN}"
         detail = (
             f"found a pair with one order zero and the other not{where}: "
             f"{format_element(witness[0].elem)}, {format_element(witness[1].elem)}"

@@ -18,14 +18,11 @@ GTM 231, 4.3), stripping the right descent (h[i] < 0) at the smallest node
 label each time, so the word is canonical and no product is formed.
 
 Quotients W^I are walked by up-steps only, on the orbit of a point x whose
-stabiliser is exactly W_I, tracked by its pairings p with the simple roots
-or coroots.  For w minimal in w W_I, p_i(w x) > 0 exactly when s_i w is
-minimal and one longer; it is 0 when s_i w stays in w W_I, and < 0 when
-s_i w < w.  The step s_i moves p[j] -= p[i] * A[i][j], along row i of the
-Cartan matrix, for a coweight-type point (p[j] = <x, alpha_j>, as in
-``min_coset_reps``), and p[j] -= p[i] * A[j][i], along column i, for a
-root-type point (p[j] = <alpha_j^v, x>): the Levi quotient is walked as
-the orbit of theta (``cohomology._theta_orbit``).
+stabiliser is exactly W_I, tracked by its pairings p with the simple roots.
+For w minimal in w W_I, p_i(w x) > 0 exactly when s_i w is minimal and one
+longer; it is 0 when s_i w stays in w W_I, and < 0 when s_i w < w.  The
+point is a coweight (p[j] = <x, alpha_j>), so the step s_i moves
+p[j] -= p[i] * A[i][j], along row i of the Cartan matrix.
 
 The grading variable q counts complex cell dimension: q^k stands for
 topological degree 2k.
@@ -39,7 +36,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from operator import itemgetter
 
-from .cartan import LieType, RootDatum, Vec, root_datum
+from .cartan import LieType, Matrix, RootDatum, Vec, root_datum
 
 Word = tuple[int, ...]
 Perm = tuple[int, ...]
@@ -215,15 +212,12 @@ def reflection(datum: RootDatum, alpha: Vec) -> WeylElem:
     return _tables(datum).reflection(datum.root_index(alpha))
 
 
-def _up_steps(point: Vec, rows: tuple[Vec, ...]) -> Iterator[tuple[int, Vec]]:
-    """(i, s_i point) for each up-step i (point[i] > 0), moving point[j] -= point[i] * rows[i][j].
-
-    ``rows`` is the Cartan matrix for a coweight-type point and its transpose
-    for a root-type point (module docstring).
-    """
+def _up_steps(point: Vec, cartan: Matrix) -> Iterator[tuple[int, Vec]]:
+    """(i, s_i point) for each up-step i (point[i] > 0) of a coweight-type point,
+    moving point[j] -= point[i] * cartan[i][j]."""
     for i, c in enumerate(point):
         if c > 0:
-            yield i, tuple([x - c * r for x, r in zip(point, rows[i])])
+            yield i, tuple([x - c * r for x, r in zip(point, cartan[i])])
 
 
 def min_coset_reps(lie_type: LieType, nodes) -> list[list[WeylElem]]:

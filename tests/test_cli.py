@@ -218,23 +218,17 @@ def test_negative_size_exit_2(capsys, argv, flag):
     assert f"argument {flag}" in err and ">= 0" in err
 
 
-def test_chevalley_builds_each_result_once(capsys, monkeypatch):
+def test_chevalley_builds_each_result_once(capsys):
     import affschub.cohomology as cohomology
 
-    calls = []
-    real = cohomology._theta_orbit
-
-    def counting(lie_type):
-        calls.append(lie_type)
-        return real(lie_type)
-
     cohomology._levi_ladder.cache_clear()
-    monkeypatch.setattr(cohomology, "_theta_orbit", counting)
     code, out, _ = run(capsys, "chevalley", "G2")
     assert code == 0
     assert out.strip() == "G2: a = [1, 3, 2, 3, 1] (rational-only)"
-    # the ladder and the Poincare polynomial come from one walk
-    assert len(calls) == 1
+    # the ladder and the Poincare polynomial come from one computation of the memo
+    assert cohomology._levi_ladder.cache_info().misses == 1
+    assert run(capsys, "chevalley", "G2")[1] == out
+    assert cohomology._levi_ladder.cache_info().misses == 1
 
 
 FACTORIZE_A2_JSON = """{

@@ -168,27 +168,70 @@ def _long_roots(lt):
             "E": {6: 72, 7: 126, 8: 240}.get(n), "F": 24, "G": 6}[lt.family]
 
 
+def _theta_walk(lt):
+    """The orbit of theta walked by up-steps from theta's pairing row: the oracle.
+
+    A point is its pairings p = (<alpha_i^v, gamma>)_i; an up-step at p[i] > 0
+    moves p[j] -= p[i] * A[j][i], along column i of the Cartan matrix.
+    """
+    d = root_datum(lt)
+    columns = tuple(zip(*d.cartan))
+    levels = [(d.pairing_rows[-1],)]
+    while True:
+        nxt = tuple(dict.fromkeys(
+            tuple(x - c * a for x, a in zip(p, columns[i]))
+            for p in levels[-1] for i, c in enumerate(p) if c > 0
+        ))
+        if not nxt:
+            return levels
+        levels.append(nxt)
+
+
+@pytest.mark.parametrize("label", [str(t) for t in all_canonical_types(14) if t.rank <= 14])
+def test_long_root_levels_match_walk_oracle(label):
+    # the coroot-height levels against the up-step walk of theta's orbit
+    levels = cohomology._long_root_levels(datum(label))
+    walk = _theta_walk(parse_type(label))
+    assert len(levels) == len(walk)
+    for points, walked in zip(levels, walk):
+        assert len(points) == len(walked) and set(points) == set(walked)
+
+
 @pytest.mark.parametrize("label", [str(t) for t in all_canonical_types(10)])
 def test_theta_orbit_matches_coset_oracle(label):
-    # the walk of theta's orbit against y(theta) for y in min_coset_reps, level by level
+    # the long-root levels against y(theta) for y in min_coset_reps, level by level
     lt = parse_type(label)
     d = datum(label)
     theta = d.highest_root
     levels = min_coset_reps(lt, levi_nodes(lt))
-    orbit = cohomology._theta_orbit(lt)
+    orbit = cohomology._long_root_levels(d)
     assert levi_poincare(lt).coeffs == tuple(len(level) for level in levels)
     for points, level in zip(orbit, levels, strict=True):
         images = [y.apply_root(theta) for y in level]
         pairings = {tuple(sum(a * c for a, c in zip(row, g)) for row in d.cartan) for g in images}
         assert set(points) == pairings and len(points) == len(level)
     assert sum(map(len, orbit)) == _long_roots(lt)
-    assert orbit[-1] == (tuple(-c for c in d.pairing_rows[-1]),)
+    assert orbit[-1] == [tuple(-c for c in d.pairing_rows[-1])]
     assert levels[-1][0].apply_root(theta) == tuple(-c for c in theta)
 
 
+# each corruption breaks one of the ladder's three checks: level 0, the last level, a chain rung
+@pytest.mark.parametrize("label, corrupt, match", [
+    ("A3", lambda levels: [levels[0] + levels[1][:1]] + levels[1:], "from theta to -theta"),
+    ("G2", lambda levels: levels[:-1] + [levels[-2][:1]], "from theta to -theta"),
+    ("C3", lambda levels: levels[:2] + [levels[3], levels[2]] + levels[4:], "rung 2 of the C3 chain"),
+], ids=["level_0", "last_level", "chain_rung"])
+def test_ladder_check_rejects_corrupted_level(label, corrupt, match, monkeypatch):
+    real = cohomology._long_root_levels
+    monkeypatch.setattr(cohomology, "_long_root_levels", lambda d: corrupt(real(d)))
+    with pytest.raises(ArithmeticError, match=match):
+        # past the memo, so the corrupted levels are read
+        cohomology._levi_ladder.__wrapped__(parse_type(label))
+
+
 def test_type_report_forms_no_chevalley_product(monkeypatch):
-    # the classification path walks the orbit of theta: no group element at all
-    calls = {"chevalley": 0, "mul": 0, "word": 0, "elem": 0, "tables": 0}
+    # the classification path reads the long roots off the root datum: no group element, no walk
+    calls = {"chevalley": 0, "mul": 0, "word": 0, "elem": 0, "tables": 0, "up_steps": 0}
 
     def count(key, fn):
         def counted(*args, **kwargs):
@@ -202,6 +245,7 @@ def test_type_report_forms_no_chevalley_product(monkeypatch):
     monkeypatch.setattr(weyl.WeylElem, "word", count("word", weyl.WeylElem.word))
     monkeypatch.setattr(weyl.WeylElem, "__init__", count("elem", weyl.WeylElem.__init__))
     monkeypatch.setattr(weyl, "_tables", count("tables", weyl._tables))
+    monkeypatch.setattr(weyl, "_up_steps", count("up_steps", weyl._up_steps))
     types = all_canonical_types(10)
     for lt in types:
         type_report(lt)
@@ -209,7 +253,7 @@ def test_type_report_forms_no_chevalley_product(monkeypatch):
     for lt in types:
         assert cli.main(["chevalley", str(lt), "--json"]) == 0
         assert cli.main(["report", str(lt)]) == 0
-    assert calls == {"chevalley": 0, "mul": 0, "word": 0, "elem": 0, "tables": 0}
+    assert calls == {"chevalley": 0, "mul": 0, "word": 0, "elem": 0, "tables": 0, "up_steps": 0}
 
 
 CHAIN_TYPES = ["A1", "C2", "C3", "C4", "G2"]

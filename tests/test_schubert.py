@@ -120,19 +120,19 @@ def test_star_noncommutative_witness():
 
 @pytest.mark.parametrize("lt", all_canonical_types(8), ids=str)
 def test_star_witness_found_by_depth_14(lt):
-    from affschub.verify import star_witness
+    from affschub.verify import STAR_MAX_LEN, star_witness
 
-    elems = [SchubertClass(x) for x in enumerate_minreps(lt, 10, bound=10).flat()]
-    (a, b), depth = star_witness(lt, elems, 10)
+    elems = [SchubertClass(x) for x in enumerate_minreps(lt, STAR_MAX_LEN, bound=STAR_MAX_LEN).flat()]
+    (a, b), depth = star_witness(lt, elems)
     assert (star(a, b) is None) != (star(b, a) is None)
     if str(lt) == "E8":
-        # nothing through total length 10: the deeper scan names its depth
+        # nothing through total length STAR_MAX_LEN (10): the deeper scan names its depth
         assert depth == a.dim() + b.dim() == 14
         assert (format_element(a.elem), format_element(b.elem)) == (
             "word:0", "word:8,7,6,5,4,2,3,4,5,6,7,8,0"
         )
     else:
-        assert depth is None and a.dim() + b.dim() <= 10
+        assert depth is None and a.dim() + b.dim() <= STAR_MAX_LEN
 
 
 def test_star_fold_empty_is_identity():
