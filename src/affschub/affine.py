@@ -103,7 +103,7 @@ from operator import add, itemgetter, mul, sub
 
 from .cartan import LieType, RootDatum, Vec, root_datum
 from .errors import BoundExceededError, ParseError
-from .weyl import WeylElem, _tables, identity, min_coset_reps, simple_reflection, reflection
+from .weyl import WeylElem, _simple_index, identity, min_coset_reps, simple_reflection, reflection
 
 def default_enum_bound(datum: RootDatum) -> int:
     """Default length ceiling for enumerations (min-rep levels, intervals)."""
@@ -222,9 +222,8 @@ def is_antidominant(datum: RootDatum, lam: Vec) -> bool:
     """lam pairs <= 0 against every simple root (closure of the negative chamber)."""
     if len(lam) != datum.rank:
         raise ValueError("rank mismatch")
-    a = datum.cartan
-    n = datum.rank
-    return all(sum(lam[i] * a[i][j] for i in range(n)) <= 0 for j in range(n))
+    rows = datum.pairing_rows
+    return all(sum(map(mul, lam, rows[k])) <= 0 for k in _simple_index(datum))
 
 
 class _Descents:
@@ -241,7 +240,7 @@ class _Descents:
         n = datum.rank
         self.big = len(datum.pos_roots)
         self.rows = datum.pairing_rows
-        self.root = (datum.root_index(datum.highest_root),) + _tables(datum).simple_index
+        self.root = (datum.root_index(datum.highest_root),) + _simple_index(datum)
         self.row = tuple(self.rows[k] for k in self.root)
         self.shift = tuple(itemgetter(*generator(datum, l).fin.perm) for l in range(n + 1))
         self.theta_cor = datum.highest_coroot

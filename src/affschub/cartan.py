@@ -9,7 +9,9 @@ Conventions, fixed here once and relied on by every other module:
 * The Cartan matrix is ``A[i][j] = <coroot of node i+1, root of node j+1>``,
   so ``A[i][:]`` pairs the coroot ``alpha_{i+1}^v`` against each simple root.
 * ``symmetrizers`` are the minimal positive integers ``d`` with
-  ``d[i]*A[i][j]`` symmetric; a node is long iff ``d[i] == max(d)``.
+  ``d[i]*A[i][j]`` symmetric; a node is long iff ``d[i] == max(d)``.  They
+  are read off the highest root and its coroot: ``d[j] = r*theta^v[j]/theta[j]``
+  with ``r = max(d)`` the long-to-short ratio of squared lengths.
 * The positive roots, their coroots and their pairing rows come from one
   closure under the simple reflections, starting at the simple roots (whose
   coroots are the unit vectors); sorted by (height, lex), the highest root
@@ -30,9 +32,8 @@ LieType(family='A', rank=1)
 from __future__ import annotations
 
 import functools
-import math
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from operator import mul
 
 from .errors import ParseError
@@ -127,29 +128,22 @@ def _cartan_matrix(family: str, n: int) -> Matrix:
     return tuple(tuple(row) for row in a)
 
 
-def _symmetrizers(cartan: Matrix) -> Vec:
-    """Minimal positive integers d with d[i]*A[i][j] symmetric.
+def _symmetrizers(cartan: Matrix, theta: Vec, theta_cor: Vec) -> Vec:
+    """Minimal positive integers d with d[i]*A[i][j] symmetric, read off theta and theta^v.
 
-    Spreads d over the diagram from node 1 as d[j] = d[i]*A[i][j]/A[j][i],
-    in integers: when that ratio is not integral, every value found so far
-    is first scaled by |A[j][i]|.  The gcd is divided out at the end.
+    A coroot has beta^v_j = beta_j d_j / d_beta, and theta is long, so
+    d_j = r theta^v_j / theta_j with r = max(d) = max_j theta_j // theta^v_j.
+    A disconnected diagram (theta misses a node) or a d that is not a positive
+    symmetrizer raises ArithmeticError.
     """
-    n = len(cartan)
-    d = [0] * n  # 0 marks a node not reached yet
-    d[0] = 1
-    todo = [0]
-    while todo:
-        i = todo.pop()
-        for j in range(n):
-            if i != j and cartan[i][j] != 0 and not d[j]:
-                if d[i] * cartan[i][j] % cartan[j][i]:
-                    d = [x * abs(cartan[j][i]) for x in d]
-                d[j] = d[i] * cartan[i][j] // cartan[j][i]
-                todo.append(j)
-    if not all(d):
+    if not all(theta):
         raise ArithmeticError("diagram must be connected")
-    g = math.gcd(*d)
-    return tuple(x // g for x in d)
+    r = max(t // c for t, c in zip(theta, theta_cor))
+    d = tuple(r * c // t for t, c in zip(theta, theta_cor))
+    n = len(cartan)
+    if not all(d) or any(d[i] * cartan[i][j] != d[j] * cartan[j][i] for i in range(n) for j in range(i)):
+        raise ArithmeticError(f"d = {d} read off theta = {theta}, theta^v = {theta_cor} does not symmetrize {cartan}")
+    return d
 
 
 def _positive_roots(cartan: Matrix) -> tuple[tuple[Vec, ...], tuple[Vec, ...], Matrix]:
@@ -266,17 +260,10 @@ def coroot_of(datum: RootDatum, alpha: Vec) -> Vec:
 
 
 def _exponents(pos_roots: tuple[Vec, ...], rank: int) -> Vec:
-    """Exponents as the conjugate of the height partition of the positive roots."""
-    counts: dict[int, int] = {}
-    for r in pos_roots:
-        h = sum(r)
-        counts[h] = counts.get(h, 0) + 1
-    exps = []
-    for k in range(1, rank + 1):
-        exps.append(sum(1 for h, m in counts.items() if m >= k))
-    if len(exps) != rank:
-        raise ArithmeticError(f"found {len(exps)} exponents for rank {rank}")
-    return tuple(sorted(exps))
+    """Exponents as the conjugate of the height partition of the positive roots:
+    the k-th counts the heights held by at least k roots."""
+    counts = Counter(map(sum, pos_roots)).values()
+    return tuple(sorted(sum(m >= k for m in counts) for k in range(1, rank + 1)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -284,29 +271,24 @@ def root_datum(lie_type: LieType) -> RootDatum:
     """Build (and intern) the root datum for a canonical LieType."""
     n = lie_type.rank
     cartan = _cartan_matrix(lie_type.family, n)
-    d = _symmetrizers(cartan)
     pos, pos_coroots, pairing_rows = _positive_roots(cartan)
     theta, theta_cor = pos[-1], pos_coroots[-1]
 
-    aff = [[0] * (n + 1) for _ in range(n + 1)]
-    aff[0][0] = 2
-    for j in range(1, n + 1):
-        aff[0][j] = -sum(theta_cor[i] * cartan[i][j - 1] for i in range(n))
-        aff[j][0] = -pairing_rows[-1][j - 1]
-        for k in range(1, n + 1):
-            aff[j][k] = cartan[j - 1][k - 1]
+    # node 0 pairs as -theta: row 0 is -<theta^v, alpha_j> (column j of A), column 0 is -<alpha_j^v, theta>
+    aff = [(2,) + tuple(-sum(map(mul, theta_cor, col)) for col in zip(*cartan))]
+    aff += [(-p,) + row for p, row in zip(pairing_rows[-1], cartan)]
 
     return RootDatum(
         lie_type=lie_type,
         cartan=cartan,
-        symmetrizers=d,
+        symmetrizers=_symmetrizers(cartan, theta, theta_cor),
         pos_roots=pos,
         pos_coroots=pos_coroots,
         pairing_rows=pairing_rows,
         highest_root=theta,
         highest_coroot=theta_cor,
         exponents=_exponents(pos, n),
-        affine_cartan=tuple(tuple(row) for row in aff),
+        affine_cartan=tuple(aff),
     )
 
 

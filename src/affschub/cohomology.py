@@ -121,16 +121,19 @@ def _long_root_levels(datum: RootDatum) -> list[list[Vec]]:
     alpha_i -> -alpha_i takes it from 1 to -1.  So with H = ht(theta^v), a long
     root beta > 0 lies at level H - ht(beta^v) and -beta at H + ht(beta^v) - 1.
     beta is long when max(d) * ht(beta^v) = sum_i beta_i d_i, d the symmetrizers.
+    Levels that do not run over 0..2H-1 without a gap raise ArithmeticError.
     """
     d = datum.symmetrizers
     top, height = max(d), sum(datum.highest_coroot)
-    levels: list[list[Vec]] = [[] for _ in range(2 * height)]
+    levels: dict[int, list[Vec]] = {}
     for beta, coroot, row in zip(datum.pos_roots, datum.pos_coroots, datum.pairing_rows):
         h = sum(coroot)
         if top * h == sum(map(mul, beta, d)):
-            levels[height - h].append(row)
-            levels[height + h - 1].append(tuple(-c for c in row))
-    return levels
+            levels.setdefault(height - h, []).append(row)
+            levels.setdefault(height + h - 1, []).append(tuple(-c for c in row))
+    if sorted(levels) != list(range(2 * height)):
+        raise ArithmeticError(f"the long-root levels of {datum.lie_type} are {sorted(levels)}, not 0..{2 * height - 1}")
+    return [levels[k] for k in range(2 * height)]
 
 
 @functools.cache

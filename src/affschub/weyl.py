@@ -9,10 +9,11 @@ to negative ones, and a right descent at node i is one lookup: whether the
 image of alpha_i is negative.  The action on coroot (or root) coordinates is
 read off the images of the simple roots.
 
-The permutations of the simple reflections and of other reflections are
-built per root datum on first use of its group: a simple reflection changes
-one coordinate of each root, and any other reflection is the conjugate
-``s_i s_beta' s_i`` of a reflection in a lower root.  A reduced word is
+A reflection's permutation is built from the formula, once per root and
+datum on first use: ``s_beta(gamma) = gamma - <beta^v, gamma> beta``, where
+``<beta^v, gamma>`` is beta's coroot paired with gamma's pairing row, the
+image is looked up in ``RootDatum.index``, and a negative root follows its
+positive one by +-N (Humphreys, GTM 9, 9.1).  A reduced word is
 read by the numbers game on the heights h[i] = ht(w alpha_i) (Bjorner-Brenti,
 GTM 231, 4.3), stripping the right descent (h[i] < 0) at the smallest node
 label each time, so the word is canonical and no product is formed.
@@ -34,7 +35,8 @@ import functools
 import math
 from collections import namedtuple
 from collections.abc import Iterator
-from operator import itemgetter
+from itertools import repeat
+from operator import itemgetter, mul, sub
 
 from .cartan import LieType, Matrix, RootDatum, Vec, root_datum
 
@@ -74,7 +76,7 @@ class WeylElem:
         return f"WeylElem({self.datum.lie_type}, {word})"
 
     def is_identity(self) -> bool:
-        return self.perm == _tables(self.datum).identity.perm
+        return self.perm == identity(self.datum).perm
 
     def apply_coroot(self, vec: tuple) -> tuple:
         """Act on a vector in coroot coordinates."""
@@ -91,7 +93,7 @@ class WeylElem:
             raise ValueError("rank mismatch")
         big = len(basis)
         out = [0] * n
-        for c, k in zip(vec, _tables(self.datum).simple_index):
+        for c, k in zip(vec, _simple_index(self.datum)):
             if not c:
                 continue
             j = self.perm[k]
@@ -121,7 +123,7 @@ class WeylElem:
 
     def has_right_descent(self, label: int) -> bool:
         """True iff l(w s) < l(w), i.e. w sends the simple root at label negative."""
-        k = _tables(self.datum).simple_index[label - 1]
+        k = _simple_index(self.datum)[label - 1]
         return self.perm[k] >= len(self.datum.pos_roots)
 
     def word(self) -> Word:
@@ -133,7 +135,7 @@ class WeylElem:
         datum = self.datum
         big = len(datum.pos_roots)
         h = []
-        for k in _tables(datum).simple_index:
+        for k in _simple_index(datum):
             negative, j = divmod(self.perm[k], big)
             h.append(-sum(datum.pos_roots[j]) if negative else sum(datum.pos_roots[j]))
         labels: list[int] = []
@@ -146,70 +148,43 @@ class WeylElem:
         return tuple(reversed(labels))
 
 
-class _RootPerms:
-    """Per-datum tables: simple-root indices, and reflections as root permutations."""
-
-    def __init__(self, datum: RootDatum):
-        self.datum = datum
-        n = datum.rank
-        # root index of alpha_i, for i = 0..rank-1
-        self.simple_index = tuple(datum.index[tuple(int(i == j) for j in range(n))] for i in range(n))
-        self.identity = WeylElem(datum, tuple(range(len(datum.index))))
-        self._reflections: dict[int, WeylElem] = {}
-        self.simple_reflections = tuple(self.reflection(k) for k in self.simple_index)
-
-    def reflection(self, k: int) -> WeylElem:
-        """s_beta for beta = pos_roots[k]: gamma -> gamma - <beta^v, gamma> beta.
-
-        A simple reflection s_i changes coordinate i of each root by
-        ``<alpha_i^v, gamma>``.  Any other beta has a node i with
-        ``<alpha_i^v, beta> > 0``, so ``beta' = s_i beta`` is lower and
-        ``s_beta = s_i s_beta' s_i``: two compositions of permutations.
-        """
-        if k not in self._reflections:
-            datum = self.datum
-            big = len(datum.pos_roots)
-            beta = datum.pos_roots[k]
-            if sum(beta) == 1:
-                i = beta.index(1)
-                perm = []
-                for gamma, pairs in zip(datum.pos_roots, datum.pairing_rows):
-                    image = list(gamma)
-                    image[i] -= pairs[i]
-                    perm.append(datum.index[tuple(image)])
-                perm += [(j + big) % (2 * big) for j in perm]
-                perm = tuple(perm)
-            else:
-                row = datum.pairing_rows[k]  # row[i] = <alpha_i^v, beta>
-                i = next(i for i, c in enumerate(row) if c > 0)
-                lower = list(beta)
-                lower[i] -= row[i]
-                s_i = self.reflection(self.simple_index[i]).perm
-                s_lower = self.reflection(datum.index[tuple(lower)]).perm
-                perm = itemgetter(*itemgetter(*s_i)(s_lower))(s_i)
-            self._reflections[k] = WeylElem(datum, perm)
-        return self._reflections[k]
+@functools.cache
+def _simple_index(datum: RootDatum) -> tuple[int, ...]:
+    """The root index of alpha_i, for i = 0..rank-1."""
+    n = datum.rank
+    return tuple(datum.index[tuple(int(i == j) for j in range(n))] for i in range(n))
 
 
 @functools.cache
-def _tables(datum: RootDatum) -> _RootPerms:
-    return _RootPerms(datum)
+def _reflection(datum: RootDatum, k: int) -> WeylElem:
+    """s_beta for beta = pos_roots[k]: gamma -> gamma - <beta^v, gamma> beta, with
+    <beta^v, gamma> = sum_i beta^v_i * pairing_rows[gamma][i]; s_beta fixes a gamma
+    that pairs to 0."""
+    beta, cor = datum.pos_roots[k], datum.pos_coroots[k]
+    big = len(datum.pos_roots)
+    perm = list(range(big))
+    for j, (gamma, row) in enumerate(zip(datum.pos_roots, datum.pairing_rows)):
+        if c := sum(map(mul, cor, row)):
+            perm[j] = datum.index[tuple(map(sub, gamma, map(mul, beta, repeat(c))))]
+    perm += [(j + big) % (2 * big) for j in perm]
+    return WeylElem(datum, tuple(perm))
 
 
+@functools.cache
 def identity(datum: RootDatum) -> WeylElem:
-    return _tables(datum).identity
+    return WeylElem(datum, tuple(range(len(datum.index))))
 
 
 def simple_reflection(datum: RootDatum, label: int) -> WeylElem:
     """The simple reflection at a finite node label (1-based)."""
     if not 1 <= label <= datum.rank:
         raise ValueError(f"node label {label} is not a finite node")
-    return _tables(datum).simple_reflections[label - 1]
+    return _reflection(datum, _simple_index(datum)[label - 1])
 
 
 def reflection(datum: RootDatum, alpha: Vec) -> WeylElem:
     """The reflection in an arbitrary positive root alpha."""
-    return _tables(datum).reflection(datum.root_index(alpha))
+    return _reflection(datum, datum.root_index(alpha))
 
 
 def _up_steps(point: Vec, cartan: Matrix) -> Iterator[tuple[int, Vec]]:
@@ -235,7 +210,7 @@ def min_coset_reps(lie_type: LieType, nodes) -> list[list[WeylElem]]:
     bad = nodeset - set(range(1, datum.rank + 1))
     if bad:
         raise ValueError(f"not finite node labels: {sorted(bad)}")
-    simple = _tables(datum).simple_reflections
+    simple = tuple(_reflection(datum, k) for k in _simple_index(datum))
     base = tuple(0 if (i + 1) in nodeset else 1 for i in range(datum.rank))
     frontier: list[tuple[Vec, WeylElem]] = [(base, identity(datum))]
     levels: list[list[WeylElem]] = []

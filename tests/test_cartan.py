@@ -250,8 +250,9 @@ def _fraction_symmetrizers(a):
 
 @pytest.mark.parametrize("label", TYPES_RANK10)
 def test_symmetrizers_match_fraction_oracle(label):
-    a = root_datum(parse_type(label)).cartan
-    d = _symmetrizers(a)
+    datum = root_datum(parse_type(label))
+    a = datum.cartan
+    d = datum.symmetrizers
     assert d == _fraction_symmetrizers(a)
     n = len(a)
     assert all(d[i] * a[i][j] == d[j] * a[j][i] for i in range(n) for j in range(n))
@@ -355,22 +356,31 @@ def test_invariant_checks_survive_optimize_flag():
     code = (
         "import sys\n"
         "from affschub import cartan\n"
-        "try:\n"
-        "    cartan._symmetrizers(((2, 0), (0, 2)))\n"
-        "except ArithmeticError as exc:\n"
-        "    print(f'optimize={sys.flags.optimize} raised: {exc}')\n"
+        "for args in [(((2, 0), (0, 2)), (0, 1), (0, 1)), (((2, -3), (-1, 2)), (1, 1), (1, 1))]:\n"
+        "    try:\n"
+        "        cartan._symmetrizers(*args)\n"
+        "    except ArithmeticError as exc:\n"
+        "        print(f'optimize={sys.flags.optimize} raised: {exc}')\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "optimize=1 raised: diagram must be connected"
+    # a disconnected diagram, then the G2 Cartan matrix with A2's theta and theta^v
+    assert proc.stdout.strip().splitlines() == [
+        "optimize=1 raised: diagram must be connected",
+        "optimize=1 raised: d = (1, 1) read off theta = (1, 1), theta^v = (1, 1)"
+        " does not symmetrize ((2, -3), (-1, 2))",
+    ]
 
 
 def test_disconnected_diagram_raises():
+    # the closure of A1 x A1 ends at a root that misses a node
+    cartan = ((2, 0), (0, 2))
+    roots, coroots, _ = _positive_roots(cartan)
     with pytest.raises(ArithmeticError, match="connected"):
-        _symmetrizers(((2, 0), (0, 2)))
+        _symmetrizers(cartan, roots[-1], coroots[-1])
 
 
 # sha256 of repr((pos_roots, pos_coroots, pairing_rows, highest_coroot,

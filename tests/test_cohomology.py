@@ -1,9 +1,11 @@
 """Divisor-class Chevalley multiplication and the Thom duality classification."""
 
+import types
+
 import pytest
 
 from affschub import cli, cohomology, weyl
-from affschub.cartan import parse_type, root_datum
+from affschub.cartan import RootDatum, parse_type, root_datum
 from affschub.classify import all_canonical_types, type_report
 from affschub.cohomology import (
     PDStatus,
@@ -229,9 +231,35 @@ def test_ladder_check_rejects_corrupted_level(label, corrupt, match, monkeypatch
         cohomology._levi_ladder.__wrapped__(parse_type(label))
 
 
+def _stand_in(label, **fields):
+    """The root datum of a type as a plain namespace, with some fields replaced."""
+    real = datum(label)
+    return types.SimpleNamespace(**{**{f: getattr(real, f) for f in RootDatum._FIELDS}, **fields})
+
+
+# every symmetrizer equal leaves gaps; a highest coroot of height 1 gives negative levels
+@pytest.mark.parametrize("label", ["C2", "G2", "B3", "C3", "F4"])
+@pytest.mark.parametrize("kind", ["equal_symmetrizers", "low_highest_coroot"])
+def test_long_root_levels_reject_stand_in_datum(label, kind):
+    d = datum(label)
+    fields = {"symmetrizers": (1,) * d.rank} if kind == "equal_symmetrizers" else {"highest_coroot": d.pos_coroots[0]}
+    with pytest.raises(ArithmeticError, match=f"long-root levels of {label} are"):
+        cohomology._long_root_levels(_stand_in(label, **fields))
+
+
+def test_long_root_level_fault_exits_4(capsys, monkeypatch):
+    fake = _stand_in("G2", symmetrizers=(1, 1))
+    cohomology._levi_ladder.cache_clear()
+    monkeypatch.setattr(cohomology, "root_datum", lambda lt: fake)
+    assert cli.main(["chevalley", "G2", "--json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "long-root levels of G2 are [2, 3], not 0..5" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_type_report_forms_no_chevalley_product(monkeypatch):
     # the classification path reads the long roots off the root datum: no group element, no walk
-    calls = {"chevalley": 0, "mul": 0, "word": 0, "elem": 0, "tables": 0, "up_steps": 0}
+    calls = {"chevalley": 0, "mul": 0, "word": 0, "elem": 0, "reflection": 0, "up_steps": 0}
 
     def count(key, fn):
         def counted(*args, **kwargs):
@@ -244,7 +272,7 @@ def test_type_report_forms_no_chevalley_product(monkeypatch):
     monkeypatch.setattr(weyl.WeylElem, "__mul__", count("mul", weyl.WeylElem.__mul__))
     monkeypatch.setattr(weyl.WeylElem, "word", count("word", weyl.WeylElem.word))
     monkeypatch.setattr(weyl.WeylElem, "__init__", count("elem", weyl.WeylElem.__init__))
-    monkeypatch.setattr(weyl, "_tables", count("tables", weyl._tables))
+    monkeypatch.setattr(weyl, "_reflection", count("reflection", weyl._reflection))
     monkeypatch.setattr(weyl, "_up_steps", count("up_steps", weyl._up_steps))
     types = all_canonical_types(10)
     for lt in types:
@@ -253,7 +281,7 @@ def test_type_report_forms_no_chevalley_product(monkeypatch):
     for lt in types:
         assert cli.main(["chevalley", str(lt), "--json"]) == 0
         assert cli.main(["report", str(lt)]) == 0
-    assert calls == {"chevalley": 0, "mul": 0, "word": 0, "elem": 0, "tables": 0, "up_steps": 0}
+    assert calls == {"chevalley": 0, "mul": 0, "word": 0, "elem": 0, "reflection": 0, "up_steps": 0}
 
 
 CHAIN_TYPES = ["A1", "C2", "C3", "C4", "G2"]

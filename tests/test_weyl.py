@@ -10,6 +10,7 @@ from affschub.classify import all_canonical_types
 from affschub.cohomology import levi_nodes
 from affschub.weyl import (
     GradedPoly,
+    _reflection,
     identity,
     min_coset_reps,
     quotient_poincare,
@@ -303,8 +304,8 @@ def test_root_permutation_matches_matrix_oracle(label):
 
 @pytest.mark.parametrize("label", [str(t) for t in all_canonical_types(8)])
 def test_conjugated_reflections_match_direct_formula(label):
-    # every reflection, simple or built by conjugation, against
-    # gamma -> gamma - <beta^v, gamma> beta with the pairing from the Cartan matrix
+    # every reflection against gamma -> gamma - <beta^v, gamma> beta, with the
+    # pairing from the Cartan matrix instead of the pairing rows
     datum = root_datum(parse_type(label))
     n = datum.rank
     big = len(datum.pos_roots)
@@ -318,6 +319,44 @@ def test_conjugated_reflections_match_direct_formula(label):
         s_beta = reflection(datum, beta)
         assert s_beta.perm == tuple(expected)
         assert s_beta.length() % 2 == 1 and len(s_beta.perm) == 2 * big
+
+
+def _conjugated_reflections(datum):
+    """Every reflection's root permutation by conjugation, kept here as the oracle.
+
+    A simple reflection s_i changes coordinate i of each root by
+    <alpha_i^v, gamma>.  Any other beta has a node i with <alpha_i^v, beta> > 0,
+    so beta' = s_i beta is lower and s_beta = s_i s_beta' s_i.  The roots come
+    by height, so s_beta' is built before s_beta.
+    """
+    n, big = datum.rank, len(datum.pos_roots)
+    perms = []
+    for beta, row in zip(datum.pos_roots, datum.pairing_rows):
+        if sum(beta) == 1:
+            i = beta.index(1)
+            perm = []
+            for gamma, pairs in zip(datum.pos_roots, datum.pairing_rows):
+                perm.append(datum.index[gamma[:i] + (gamma[i] - pairs[i],) + gamma[i + 1:]])
+            perm += [(j + big) % (2 * big) for j in perm]
+        else:
+            i = next(i for i, c in enumerate(row) if c > 0)
+            s_i = perms[datum.index[tuple(int(j == i) for j in range(n))]]
+            s_lower = perms[datum.index[beta[:i] + (beta[i] - row[i],) + beta[i + 1:]]]
+            perm = [s_i[s_lower[s_i[j]]] for j in range(2 * big)]
+        perms.append(tuple(perm))
+    return perms
+
+
+@pytest.mark.parametrize("label", [str(t) for t in all_canonical_types(8)])
+def test_reflections_match_conjugation_oracle(label):
+    datum = root_datum(parse_type(label))
+    oracle = _conjugated_reflections(datum)
+    for k, beta in enumerate(datum.pos_roots):
+        assert _reflection(datum, k).perm == oracle[k]
+        assert reflection(datum, beta) is _reflection(datum, k)
+    for i in range(datum.rank):
+        simple = tuple(int(j == i) for j in range(datum.rank))
+        assert simple_reflection(datum, i + 1).perm == oracle[datum.index[simple]]
 
 
 def coset_orbit_oracle(lie_type, nodes):
