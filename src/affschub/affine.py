@@ -76,9 +76,12 @@ above, s x is a minimal representative one longer exactly when
 
 and neither test reads w.  Every minimal representative y != 1 has a left
 descent s, and s y is again minimal, so a level BFS over lam reaches them
-all, and the level number is the length.  The finite part w^-1 is carried
-along the first path to each lam (every path ends at the same element) and
-inverted once for the output.  Each level is sorted by lam.
+all, and the level number is the length.  The walk keeps no group element:
+each level maps lam to the (parent lam, label) of the first up-step that
+reached it.  level_sizes() reads the walk alone; the elements are built on
+the first read of by_length, replaying each link as w^-1 s from the parent's
+w^-1 (every path ends at the same element) and inverting once per
+representative.  Each level is sorted by lam.
 
 Lower intervals: if l(s y) > l(y), then [e, s y] = [e, y] u s[e, y] (the
 subword property; Bjorner-Brenti, GTM 231, Thm 2.2.2).  The coset minimum u
@@ -88,7 +91,9 @@ x are the coset minima of [e, x].  A coset is its lam, so lower_interval
 reads a reduced word of x right to left from the point {0}.  By Deodhar's
 lemma a letter s sends a representative v down (s v < v is already below),
 into v's own coset, or up, so only up-steps add points.  Like the
-enumeration, the walk keeps its points by length and carries each w^-1.
+enumeration, the walk keeps its points by length with their parent links,
+and the elements are built from the links in the same way;
+schubert_poincare counts the points and builds none.
 
 Enumeration-style operations carry configurable length limits, checked by
 check_enum_bound (exceeding one raises BoundExceededError rather than
@@ -232,19 +237,23 @@ class _Descents:
     For a node label l, ``root[l]`` is the root index of alpha_l (of theta
     when l = 0), ``row[l]`` its pairing row, and ``shift[l]`` maps a root
     permutation q to that of q * s, where s is the finite part of the
-    generator at l (s_theta when l = 0).  The alcove-vector tables (module
-    docstring) are built on the first walk: enumeration never reads them.
+    generator at l (s_theta when l = 0).  ``shift`` and the alcove-vector
+    tables (module docstring) are built on first use: the lattice walks of
+    enumeration and lower intervals read only ``row`` and ``theta_cor``.
     """
 
     def __init__(self, datum: RootDatum):
-        n = datum.rank
         self.big = len(datum.pos_roots)
         self.rows = datum.pairing_rows
         self.root = (datum.root_index(datum.highest_root),) + _simple_index(datum)
         self.row = tuple(self.rows[k] for k in self.root)
-        self.shift = tuple(itemgetter(*generator(datum, l).fin.perm) for l in range(n + 1))
         self.theta_cor = datum.highest_coroot
         self.datum = datum
+
+    @functools.cached_property
+    def shift(self) -> tuple:
+        """shift[l]: a root permutation q to that of q * s for the generator at l."""
+        return tuple(itemgetter(*generator(self.datum, l).fin.perm) for l in range(self.datum.rank + 1))
 
     @functools.cached_property
     def level(self) -> int:
@@ -397,17 +406,57 @@ def length_bfs_oracle(lie_type: LieType, up_to: int = 10, *, hard_cap: int = 24)
     return dist
 
 
-class MinRepLevels(namedtuple("MinRepLevels", "lie_type by_length max_length")):
-    """Shortest coset representatives of the affine group mod W, by length."""
+class MinRepLevels:
+    """Shortest coset representatives of the affine group mod W, by length.
 
-    __slots__ = ()
+    Holds the lattice walk's levels, lam -> (parent lam, label); the
+    elements of ``by_length`` are built on its first read (``_materialize``).
+    """
+
+    __slots__ = ("lie_type", "max_length", "_levels", "_by_length")
+
+    def __init__(self, lie_type: LieType, levels: list[dict], max_length: int):
+        object.__setattr__(self, "lie_type", lie_type)
+        object.__setattr__(self, "max_length", max_length)
+        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "_by_length", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MinRepLevels is read-only: cannot set {name!r}")
+
+    @property
+    def by_length(self) -> tuple[tuple[AffineElem, ...], ...]:
+        if self._by_length is None:
+            object.__setattr__(self, "_by_length", _materialize(root_datum(self.lie_type), self._levels))
+        return self._by_length
+
+    def _fields(self) -> tuple:
+        return self.lie_type, self.by_length, self.max_length
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, MinRepLevels) and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"MinRepLevels(lie_type={self.lie_type!r}, by_length={self.by_length!r}, max_length={self.max_length!r})"
 
     def flat(self):
         for level in self.by_length:
             yield from level
 
     def level_sizes(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.by_length)
+        return tuple(map(len, self._levels))
+
+
+def _climb(d: _Descents, level: dict, labels, up: dict) -> None:
+    """Add to up each up-step of the points of level by labels, linked to its first (lam, label)."""
+    for lam in level:
+        for label in labels:
+            new = _up_step(d, label, lam)
+            if new is not None and new not in up:
+                up[new] = (lam, label)
 
 
 def enumerate_minreps(lie_type: LieType, max_len: int, *, bound: int | None = None) -> MinRepLevels:
@@ -425,28 +474,31 @@ def enumerate_minreps(lie_type: LieType, max_len: int, *, bound: int | None = No
     check_enum_bound(datum, "min-rep enumeration length", max_len, bound)
     d = _descents(datum)
     labels = range(datum.rank + 1)
-    # level: lam -> w^-1's permutation, for the representative t_lam w
-    level = {(0,) * datum.rank: identity(datum).perm}
-    levels = [_minreps(datum, level, 0)]
-    for k in range(1, max_len + 1):
-        nxt: dict[Vec, tuple] = {}
-        for lam, winv in level.items():
-            for label in labels:
-                new = _up_step(d, label, lam)
-                if new is not None and new not in nxt:
-                    nxt[new] = d.shift[label](winv)
-        level = nxt
-        levels.append(_minreps(datum, level, k))
-    return MinRepLevels(lie_type, tuple(levels), max_len)
+    levels = [{(0,) * datum.rank: None}]
+    for _ in range(max_len):
+        levels.append({})
+        _climb(d, levels[-2], labels, levels[-1])
+    return MinRepLevels(lie_type, levels, max_len)
 
 
-def _minreps(datum: RootDatum, level: dict, k: int) -> tuple[AffineElem, ...]:
-    """The representatives t_lam w of length k, for level lam -> w^-1's permutation, sorted by lam."""
+def _materialize(datum: RootDatum, levels: list[dict]) -> tuple[tuple[AffineElem, ...], ...]:
+    """The representatives t_lam w of each walk level, sorted by lam.
+
+    Each parent link is replayed as w^-1 s from the parent's w^-1, which is
+    inverted once per representative.
+    """
+    shift = _descents(datum).shift
+    winvs = {(0,) * datum.rank: identity(datum).perm}
     out = []
-    for lam in sorted(level):
-        x = AffineElem(datum, lam, WeylElem(datum, level[lam]).inverse())
-        x._len = k
-        out.append(x)
+    for k, level in enumerate(levels):
+        if k:
+            winvs = {lam: shift[label](winvs[parent]) for lam, (parent, label) in level.items()}
+        reps = []
+        for lam in sorted(level):
+            x = AffineElem(datum, lam, WeylElem(datum, winvs[lam]).inverse())
+            x._len = k
+            reps.append(x)
+        out.append(tuple(reps))
     return tuple(out)
 
 
@@ -481,20 +533,21 @@ def bruhat_leq(v: AffineElem, w: AffineElem, *, bound: int = ELEMENT_BOUND) -> b
     return True
 
 
-def lower_interval(x: AffineElem) -> list[AffineElem]:
-    """The minimal representatives below x in Bruhat order, sorted by (length, lam)."""
-    datum = x.datum
-    d = _descents(datum)
-    levels = [{(0,) * datum.rank: identity(datum).perm}]  # as in enumerate_minreps, by length
+def _interval_levels(x: AffineElem) -> list[dict]:
+    """The points of lower_interval(x) by length, as lam -> (parent lam, label)."""
+    d = _descents(x.datum)
+    levels = [{(0,) * x.datum.rank: None}]
     for label in reversed(reduced_word(x)):
         levels.append({})
         # a point this letter adds steps back down under it, so it adds nothing more
         for level, up in zip(levels, levels[1:]):
-            for lam, winv in level.items():
-                new = _up_step(d, label, lam)
-                if new is not None and new not in up:
-                    up[new] = d.shift[label](winv)
-    return [v for k, level in enumerate(levels) for v in _minreps(datum, level, k)]
+            _climb(d, level, (label,), up)
+    return levels
+
+
+def lower_interval(x: AffineElem) -> list[AffineElem]:
+    """The minimal representatives below x in Bruhat order, sorted by (length, lam)."""
+    return [v for level in _materialize(x.datum, _interval_levels(x)) for v in level]
 
 
 class AntidominanceReport(

@@ -20,6 +20,7 @@ from .weyl import GradedPoly
 from .affine import (
     AffineElem,
     ELEMENT_BOUND,
+    _interval_levels,
     affine_identity,
     bruhat_leq,
     check_enum_bound,
@@ -188,8 +189,7 @@ def schubert_poincare(cls: SchubertClass, *, bound: int | None = None) -> Graded
     """Cell counts of X_w: coefficient of q^k counts representatives of length k below w."""
     w = cls.elem
     check_enum_bound(w.datum, "Poincare polynomial length", w.length(), bound)
-    lengths = [v.length() for v in lower_interval(w)]
-    return GradedPoly.from_coeffs(lengths.count(k) for k in range(w.length() + 1))
+    return GradedPoly.from_coeffs(map(len, _interval_levels(w)))
 
 
 class PowerStep(

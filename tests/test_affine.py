@@ -28,7 +28,7 @@ from affschub.affine import (
     seed_translation,
     translation,
 )
-from affschub.weyl import min_coset_reps
+from affschub.weyl import WeylElem, identity, min_coset_reps
 
 
 def datum(label):
@@ -389,6 +389,110 @@ def test_lattice_bfs_matches_coset_oracle(label, max_len):
             assert all(inv.perm[j] == i for i, j in enumerate(x.fin.perm))
 
 
+# --- the eager walks, kept as oracles of the lattice walk -------------------
+
+
+def eager_minreps(d, level, k):
+    """The representatives t_lam w of length k, for level lam -> w^-1's permutation, sorted by lam."""
+    out = []
+    for lam in sorted(level):
+        x = affine.AffineElem(d, lam, WeylElem(d, level[lam]).inverse())
+        x._len = k
+        out.append(x)
+    return tuple(out)
+
+
+def eager_enumerate_oracle(label, max_len):
+    """enumerate_minreps' levels by the walk that carries w^-1 along the first path to each lam."""
+    d = datum(label)
+    t = affine._descents(d)
+    labels = range(d.rank + 1)
+    level = {(0,) * d.rank: identity(d).perm}
+    levels = [eager_minreps(d, level, 0)]
+    for k in range(1, max_len + 1):
+        nxt = {}
+        for lam, winv in level.items():
+            for l in labels:
+                new = affine._up_step(t, l, lam)
+                if new is not None and new not in nxt:
+                    nxt[new] = t.shift[l](winv)
+        level = nxt
+        levels.append(eager_minreps(d, level, k))
+    return tuple(levels)
+
+
+def eager_interval_oracle(x):
+    """lower_interval(x) by the walk that carries each point's w^-1."""
+    d = x.datum
+    t = affine._descents(d)
+    levels = [{(0,) * d.rank: identity(d).perm}]
+    for l in reversed(reduced_word(x)):
+        levels.append({})
+        for level, up in zip(levels, levels[1:]):
+            for lam, winv in level.items():
+                new = affine._up_step(t, l, lam)
+                if new is not None and new not in up:
+                    up[new] = t.shift[l](winv)
+    return [v for k, level in enumerate(levels) for v in eager_minreps(d, level, k)]
+
+
+def elem_keys(elems):
+    return [(x.trans, x.fin.perm, x._len) for x in elems]
+
+
+# every canonical type through rank 4, with G2, F4 and E6
+EAGER_ORACLE_BALLS = [
+    ("A1", 12), ("A2", 12), ("C2", 12), ("G2", 12),
+    ("A3", 10), ("B3", 10), ("C3", 10), ("A4", 10), ("B4", 10), ("C4", 10), ("D4", 10),
+    ("F4", 8), ("E6", 8),
+]
+
+
+@pytest.mark.parametrize("label,max_len", EAGER_ORACLE_BALLS)
+def test_lattice_walk_matches_eager_oracle(label, max_len):
+    levels = enumerate_minreps(parse_type(label), max_len)
+    expected = eager_enumerate_oracle(label, max_len)
+    assert levels.level_sizes() == tuple(map(len, expected))
+    assert [elem_keys(level) for level in levels.by_length] == [elem_keys(level) for level in expected]
+    assert elem_keys(levels.flat()) == elem_keys(x for level in expected for x in level)
+    for x in levels.by_length[-1]:
+        assert elem_keys(affine.lower_interval(x)) == elem_keys(eager_interval_oracle(x))
+
+
+# the enum benchmark's pairs: 296 representatives in all
+ENUM_PAIRS = [("A2", 12), ("C2", 12), ("G2", 12), ("A3", 10), ("B3", 10), ("D4", 10), ("F4", 10)]
+
+
+def test_level_sizes_build_no_finite_part(monkeypatch):
+    from affschub import weyl
+    from affschub.schubert import SchubertClass, schubert_poincare
+
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(weyl, "_reflection", counting("reflection", weyl._reflection))
+    monkeypatch.setattr(WeylElem, "inverse", counting("inverse", WeylElem.inverse))
+    affine._descents.cache_clear()
+    runs = [enumerate_minreps(parse_type(label), n) for label, n in ENUM_PAIRS]
+    assert sum(sum(levels.level_sizes()) for levels in runs) == 296
+    assert calls == Counter()
+    cls = SchubertClass(parse_element(datum("A2"), "word:0,2,0,1,2,0,1,2,0,1,2,0"))
+    calls.clear()
+    assert schubert_poincare(cls).total() > 0
+    assert calls["inverse"] == 0
+    calls.clear()
+    assert sum(len(level) for levels in runs for level in levels.by_length) == 296
+    assert calls["inverse"] == 296
+    calls.clear()
+    assert sum(len(level) for levels in runs for level in levels.by_length) == 296
+    assert calls == Counter()
+
+
 # --- antidominance equivalences ----------------------------------------------
 
 
@@ -584,8 +688,9 @@ def _ball_tops():
     [(label, format_element(x)) for label, x in _ball_tops()] + [("A2", "t:-30,-30"), ("C3", "t:-4,-6,-4")],
 )
 def test_lower_interval_carries_coset_minima(label, top):
-    # the walk carries each point's w^-1 and length from the point it stepped
-    # from; both must be those of the coset minimum built from scratch
+    # each point's w^-1 is replayed from the point it first stepped from, and
+    # its length is its level; both must be those of the coset minimum built
+    # from scratch
     d = datum(label)
     x = parse_element(d, top)
     for v in affine.lower_interval(x):

@@ -1,9 +1,10 @@
 """The engine's value types: equality, hashing, repr and read-only fields.
 
-Every record type but RootDatum is an immutable named tuple: two instances
-built alike are equal and hash alike (the tuple hash of their fields), and
-the repr names each field.  RootDatum is interned per type, so it compares
-and hashes by identity.
+Every record type but RootDatum and MinRepLevels is an immutable named
+tuple: two instances built alike are equal and hash alike (the tuple hash of
+their fields), and the repr names each field.  MinRepLevels builds its
+elements on first read and keeps the same contract by hand.  RootDatum is
+interned per type, so it compares and hashes by identity.
 """
 
 import os
