@@ -62,36 +62,41 @@ from_word builds t_lam w by right steps: x s_l = t_lam (w s_l) for l >= 1
 is a shift of w's permutation, and x s_0 = t_{lam + w(theta^v)} (w s_theta),
 with w(theta^v) = +-pos_coroots[j] for w(theta) = +-pos_roots[j].
 
-Minimal representatives of the affine group mod W are enumerated over the
-coroot lattice: the coset t_lam W is fixed by lam, so the representatives of
-one length are indexed by distinct lam.  By Deodhar's lemma, for a minimal
-representative x and a generator s, either s x < x, or s x is a minimal
-representative one longer, or s x lies in the coset x W.  The last happens
-exactly when s keeps lam, that is a = 0 for s_i and a = 1 for s_0, where
-a = <lam, alpha_i> (<lam, theta> for s_0).  With the left descent tests
-above, s x is a minimal representative one longer exactly when
+Minimal representatives of the affine group mod W are enumerated by the
+walk of W/W_I (weyl._climb), run on the affine Cartan matrix with
+I = {1..rank}: the affine group is the Coxeter group on the labels 0..rank,
+and W is its parabolic subgroup on 1..rank (Bjorner-Brenti, GTM 231, 4.3).
+The coset t_lam W is fixed by lam, and the walk's point is
 
-* i >= 1 and a > 0; then lam[i-1] decreases by a;
-* i = 0 and a <= 0; then lam increases by (1 - a) theta^v;
+    p = (1 - <lam, theta>, <lam, alpha_1>, ..., <lam, alpha_rank>),
 
-and neither test reads w.  Every minimal representative y != 1 has a left
-descent s, and s y is again minimal, so a level BFS over lam reaches them
-all, and the level number is the length.  The walk keeps no group element:
-each level maps lam to the (parent lam, label) of the first up-step that
-reached it.  level_sizes() reads the walk alone; the elements are built on
-the first read of by_length, replaying each link as w^-1 s from the parent's
-w^-1 (every path ends at the same element) and inverting once per
-representative.  Each level is sorted by lam.
+the pairings of lam at level 1 with the affine simple roots.  The origin
+(1, 0, ..., 0) is lam = 0, whose stabiliser is W.  By Deodhar's lemma, for a
+minimal representative x and a generator s_l, either s_l x < x, or s_l x is
+a minimal representative one longer, or s_l x lies in the coset x W.  With
+the left descent tests above, s_l x is minimal and one longer exactly when
+p[l] > 0 (<lam, alpha_l> > 0 for l >= 1, <lam, theta> <= 0 for l = 0), and
+stays in x W when p[l] = 0; neither test reads w.  The step sends lam to
+lam - p[l] alpha_l^v, where alpha_0^v = -theta^v, which moves p along row l
+of the affine Cartan matrix, the finite walk's rule.  Every minimal
+representative y != 1 has a left descent s, and s y is again minimal, so the
+level BFS reaches them all, and the level number is the length.  The walk
+keeps no lam and no group element: each level maps a point to the (parent
+point, label) of the first up-step that reached it.  level_sizes() reads
+the walk alone.  The elements are built on the first read of by_length,
+replaying each link from the parent's lam and w^-1: lam - parent[l]
+alpha_l^v, and w^-1 s (every path ends at the same element); w^-1 is
+inverted once per representative, and each level is sorted by lam.
 
 Lower intervals: if l(s y) > l(y), then [e, s y] = [e, y] u s[e, y] (the
 subword property; Bjorner-Brenti, GTM 231, Thm 2.2.2).  The coset minimum u
 of v has u <= v (a reduced word of u is a prefix of one of v), so projecting
 to the affine group mod W keeps v <= x as u <= x: the representatives below
-x are the coset minima of [e, x].  A coset is its lam, so lower_interval
-reads a reduced word of x right to left from the point {0}.  By Deodhar's
+x are the coset minima of [e, x].  A coset is its point, so lower_interval
+reads a reduced word of x right to left from the origin.  By Deodhar's
 lemma a letter s sends a representative v down (s v < v is already below),
-into v's own coset, or up, so only up-steps add points.  Like the
-enumeration, the walk keeps its points by length with their parent links,
+into v's own coset, or up, so only up-steps add points: the same walk, one
+label at a time.  Its points are kept by length with their parent links,
 and the elements are built from the links in the same way;
 schubert_poincare counts the points and builds none.
 
@@ -108,7 +113,7 @@ from operator import add, itemgetter, mul, sub
 
 from .cartan import LieType, RootDatum, Vec, root_datum
 from .errors import BoundExceededError, ParseError
-from .weyl import WeylElem, _simple_index, identity, min_coset_reps, simple_reflection, reflection
+from .weyl import WeylElem, _climb, _simple_index, identity, min_coset_reps, simple_reflection, reflection
 
 def default_enum_bound(datum: RootDatum) -> int:
     """Default length ceiling for enumerations (min-rep levels, intervals)."""
@@ -238,8 +243,8 @@ class _Descents:
     when l = 0), ``row[l]`` its pairing row, and ``shift[l]`` maps a root
     permutation q to that of q * s, where s is the finite part of the
     generator at l (s_theta when l = 0).  ``shift`` and the alcove-vector
-    tables (module docstring) are built on first use: the lattice walks of
-    enumeration and lower intervals read only ``row`` and ``theta_cor``.
+    tables (module docstring) are built on first use; the walks of
+    enumeration and lower intervals read the affine Cartan matrix only.
     """
 
     def __init__(self, datum: RootDatum):
@@ -247,7 +252,6 @@ class _Descents:
         self.rows = datum.pairing_rows
         self.root = (datum.root_index(datum.highest_root),) + _simple_index(datum)
         self.row = tuple(self.rows[k] for k in self.root)
-        self.theta_cor = datum.highest_coroot
         self.datum = datum
 
     @functools.cached_property
@@ -283,14 +287,6 @@ def _alcove(d: _Descents, x: AffineElem) -> list[int]:
     r = [level * sum(map(mul, x.trans, row)) + heights[perm.index(k)] for row, k in zip(d.row, d.root)]
     r[0] = level - r[0]  # the entry built for theta is M <lam, theta> + ht(w^-1 theta)
     return r
-
-
-def _up_step(d: _Descents, label: int, lam: Vec) -> Vec | None:
-    """lam of s x, for minimal x = t_lam w and s at label, if s x is minimal and one longer; else None."""
-    a = sum(map(mul, lam, d.row[label]))
-    if label:
-        return lam[: label - 1] + (lam[label - 1] - a,) + lam[label:] if a > 0 else None
-    return tuple(c + (1 - a) * t for c, t in zip(lam, d.theta_cor)) if a <= 0 else None
 
 
 def _right_descent(d: _Descents, lam: Vec, perm: tuple, label: int) -> bool:
@@ -409,7 +405,7 @@ def length_bfs_oracle(lie_type: LieType, up_to: int = 10, *, hard_cap: int = 24)
 class MinRepLevels:
     """Shortest coset representatives of the affine group mod W, by length.
 
-    Holds the lattice walk's levels, lam -> (parent lam, label); the
+    Holds the walk's levels, point -> (parent point, label); the
     elements of ``by_length`` are built on its first read (``_materialize``).
     """
 
@@ -450,52 +446,50 @@ class MinRepLevels:
         return tuple(map(len, self._levels))
 
 
-def _climb(d: _Descents, level: dict, labels, up: dict) -> None:
-    """Add to up each up-step of the points of level by labels, linked to its first (lam, label)."""
-    for lam in level:
-        for label in labels:
-            new = _up_step(d, label, lam)
-            if new is not None and new not in up:
-                up[new] = (lam, label)
-
-
 def enumerate_minreps(lie_type: LieType, max_len: int, *, bound: int | None = None) -> MinRepLevels:
     """All minimal coset representatives of length <= max_len, graded.
 
-    Level BFS over the translations lam (see the module docstring): each
-    up-step s_l x of a level-k representative is tested and taken from the
-    pairing <lam, alpha_l> alone.  Within a level the translations are
-    distinct, and the level is sorted by them, so runs are reproducible bit
-    for bit.
+    The walk of W/W_I on the affine Cartan matrix (module docstring): an
+    up-step s_l x is tested and taken from its point's p[l] alone.  Within a
+    level the translations are distinct, and the level is sorted by them, so
+    runs are reproducible bit for bit.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     datum = root_datum(lie_type)
     check_enum_bound(datum, "min-rep enumeration length", max_len, bound)
-    d = _descents(datum)
     labels = range(datum.rank + 1)
-    levels = [{(0,) * datum.rank: None}]
+    levels = [{(1,) + (0,) * datum.rank: None}]
     for _ in range(max_len):
         levels.append({})
-        _climb(d, levels[-2], labels, levels[-1])
+        _climb(datum.affine_cartan, levels[-2], labels, levels[-1])
     return MinRepLevels(lie_type, levels, max_len)
 
 
 def _materialize(datum: RootDatum, levels: list[dict]) -> tuple[tuple[AffineElem, ...], ...]:
     """The representatives t_lam w of each walk level, sorted by lam.
 
-    Each parent link is replayed as w^-1 s from the parent's w^-1, which is
-    inverted once per representative.
+    A link (parent, l) moves the parent's lam to lam - parent[l] alpha_l^v,
+    where alpha_0^v = -theta^v, and its w^-1 to w^-1 s (``_Descents.shift``);
+    w^-1 is inverted once per representative.
     """
-    shift = _descents(datum).shift
-    winvs = {(0,) * datum.rank: identity(datum).perm}
+    shift, theta_cor = _descents(datum).shift, datum.highest_coroot
+    state = {point: ((0,) * datum.rank, identity(datum).perm) for point in levels[0]}
     out = []
     for k, level in enumerate(levels):
         if k:
-            winvs = {lam: shift[label](winvs[parent]) for lam, (parent, label) in level.items()}
+            up = {}
+            for point, (parent, label) in level.items():
+                (lam, winv), c = state[parent], parent[label]
+                if label:
+                    lam = lam[: label - 1] + (lam[label - 1] - c,) + lam[label:]
+                else:
+                    lam = tuple([a + c * t for a, t in zip(lam, theta_cor)])
+                up[point] = lam, shift[label](winv)
+            state = up
         reps = []
-        for lam in sorted(level):
-            x = AffineElem(datum, lam, WeylElem(datum, winvs[lam]).inverse())
+        for lam, winv in sorted(state.values()):
+            x = AffineElem(datum, lam, WeylElem(datum, winv).inverse())
             x._len = k
             reps.append(x)
         out.append(tuple(reps))
@@ -534,14 +528,14 @@ def bruhat_leq(v: AffineElem, w: AffineElem, *, bound: int = ELEMENT_BOUND) -> b
 
 
 def _interval_levels(x: AffineElem) -> list[dict]:
-    """The points of lower_interval(x) by length, as lam -> (parent lam, label)."""
-    d = _descents(x.datum)
-    levels = [{(0,) * x.datum.rank: None}]
+    """The points of lower_interval(x) by length, as point -> (parent point, label)."""
+    cartan = x.datum.affine_cartan
+    levels = [{(1,) + (0,) * x.datum.rank: None}]
     for label in reversed(reduced_word(x)):
         levels.append({})
         # a point this letter adds steps back down under it, so it adds nothing more
         for level, up in zip(levels, levels[1:]):
-            _climb(d, level, (label,), up)
+            _climb(cartan, level, (label,), up)
     return levels
 
 

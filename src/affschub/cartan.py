@@ -163,7 +163,7 @@ def _positive_roots(cartan: Matrix) -> tuple[tuple[Vec, ...], tuple[Vec, ...], M
     todo = list(simple)
     for alpha in todo:  # grows as roots are found
         cor = coroot[alpha]
-        row = rows[alpha] = tuple(sum(map(mul, r, alpha)) for r in cartan)
+        row = rows[alpha] = pairing_row(cartan, alpha)
         if sum(map(mul, cor, row)) != 2:
             raise ArithmeticError(f"coroot {cor} of {alpha} does not pair to 2 with it")
         for i, a in enumerate(row):
@@ -242,13 +242,17 @@ class RootDatum:
         )
 
 
+def pairing_row(cartan: Matrix, alpha: Vec) -> Vec:
+    """The pairing row A alpha of alpha in root coordinates: <lam, alpha> = sum_i lam[i] * row[i]."""
+    return tuple(sum(map(mul, r, alpha)) for r in cartan)
+
+
 def pairing(datum: RootDatum, lam: tuple, alpha: tuple) -> int:
     """<lam, alpha> for lam in coroot coordinates and alpha in root coordinates."""
     n = datum.rank
     if len(lam) != n or len(alpha) != n:
         raise ValueError(f"rank mismatch: expected vectors of length {n}")
-    a = datum.cartan
-    return sum(lam[i] * a[i][j] * alpha[j] for i in range(n) for j in range(n))
+    return sum(map(mul, lam, pairing_row(datum.cartan, alpha)))
 
 
 def coroot_of(datum: RootDatum, alpha: Vec) -> Vec:

@@ -26,7 +26,7 @@ import functools
 from collections import namedtuple
 from operator import mul
 
-from .cartan import LieType, RootDatum, Vec, pairing, root_datum
+from .cartan import LieType, RootDatum, Vec, pairing_row, root_datum
 from .weyl import GradedPoly, WeylElem, identity, reflection
 
 
@@ -81,7 +81,7 @@ def chevalley_divisor_mult(
         raise ValueError("w is not a minimal representative of the chosen quotient")
     if len(mu) != datum.rank:
         raise ValueError("rank mismatch")
-    big = len(datum.pos_roots)
+    big, row = len(datum.pos_roots), pairing_row(datum.cartan, mu)
     target = w.length() + 1
     out: dict[WeylElem, int] = {}
     for k, beta in enumerate(datum.pos_roots):
@@ -90,7 +90,7 @@ def chevalley_divisor_mult(
         ws = w * reflection(datum, beta)
         if ws.length() != target or not _in_quotient(ws, nodeset):
             continue
-        coeff = pairing(datum, datum.pos_coroots[k], mu)
+        coeff = sum(map(mul, datum.pos_coroots[k], row))
         if coeff:
             out[ws] = out.get(ws, 0) + coeff
     return CohomClass.from_dict(lie_type, nodeset, out)

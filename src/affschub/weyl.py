@@ -18,12 +18,13 @@ read by the numbers game on the heights h[i] = ht(w alpha_i) (Bjorner-Brenti,
 GTM 231, 4.3), stripping the right descent (h[i] < 0) at the smallest node
 label each time, so the word is canonical and no product is formed.
 
-Quotients W^I are walked by up-steps only, on the orbit of a point x whose
-stabiliser is exactly W_I, tracked by its pairings p with the simple roots.
-For w minimal in w W_I, p_i(w x) > 0 exactly when s_i w is minimal and one
-longer; it is 0 when s_i w stays in w W_I, and < 0 when s_i w < w.  The
-point is a coweight (p[j] = <x, alpha_j>), so the step s_i moves
-p[j] -= p[i] * A[i][j], along row i of the Cartan matrix.
+Quotients W^I are walked by up-steps only (``_climb``), on the orbit of a
+point x whose stabiliser is exactly W_I, tracked by its pairings p with the
+simple roots.  For w minimal in w W_I, p_i(w x) > 0 exactly when s_i w is
+minimal and one longer; it is 0 when s_i w stays in w W_I, and < 0 when
+s_i w < w.  The point is a coweight (p[j] = <x, alpha_j>), so the step s_i
+moves p[j] -= p[i] * A[i][j], along row i of the Cartan matrix.  On the
+affine Cartan matrix with I = {1..rank} the same walk is W_aff/W (affine).
 
 The grading variable q counts complex cell dimension: q^k stands for
 topological degree 2k.
@@ -34,7 +35,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from collections.abc import Iterator
 from itertools import repeat
 from operator import itemgetter, mul, sub
 
@@ -187,23 +187,27 @@ def reflection(datum: RootDatum, alpha: Vec) -> WeylElem:
     return _reflection(datum, datum.root_index(alpha))
 
 
-def _up_steps(point: Vec, cartan: Matrix) -> Iterator[tuple[int, Vec]]:
-    """(i, s_i point) for each up-step i (point[i] > 0) of a coweight-type point,
-    moving point[j] -= point[i] * cartan[i][j]."""
-    for i, c in enumerate(point):
-        if c > 0:
-            yield i, tuple([x - c * r for x, r in zip(point, cartan[i])])
+def _climb(cartan: Matrix, level, labels, up: dict) -> None:
+    """Add to up each up-step of the points p of level by labels, linked to its first (p, label):
+    label l is an up-step when p[l] > 0, and moves p[j] -= p[l] * cartan[l][j]."""
+    for point in level:
+        for label in labels:
+            if (c := point[label]) > 0:
+                new = tuple([x - c * r for x, r in zip(point, cartan[label])])
+                if new not in up:
+                    up[new] = (point, label)
 
 
 def min_coset_reps(lie_type: LieType, nodes) -> list[list[WeylElem]]:
     """Minimal-length representatives of W/W_I, graded by length.
 
     I is a set of finite node labels.  Enumeration runs a level-synchronous
-    BFS on the orbit of a coweight whose stabilizer is exactly W_I (tracked
-    by its integer tuple of pairings against the simple roots), so the group
-    is never listed.  Only up-steps are taken (``_up_steps``), so no level
+    BFS (``_climb``) on the orbit of a coweight whose stabilizer is exactly
+    W_I (tracked by its integer tuple of pairings against the simple roots),
+    so the group is never listed.  Only up-steps are taken, so no level
     reaches an earlier one.  Level k holds exactly the representatives of
-    length k, each with no right descent in I, sorted by their orbit point.
+    length k, each with no right descent in I, built as s_l times the
+    parent link's element and sorted by their orbit point.
     """
     datum = root_datum(lie_type)
     nodeset = frozenset(nodes)
@@ -211,18 +215,15 @@ def min_coset_reps(lie_type: LieType, nodes) -> list[list[WeylElem]]:
     if bad:
         raise ValueError(f"not finite node labels: {sorted(bad)}")
     simple = tuple(_reflection(datum, k) for k in _simple_index(datum))
-    base = tuple(0 if (i + 1) in nodeset else 1 for i in range(datum.rank))
-    frontier: list[tuple[Vec, WeylElem]] = [(base, identity(datum))]
+    labels = range(datum.rank)
+    base = tuple(0 if (i + 1) in nodeset else 1 for i in labels)
+    frontier = {base: identity(datum)}
     levels: list[list[WeylElem]] = []
     while frontier:
-        frontier.sort(key=lambda pw: pw[0])
-        levels.append([w for _, w in frontier])
-        nxt: dict[Vec, WeylElem] = {}
-        for point, w in frontier:
-            for i, moved in _up_steps(point, datum.cartan):
-                if moved not in nxt:
-                    nxt[moved] = simple[i] * w
-        frontier = list(nxt.items())
+        levels.append([frontier[point] for point in sorted(frontier)])
+        up: dict[Vec, tuple] = {}
+        _climb(datum.cartan, frontier, labels, up)
+        frontier = {point: simple[label] * frontier[parent] for point, (parent, label) in up.items()}
     return levels
 
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 from collections import Counter
+from operator import mul
 
 import pytest
 
@@ -402,6 +403,18 @@ def eager_minreps(d, level, k):
     return tuple(out)
 
 
+def lam_up_step(t, label, lam):
+    """lam of s x, for minimal x = t_lam w and s at label, if s x is minimal and one longer; else None.
+
+    The up-step rule on lam itself, by the pairing a = <lam, alpha_l> (<lam, theta>
+    for l = 0): a > 0 lowers lam[l-1] by a, and a <= 0 at 0 adds (1 - a) theta^v.
+    """
+    a = sum(map(mul, lam, t.row[label]))
+    if label:
+        return lam[: label - 1] + (lam[label - 1] - a,) + lam[label:] if a > 0 else None
+    return tuple(c + (1 - a) * h for c, h in zip(lam, t.datum.highest_coroot)) if a <= 0 else None
+
+
 def eager_enumerate_oracle(label, max_len):
     """enumerate_minreps' levels by the walk that carries w^-1 along the first path to each lam."""
     d = datum(label)
@@ -413,7 +426,7 @@ def eager_enumerate_oracle(label, max_len):
         nxt = {}
         for lam, winv in level.items():
             for l in labels:
-                new = affine._up_step(t, l, lam)
+                new = lam_up_step(t, l, lam)
                 if new is not None and new not in nxt:
                     nxt[new] = t.shift[l](winv)
         level = nxt
@@ -430,7 +443,7 @@ def eager_interval_oracle(x):
         levels.append({})
         for level, up in zip(levels, levels[1:]):
             for lam, winv in level.items():
-                new = affine._up_step(t, l, lam)
+                new = lam_up_step(t, l, lam)
                 if new is not None and new not in up:
                     up[new] = t.shift[l](winv)
     return [v for k, level in enumerate(levels) for v in eager_minreps(d, level, k)]

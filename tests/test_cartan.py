@@ -149,6 +149,20 @@ def test_pairing_bilinear():
     assert pairing(c2, s, alpha) == pairing(c2, lam, alpha) + pairing(c2, mu, alpha)
 
 
+def double_loop_pairing(datum, lam, alpha):
+    """<lam, alpha> = sum_ij lam[i] A[i][j] alpha[j], straight off the Cartan matrix."""
+    n, a = datum.rank, datum.cartan
+    return sum(lam[i] * a[i][j] * alpha[j] for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("lt", all_canonical_types(8), ids=str)
+def test_pairing_matches_double_loop_oracle(lt):
+    datum = root_datum(lt)
+    for cor in datum.pos_coroots:
+        for alpha in datum.pos_roots:
+            assert pairing(datum, cor, alpha) == double_loop_pairing(datum, cor, alpha)
+
+
 def test_pairing_rank_mismatch():
     a2 = root_datum(parse_type("A2"))
     with pytest.raises(ValueError, match="rank mismatch"):

@@ -4,7 +4,7 @@ import types
 
 import pytest
 
-from affschub import cli, cohomology, weyl
+from affschub import affine, cli, cohomology, weyl
 from affschub.cartan import RootDatum, parse_type, root_datum
 from affschub.classify import all_canonical_types, type_report
 from affschub.cohomology import (
@@ -259,7 +259,7 @@ def test_long_root_level_fault_exits_4(capsys, monkeypatch):
 
 def test_type_report_forms_no_chevalley_product(monkeypatch):
     # the classification path reads the long roots off the root datum: no group element, no walk
-    calls = {"chevalley": 0, "mul": 0, "word": 0, "elem": 0, "reflection": 0, "up_steps": 0}
+    calls = {"chevalley": 0, "mul": 0, "word": 0, "elem": 0, "reflection": 0, "climb": 0}
 
     def count(key, fn):
         def counted(*args, **kwargs):
@@ -273,7 +273,8 @@ def test_type_report_forms_no_chevalley_product(monkeypatch):
     monkeypatch.setattr(weyl.WeylElem, "word", count("word", weyl.WeylElem.word))
     monkeypatch.setattr(weyl.WeylElem, "__init__", count("elem", weyl.WeylElem.__init__))
     monkeypatch.setattr(weyl, "_reflection", count("reflection", weyl._reflection))
-    monkeypatch.setattr(weyl, "_up_steps", count("up_steps", weyl._up_steps))
+    monkeypatch.setattr(weyl, "_climb", count("climb", weyl._climb))
+    monkeypatch.setattr(affine, "_climb", count("climb", weyl._climb))
     types = all_canonical_types(10)
     for lt in types:
         type_report(lt)
@@ -281,7 +282,7 @@ def test_type_report_forms_no_chevalley_product(monkeypatch):
     for lt in types:
         assert cli.main(["chevalley", str(lt), "--json"]) == 0
         assert cli.main(["report", str(lt)]) == 0
-    assert calls == {"chevalley": 0, "mul": 0, "word": 0, "elem": 0, "reflection": 0, "up_steps": 0}
+    assert calls == {"chevalley": 0, "mul": 0, "word": 0, "elem": 0, "reflection": 0, "climb": 0}
 
 
 CHAIN_TYPES = ["A1", "C2", "C3", "C4", "G2"]
