@@ -15,7 +15,6 @@ from .cartan import (
     coroot_of,
     diagram_automorphisms,
     exponents,
-    fundamental_coweight,
     minuscule_nodes,
     pairing,
     parse_type,

@@ -52,11 +52,11 @@ has r = (1, ..., 1), and every walk to it is checked to end there.  As
 l is the numbers-game move r[m] -= r[l] * A[l][m] over the nonzero entries
 of row l of the affine Cartan matrix A: the diagonal and the neighbours of
 l in the affine diagram, at most 5 updates in any type (Bjorner-Brenti,
-GTM 231, 4.3).  A letter costs a scan of at most rank + 1 signs for the
-smallest negative entry and those updates; the start costs rank + 1
-pairings and rank + 1 perm.index scans, once per walk.  The tests and the
-moves agree with product-and-length on BFS balls of A1 through F4
-(tests/test_affine.py).
+GTM 231, 4.3); reduced_word is the walk down of weyl._descend.  A letter
+costs a scan of at most rank + 1 signs for the smallest negative entry and
+those updates; the start costs rank + 1 pairings and rank + 1 perm.index
+scans, once per walk.  The tests and the moves agree with
+product-and-length on BFS balls of A1 through F4 (tests/test_affine.py).
 
 from_word builds t_lam w by right steps: x s_l = t_lam (w s_l) for l >= 1
 is a shift of w's permutation, and x s_0 = t_{lam + w(theta^v)} (w s_theta),
@@ -84,9 +84,10 @@ level BFS reaches them all, and the level number is the length.  The walk
 keeps no lam and no group element: each level maps a point to the (parent
 point, label) of the first up-step that reached it.  level_sizes() reads
 the walk alone.  The elements are built on the first read of by_length,
-replaying each link from the parent's lam and w^-1: lam - parent[l]
-alpha_l^v, and w^-1 s (every path ends at the same element); w^-1 is
-inverted once per representative, and each level is sorted by lam.
+replaying each link as the left step s_l x from the parent's lam and w:
+lam - parent[l] alpha_l^v, and s w with s the finite part of s_l (every
+path ends at the same element), so no inverse is formed; each level is
+sorted by lam.
 
 Lower intervals: if l(s y) > l(y), then [e, s y] = [e, y] u s[e, y] (the
 subword property; Bjorner-Brenti, GTM 231, Thm 2.2.2).  The coset minimum u
@@ -113,7 +114,8 @@ from operator import add, itemgetter, mul, sub
 
 from .cartan import LieType, RootDatum, Vec, root_datum
 from .errors import BoundExceededError, ParseError
-from .weyl import WeylElem, _climb, _simple_index, identity, min_coset_reps, simple_reflection, reflection
+from .weyl import WeylElem, _climb, _descend, _simple_index, _sparse_rows, identity, min_coset_reps
+from .weyl import reflection, simple_reflection
 
 def default_enum_bound(datum: RootDatum) -> int:
     """Default length ceiling for enumerations (min-rep levels, intervals)."""
@@ -270,11 +272,6 @@ class _Descents:
         up = tuple(map(sum, self.datum.pos_roots))
         return up + tuple(-h for h in up)
 
-    @functools.cached_property
-    def cartan(self) -> tuple:
-        """Row l of the affine Cartan matrix as the pairs (m, <alpha_l^v, alpha_m>) with a nonzero entry."""
-        return tuple(tuple((m, e) for m, e in enumerate(row) if e) for row in self.datum.affine_cartan)
-
 
 @functools.cache
 def _descents(datum: RootDatum) -> _Descents:
@@ -309,27 +306,17 @@ def reduced_word(x: AffineElem, *, bound: int = WORD_BOUND) -> list[int]:
     """Greedy left-descent stripping; the word multiplies left-to-right to x.
 
     Each letter is the smallest label with a left descent, read off the
-    alcove vector (module docstring).  Words longer than ``bound`` letters
-    raise BoundExceededError before any work.
+    alcove vector (module docstring) by the descent ``weyl._descend``, l(x)
+    moves.  Words longer than ``bound`` letters raise BoundExceededError
+    before any work.
     """
     n = x.length()
     if n > bound:
         raise BoundExceededError("reduced word length", n, bound, "bound")
-    d = _descents(x.datum)
-    cartan = d.cartan
-    r = _alcove(d, x)
-    labels = range(len(r))
-    word: list[int] = []
-    for _ in range(n):
-        for label in labels:
-            if r[label] < 0:
-                break
-        else:
-            raise ArithmeticError(f"no left descent found for the alcove vector {r}")
-        word.append(label)
-        a = r[label]
-        for m, e in cartan[label]:
-            r[m] -= a * e
+    r = _alcove(_descents(x.datum), x)
+    word = _descend(r, _sparse_rows(x.datum.affine_cartan), n)
+    if len(word) < n:
+        raise ArithmeticError(f"no left descent found for the alcove vector {r}")
     _check_identity(r)
     return word
 
@@ -469,27 +456,28 @@ def enumerate_minreps(lie_type: LieType, max_len: int, *, bound: int | None = No
 def _materialize(datum: RootDatum, levels: list[dict]) -> tuple[tuple[AffineElem, ...], ...]:
     """The representatives t_lam w of each walk level, sorted by lam.
 
-    A link (parent, l) moves the parent's lam to lam - parent[l] alpha_l^v,
-    where alpha_0^v = -theta^v, and its w^-1 to w^-1 s (``_Descents.shift``);
-    w^-1 is inverted once per representative.
+    A link (parent, l) is the left step s_l x: it moves the parent's lam to
+    lam - parent[l] alpha_l^v, where alpha_0^v = -theta^v, and its w to s w,
+    with s the finite part of the generator at l (s_theta when l = 0).
     """
-    shift, theta_cor = _descents(datum).shift, datum.highest_coroot
+    steps = [generator(datum, l).fin.perm for l in range(datum.rank + 1)]
+    theta_cor = datum.highest_coroot
     state = {point: ((0,) * datum.rank, identity(datum).perm) for point in levels[0]}
     out = []
     for k, level in enumerate(levels):
         if k:
             up = {}
             for point, (parent, label) in level.items():
-                (lam, winv), c = state[parent], parent[label]
+                (lam, perm), c = state[parent], parent[label]
                 if label:
                     lam = lam[: label - 1] + (lam[label - 1] - c,) + lam[label:]
                 else:
                     lam = tuple([a + c * t for a, t in zip(lam, theta_cor)])
-                up[point] = lam, shift[label](winv)
+                up[point] = lam, itemgetter(*perm)(steps[label])
             state = up
         reps = []
-        for lam, winv in sorted(state.values()):
-            x = AffineElem(datum, lam, WeylElem(datum, winv).inverse())
+        for lam, perm in sorted(state.values()):
+            x = AffineElem(datum, lam, WeylElem(datum, perm))
             x._len = k
             reps.append(x)
         out.append(tuple(reps))
@@ -507,10 +495,9 @@ def bruhat_leq(v: AffineElem, w: AffineElem, *, bound: int = ELEMENT_BOUND) -> b
         raise ValueError("type mismatch")
     if w.length() > bound:
         raise BoundExceededError("Bruhat comparison length", w.length(), bound, "bound")
-    d = _descents(w.datum)
-    cartan = d.cartan
+    rows = _sparse_rows(w.datum.affine_cartan)
     lv = v.length()
-    r = _alcove(d, v)
+    r = _alcove(_descents(w.datum), v)
     for lw, label in zip(range(w.length(), 0, -1), reduced_word(w, bound=bound)):
         if lv > lw:
             return False
@@ -518,7 +505,7 @@ def bruhat_leq(v: AffineElem, w: AffineElem, *, bound: int = ELEMENT_BOUND) -> b
             break
         a = r[label]
         if a < 0:
-            for m, e in cartan[label]:
+            for m, e in rows[label]:
                 r[m] -= a * e
             lv -= 1
     if lv:

@@ -17,9 +17,9 @@ Conventions, fixed here once and relied on by every other module:
   coroots are the unit vectors); sorted by (height, lex), the highest root
   is last.  ``RootDatum.index`` numbers every root: ``k`` for
   ``pos_roots[k]`` and ``k + N`` for its negative.
-* No floats anywhere.  The inverse Cartan matrix is kept as an integer
-  adjugate and determinant (fraction-free elimination); coweights become
-  Fractions only in :func:`fundamental_coweight`'s returned coordinates.
+* No floats and no rationals anywhere, and no matrix is inverted: whether
+  a coweight is a coroot is read off the alcove descent of the numbers game
+  (``classify.bott_nodes``).
 * A finite node is minuscule (special) iff its coefficient in the highest
   root is 1.
 
@@ -344,57 +344,6 @@ def minuscule_nodes(lie_type: LieType) -> frozenset[int]:
     """
     theta = root_datum(lie_type).highest_root
     return frozenset(j + 1 for j, c in enumerate(theta) if c == 1)
-
-
-@functools.lru_cache(maxsize=None)
-def _cartan_inverse(lie_type: LieType) -> tuple[Matrix, int]:
-    """The inverse Cartan matrix as (adjugate, determinant), both in integers.
-
-    Fraction-free (Bareiss) Gauss-Jordan elimination keeps every entry an
-    integer: each step replaces a row entry by the 2x2 determinant
-    ``(piv*x - f*y)`` divided exactly by the previous pivot (Sylvester's
-    identity; Bareiss, Math. Comp. 22, 1968).  No row swaps
-    are needed, because every leading principal minor of a finite-type
-    Cartan matrix is positive.  The left block ends as ``det * I`` and the
-    right block as the adjugate, so nothing is divided by the determinant
-    here.  A remainder in a step raises ArithmeticError (a zero pivot raises
-    ZeroDivisionError, one too).
-    """
-    a = root_datum(lie_type).cartan
-    n = len(a)
-    m = [list(a[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    prev = 1
-    for k in range(n):
-        pivot_row = m[k]
-        piv = pivot_row[k]
-        for i in range(n):
-            if i == k:
-                continue
-            f = m[i][k]
-            row = []
-            for x, y in zip(m[i], pivot_row):
-                q, r = divmod(piv * x - f * y, prev)
-                if r:
-                    raise ArithmeticError(f"inexact Bareiss division by {prev} for {lie_type}")
-                row.append(q)
-            m[i] = row
-        prev = piv
-    return tuple(tuple(row[n:]) for row in m), prev
-
-
-def fundamental_coweight(lie_type: LieType, label: int) -> tuple[Fraction, ...]:
-    """Coroot-basis coordinates of the coweight dual to a finite node.
-
-    The result x satisfies <x, alpha_j> = 1 at node ``label`` and 0 at every
-    other finite node; it lies in the coroot lattice iff all coordinates are
-    integers.  This is the one place the engine builds a Fraction.
-    """
-    from fractions import Fraction
-    datum = root_datum(lie_type)
-    if not 1 <= label <= datum.rank:
-        raise ValueError(f"node label {label} is not a finite node of {lie_type}")
-    adj, det = _cartan_inverse(lie_type)
-    return tuple(Fraction(x, det) for x in adj[label - 1])
 
 
 def convention_hash(lie_type: LieType) -> str:

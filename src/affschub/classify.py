@@ -5,14 +5,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .cartan import (
-    LieType,
-    _cartan_inverse,
-    minuscule_nodes,
-    parse_type,
-    root_datum,
-)
+from .cartan import LieType, RootDatum, minuscule_nodes, parse_type, root_datum
 from .cohomology import chain_coeffs, levi_nodes, pd_status
+from .weyl import _descend, _sparse_rows
 
 # Largest dimension of a smooth Schubert variety in the three exceptional
 # types with no minuscule node; cited constants, not recomputed here.
@@ -23,16 +18,41 @@ def bott_nodes(lie_type: LieType) -> frozenset[int]:
     """Finite nodes with a long simple root whose dual coweight is a coroot.
 
     Each such node provides a smooth Levi-orbit generating variety via the
-    classical commutator construction.  The coweight is row ``label`` of the
-    inverse Cartan matrix, so it is a coroot iff that row of the integer
-    adjugate is divisible by the determinant.
+    classical commutator construction.  The closed alcove is a fundamental
+    domain of the affine Weyl group, the coroot lattice times W, and its
+    coweight points are 0 and the minuscule omega_j^v, theta_j = 1
+    (Bourbaki, Lie Groups, ch. VI, sec. 2).  So omega_i^v is a coroot exactly when
+    the alcove descent (``_coweight_vertex``) carries it to the origin.
     """
     datum = root_datum(lie_type)
-    adj, det = _cartan_inverse(lie_type)
     return frozenset(
         label
         for label in range(1, datum.rank + 1)
-        if datum.is_long(label) and all(c % det == 0 for c in adj[label - 1])
+        if datum.is_long(label) and _coweight_vertex(datum, label) == 0
+    )
+
+
+def _coweight_vertex(datum: RootDatum, label: int) -> int:
+    """The vertex of the closed alcove that omega_label^v descends to: 0 for the origin, j for omega_j^v.
+
+    The coweight's pairings with the affine simple roots at level 1 are
+    r = (1 - theta_label, e_label).  Each move of the numbers game
+    ``weyl._descend`` on the affine Cartan rows reflects the point in an
+    alcove wall it lies strictly beyond, and so crosses one of the hyperplanes
+    <x, beta> = k, 0 < k < beta_label, that part it from the alcove: fewer
+    than the step limit sum_{beta > 0} beta_label = <omega_label^v, 2 rho>.
+    The walk must end at (1, 0, ..., 0) or at (0, e_j) with theta_j = 1; any
+    other end raises ArithmeticError, also under ``python -O``.
+    """
+    theta = datum.highest_root
+    r = [1 - theta[label - 1]] + [int(m == label) for m in range(1, datum.rank + 1)]
+    _descend(r, _sparse_rows(datum.affine_cartan), sum(beta[label - 1] for beta in datum.pos_roots))
+    if sorted(r) == [0] * datum.rank + [1]:
+        vertex = r.index(1)
+        if vertex == 0 or theta[vertex - 1] == 1:
+            return vertex
+    raise ArithmeticError(
+        f"the alcove descent of the coweight at node {label} of {datum.lie_type} ended at {r}, not a vertex"
     )
 
 

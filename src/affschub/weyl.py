@@ -13,18 +13,25 @@ A reflection's permutation is built from the formula, once per root and
 datum on first use: ``s_beta(gamma) = gamma - <beta^v, gamma> beta``, where
 ``<beta^v, gamma>`` is beta's coroot paired with gamma's pairing row, the
 image is looked up in ``RootDatum.index``, and a negative root follows its
-positive one by +-N (Humphreys, GTM 9, 9.1).  A reduced word is
-read by the numbers game on the heights h[i] = ht(w alpha_i) (Bjorner-Brenti,
-GTM 231, 4.3), stripping the right descent (h[i] < 0) at the smallest node
-label each time, so the word is canonical and no product is formed.
+positive one by +-N (Humphreys, GTM 9, 9.1).
 
-Quotients W^I are walked by up-steps only (``_climb``), on the orbit of a
-point x whose stabiliser is exactly W_I, tracked by its pairings p with the
-simple roots.  For w minimal in w W_I, p_i(w x) > 0 exactly when s_i w is
-minimal and one longer; it is 0 when s_i w stays in w W_I, and < 0 when
-s_i w < w.  The point is a coweight (p[j] = <x, alpha_j>), so the step s_i
-moves p[j] -= p[i] * A[i][j], along row i of the Cartan matrix.  On the
-affine Cartan matrix with I = {1..rank} the same walk is W_aff/W (affine).
+The engine has two numbers-game walks on a Cartan matrix (Bjorner-Brenti,
+GTM 231, 4.3), one up and one down, both here; a vector p holds a point's
+pairings with the simple roots, and the move at label l is
+p[j] -= p[l] * A[l][j], along row l of the matrix.
+
+* ``_descend`` walks down: each move is at the smallest l with p[l] < 0,
+  for at most a given number of moves.  A reduced word is read this way on
+  the heights h[i] = ht(w alpha_i), stripping the right descent at the
+  smallest node label each time, so the word is canonical and no product is
+  formed.  On the affine Cartan matrix the same walk gives the affine
+  reduced words (affine) and carries a coweight into the closed alcove
+  (classify).
+* ``_climb`` walks up, level by level, on the orbit of a point x whose
+  stabiliser is exactly W_I: this is the quotient W^I.  For w minimal in
+  w W_I, p_i(w x) > 0 exactly when s_i w is minimal and one longer; it is 0
+  when s_i w stays in w W_I, and < 0 when s_i w < w.  On the affine Cartan
+  matrix with I = {1..rank} the same walk is W_aff/W (affine).
 
 The grading variable q counts complex cell dimension: q^k stands for
 topological degree 2k.
@@ -130,7 +137,8 @@ class WeylElem:
         """Canonical reduced word (node labels), by smallest-descent stripping.
 
         As (w s_i)(alpha_m) = w(alpha_m) - A[i][m] w(alpha_i), stripping i moves
-        h[m] -= A[i][m] * h[i]; the walk must end at the identity's (1, ..., 1).
+        h[m] -= A[i][m] * h[i] (``_descend``, l(w) moves); the walk must end at
+        the identity's (1, ..., 1).
         """
         datum = self.datum
         big = len(datum.pos_roots)
@@ -138,14 +146,10 @@ class WeylElem:
         for k in _simple_index(datum):
             negative, j = divmod(self.perm[k], big)
             h.append(-sum(datum.pos_roots[j]) if negative else sum(datum.pos_roots[j]))
-        labels: list[int] = []
-        while (i := next((m for m, x in enumerate(h) if x < 0), None)) is not None:
-            labels.append(i + 1)
-            hi = h[i]
-            h = [x - c * hi for x, c in zip(h, datum.cartan[i])]
+        labels = _descend(h, _sparse_rows(datum.cartan), self.length())
         if any(x != 1 for x in h):
             raise ArithmeticError(f"descent stripping of {self.perm} ended at heights {h}, not the identity")
-        return tuple(reversed(labels))
+        return tuple(i + 1 for i in reversed(labels))
 
 
 @functools.cache
@@ -185,6 +189,34 @@ def simple_reflection(datum: RootDatum, label: int) -> WeylElem:
 def reflection(datum: RootDatum, alpha: Vec) -> WeylElem:
     """The reflection in an arbitrary positive root alpha."""
     return _reflection(datum, datum.root_index(alpha))
+
+
+@functools.cache
+def _sparse_rows(cartan: Matrix) -> tuple:
+    """Row l of a Cartan matrix as the pairs (m, cartan[l][m]) with a nonzero entry."""
+    return tuple(tuple((m, e) for m, e in enumerate(row) if e) for row in cartan)
+
+
+def _descend(r: list[int], rows, limit: int) -> list[int]:
+    """Make at most limit moves on r, each at the smallest l with r[l] < 0, and return the labels l.
+
+    The move at l is r[m] -= r[l] * A[l][m] over the pairs (m, A[l][m]) of
+    rows[l] (``_sparse_rows``).  It stops early when no entry is negative; r is
+    changed in place, and the caller checks where it ended.
+    """
+    labels = []
+    indices = range(len(r))
+    for _ in range(limit):
+        for l in indices:
+            if r[l] < 0:
+                break
+        else:
+            break
+        labels.append(l)
+        a = r[l]
+        for m, e in rows[l]:
+            r[m] -= a * e
+    return labels
 
 
 def _climb(cartan: Matrix, level, labels, up: dict) -> None:

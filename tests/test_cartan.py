@@ -10,20 +10,21 @@ from fractions import Fraction
 import pytest
 
 import affschub
+from affschub import classify, cli, weyl
 from affschub.cartan import (
     _positive_roots,
     _symmetrizers,
     LieType,
+    RootDatum,
     coroot_of,
     diagram_automorphisms,
     exponents,
-    fundamental_coweight,
     minuscule_nodes,
     pairing,
     parse_type,
     root_datum,
 )
-from affschub.classify import all_canonical_types, bott_nodes
+from affschub.classify import _coweight_vertex, all_canonical_types, bott_nodes
 from affschub.errors import ParseError
 
 # Frozen classical tables: the independent oracle the height-partition
@@ -233,14 +234,24 @@ def _fraction_inverse(a):
     return [tuple(row[n:]) for row in aug]
 
 
-@pytest.mark.parametrize("label", TYPES_RANK10 + ["A12"])
+TYPES_RANK14 = [str(t) for t in all_canonical_types(14)]
+
+
+@pytest.mark.parametrize("label", TYPES_RANK14)
 def test_fundamental_coweight_matches_fraction_oracle(label):
-    lt = parse_type(label)
-    expected = _fraction_inverse(root_datum(lt).cartan)
-    for s in range(1, lt.rank + 1):
-        cw = fundamental_coweight(lt, s)
-        assert cw == expected[s - 1]
-        assert all(type(c) is Fraction for c in cw)
+    # every node, long and short: the alcove descent of omega_s^v ends at the
+    # origin exactly when its row of the Fraction inverse is integral, and
+    # otherwise at a minuscule vertex omega_j^v, whose row differs from it by
+    # an integral vector (the same coset of the coroot lattice)
+    datum = root_datum(parse_type(label))
+    inverse = _fraction_inverse(datum.cartan)
+    for s in range(1, datum.rank + 1):
+        vertex = _coweight_vertex(datum, s)
+        integral = all(c.denominator == 1 for c in inverse[s - 1])
+        assert (vertex == 0) == integral
+        if vertex:
+            assert datum.highest_root[vertex - 1] == 1
+            assert all((a - b).denominator == 1 for a, b in zip(inverse[s - 1], inverse[vertex - 1]))
 
 
 def _fraction_symmetrizers(a):
@@ -272,7 +283,7 @@ def test_symmetrizers_match_fraction_oracle(label):
     assert all(d[i] * a[i][j] == d[j] * a[j][i] for i in range(n) for j in range(n))
 
 
-@pytest.mark.parametrize("label", TYPES_RANK10)
+@pytest.mark.parametrize("label", TYPES_RANK14)
 def test_bott_nodes_match_fraction_oracle(label):
     # a long node whose coweight, a row of the Fraction inverse, is integral
     lt = parse_type(label)
@@ -284,6 +295,36 @@ def test_bott_nodes_match_fraction_oracle(label):
         if d[s - 1] == max(d) and all(c.denominator == 1 for c in inverse[s - 1])
     }
     assert bott_nodes(lt) == expected
+
+
+def _short_limit_datum(label):
+    """The root datum of a type with its positive roots cut to the simple roots,
+    so that each coweight descent gets a step limit of 1."""
+    real = root_datum(parse_type(label))
+    fields = {f: getattr(real, f) for f in RootDatum._FIELDS}
+    return RootDatum(**{**fields, "pos_roots": real.pos_roots[: real.rank]})
+
+
+def test_coweight_descent_fault_raises(monkeypatch):
+    # an entry still negative at the step limit: omega_1^v of E8 is (-1, 1, 0, ..., 0)
+    # and its one move leaves -1 at node 8, the affine neighbour
+    with pytest.raises(ArithmeticError, match=r"node 1 of E8 ended at \[1, 1, 0, 0, 0, 0, 0, 0, -1\], not a vertex"):
+        _coweight_vertex(_short_limit_datum("E8"), 1)
+    # with the move's sign flipped, each move at node 0 triples its negative entry
+    flipped = lambda a: tuple(tuple((m, -e) for m, e in row) for row in weyl._sparse_rows(a))
+    monkeypatch.setattr(classify, "_sparse_rows", flipped)
+    with pytest.raises(ArithmeticError, match="node 1 of G2 ended at"):
+        _coweight_vertex(root_datum(parse_type("G2")), 1)
+
+
+def test_coweight_descent_fault_exits_4(capsys, monkeypatch):
+    fake = _short_limit_datum("E8")
+    monkeypatch.setattr(classify, "root_datum", lambda lt: fake)
+    assert cli.main(["report", "E8"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: the alcove descent of the coweight at node 1 of E8 ended at" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_automorphisms_are_a_group():
@@ -311,25 +352,26 @@ def test_automorphism_counts():
 
 
 def test_fundamental_coweights():
-    assert fundamental_coweight(parse_type("A1"), 1) == (Fraction(1, 2),)
+    assert _fraction_inverse(root_datum(parse_type("A1")).cartan) == [(Fraction(1, 2),)]
     g2 = parse_type("G2")
     datum = root_datum(g2)
     (long_neighbor,) = datum.affine_neighbors()
     assert datum.is_long(long_neighbor)
-    cw = fundamental_coweight(g2, long_neighbor)
+    cw = _fraction_inverse(datum.cartan)[long_neighbor - 1]
     assert cw == tuple(Fraction(c) for c in datum.highest_coroot)
-    for s in range(1, 9):
-        assert all(
-            c.denominator == 1 for c in fundamental_coweight(parse_type("E8"), s)
-        )
+    e8 = root_datum(parse_type("E8"))
+    for s, cw in enumerate(_fraction_inverse(e8.cartan), 1):
+        assert all(c.denominator == 1 for c in cw)
+        assert _coweight_vertex(e8, s) == 0
 
 
 def test_fundamental_coweight_defining_property():
     for label in ["A3", "B3", "G2", "F4"]:
         lt = parse_type(label)
         datum = root_datum(lt)
+        inverse = _fraction_inverse(datum.cartan)
         for s in range(1, datum.rank + 1):
-            cw = fundamental_coweight(lt, s)
+            cw = inverse[s - 1]
             for j in range(1, datum.rank + 1):
                 val = sum(
                     cw[i] * datum.cartan[i][j - 1] for i in range(datum.rank)
@@ -360,7 +402,7 @@ def test_unique_affine_neighbor_outside_type_a(label):
     if label[0] not in "AC":
         # outside A and C the neighbor is long and its coweight is the highest coroot
         assert datum.is_long(t)
-        cw = fundamental_coweight(datum.lie_type, t)
+        cw = _fraction_inverse(datum.cartan)[t - 1]
         assert cw == tuple(Fraction(c) for c in datum.highest_coroot)
 
 
