@@ -3,7 +3,7 @@
 The package computes, for every simple Lie type: root data and affine Dynkin
 diagrams, finite and affine Weyl group element algebra, minimal coset
 representatives and their Bruhat order, the star product on affine Schubert
-classes with its segment factorization, divisor-class cohomology of the Levi
+classes with its segment factorization, the cells and cup ladder of the Levi
 orbit quotients, and the resulting chain / duality / smooth-generator
 classifications.  All arithmetic is exact.
 """
@@ -12,25 +12,20 @@ from .cartan import (
     LieType,
     RootDatum,
     convention_hash,
-    coroot_of,
-    diagram_automorphisms,
     exponents,
     minuscule_nodes,
-    pairing,
     parse_type,
     root_datum,
 )
-from .weyl import GradedPoly, WeylElem, min_coset_reps, quotient_poincare, weyl_order
+from .weyl import GradedPoly, WeylElem, min_coset_reps, weyl_order
 from .affine import (
     AffineElem,
     MinRepLevels,
-    antidominant_equivalences,
     bruhat_leq,
     enumerate_minreps,
     format_element,
     is_antidominant,
     is_min_rep,
-    length_bfs_oracle,
     min_rep,
     parse_element,
     reduced_word,
@@ -39,7 +34,6 @@ from .affine import (
 )
 from .schubert import (
     SchubertClass,
-    check_generator_powers,
     generator_class,
     schubert_poincare,
     segment_factorize,
@@ -48,15 +42,7 @@ from .schubert import (
     star_refactor_check,
     star_refolds,
 )
-from .cohomology import (
-    PDStatus,
-    c1_class,
-    chain_coeffs,
-    chevalley_divisor_mult,
-    levi_nodes,
-    pd_status,
-    thom_pd_status,
-)
+from .cohomology import PDStatus, chain_coeffs, levi_nodes, pd_status
 from .classify import TypeReport, bott_nodes, classify_all, type_report
 from .errors import BoundExceededError, ParseError
 

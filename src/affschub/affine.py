@@ -16,7 +16,8 @@ which is the count with mu = w^{-1}(lam) paired against beta, rewritten by
 <w^{-1} lam, beta> = <lam, w beta> so that no inverse is formed: lam is
 paired once with every positive root, and each w(beta) = +-gamma is read off
 the root permutation of w.  Its correctness is pinned empirically against
-the independent Cayley-graph BFS oracle, not by citation.
+the independent Cayley-graph BFS oracle (verify.length_bfs_oracle), not by
+citation.
 
 Descents are tested in closed form, in O(rank), from the signs of affine
 roots.  The translation acts by t_lam(beta + k delta) = beta + (k - <lam,
@@ -109,12 +110,11 @@ truncating); closed-formula operations get a much larger default.
 from __future__ import annotations
 
 import functools
-from collections import namedtuple
 from operator import add, itemgetter, mul, sub
 
 from .cartan import LieType, RootDatum, Vec, root_datum
 from .errors import BoundExceededError, ParseError
-from .weyl import WeylElem, _climb, _descend, _simple_index, _sparse_rows, identity, min_coset_reps
+from .weyl import WeylElem, _climb, _descend, _simple_index, _sparse_rows, identity
 from .weyl import reflection, simple_reflection
 
 def default_enum_bound(datum: RootDatum) -> int:
@@ -128,9 +128,6 @@ def check_enum_bound(datum: RootDatum, what: str, n: int, bound: int | None) -> 
     if n > limit:
         raise BoundExceededError(what, n, limit, "bound")
 
-
-# default ceiling for closed-formula recursions (Bruhat tests, star powers)
-ELEMENT_BOUND = 64
 
 # default ceiling, in letters, for emitting a canonical reduced word
 WORD_BOUND = 100_000
@@ -215,10 +212,6 @@ def generator(datum: RootDatum, label: int) -> AffineElem:
     if label == 0:
         return AffineElem(datum, datum.highest_coroot, reflection(datum, datum.highest_root))
     return embed_finite(simple_reflection(datum, label))
-
-
-def all_generators(datum: RootDatum) -> list[AffineElem]:
-    return [generator(datum, label) for label in range(datum.rank + 1)]
 
 
 def seed_translation(datum: RootDatum) -> AffineElem:
@@ -365,30 +358,6 @@ def min_rep(x: AffineElem) -> AffineElem:
     return x if perm is x.fin.perm else AffineElem(x.datum, x.trans, WeylElem(x.datum, perm))
 
 
-def length_bfs_oracle(lie_type: LieType, up_to: int = 10, *, hard_cap: int = 24) -> dict[AffineElem, int]:
-    """Cayley-graph distance from the identity, by exhaustive level BFS.
-
-    Independent of the closed length formula on purpose: this is the oracle
-    the formula is checked against.
-    """
-    if up_to > hard_cap:
-        raise BoundExceededError("BFS depth", up_to, hard_cap, "hard_cap")
-    datum = root_datum(lie_type)
-    gens = all_generators(datum)
-    dist: dict[AffineElem, int] = {affine_identity(datum): 0}
-    frontier = [affine_identity(datum)]
-    for level in range(1, up_to + 1):
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in dist:
-                    dist[y] = level
-                    nxt.append(y)
-        frontier = nxt
-    return dist
-
-
 class MinRepLevels:
     """Shortest coset representatives of the affine group mod W, by length.
 
@@ -484,7 +453,7 @@ def _materialize(datum: RootDatum, levels: list[dict]) -> tuple[tuple[AffineElem
     return tuple(out)
 
 
-def bruhat_leq(v: AffineElem, w: AffineElem, *, bound: int = ELEMENT_BOUND) -> bool:
+def bruhat_leq(v: AffineElem, w: AffineElem, *, bound: int = WORD_BOUND) -> bool:
     """Bruhat order test via the subword property along a reduced word of w.
 
     Walks the canonical reduced word of w one letter at a time (the standard
@@ -529,40 +498,6 @@ def _interval_levels(x: AffineElem) -> list[dict]:
 def lower_interval(x: AffineElem) -> list[AffineElem]:
     """The minimal representatives below x in Bruhat order, sorted by (length, lam)."""
     return [v for level in _materialize(x.datum, _interval_levels(x)) for v in level]
-
-
-class AntidominanceReport(
-    namedtuple("AntidominanceReport", "min_rep_of_coset orbit_maximal chamber")
-):
-    """The three equivalent characterizations of antidominance, evaluated:
-    t_lam is the shortest element of its coset, its coset Bruhat-dominates
-    the whole W-orbit, and lam pairs <= 0 with every simple root."""
-
-    __slots__ = ()
-
-    def all_agree(self) -> bool:
-        return self.min_rep_of_coset == self.orbit_maximal == self.chamber
-
-
-def antidominant_equivalences(
-    datum: RootDatum, lam: Vec, *, coord_bound: int = 4
-) -> AntidominanceReport:
-    """Evaluate all three antidominance conditions independently (desk scale)."""
-    if any(abs(c) > coord_bound for c in lam):
-        raise BoundExceededError(
-            "translation coordinate", max(abs(c) for c in lam), coord_bound, "coord_bound"
-        )
-    t = translation(datum, lam)
-    a = is_min_rep(t)
-    top = min_rep(t)
-    bound = max(top.length(), ELEMENT_BOUND)
-    b = all(
-        bruhat_leq(min_rep(embed_finite(v) * t), top, bound=bound)
-        for level in min_coset_reps(datum.lie_type, ())
-        for v in level
-    )
-    c = is_antidominant(datum, lam)
-    return AntidominanceReport(a, b, c)
 
 
 # ---------------------------------------------------------------------------

@@ -247,22 +247,6 @@ def pairing_row(cartan: Matrix, alpha: Vec) -> Vec:
     return tuple(sum(map(mul, r, alpha)) for r in cartan)
 
 
-def pairing(datum: RootDatum, lam: tuple, alpha: tuple) -> int:
-    """<lam, alpha> for lam in coroot coordinates and alpha in root coordinates."""
-    n = datum.rank
-    if len(lam) != n or len(alpha) != n:
-        raise ValueError(f"rank mismatch: expected vectors of length {n}")
-    return sum(map(mul, lam, pairing_row(datum.cartan, alpha)))
-
-
-def coroot_of(datum: RootDatum, alpha: Vec) -> Vec:
-    """Coroot coordinates of alpha^v, read from ``pos_coroots`` (negated for a negative root)."""
-    if not datum.is_root(alpha):
-        raise ValueError(f"{alpha} is not a root of {datum.lie_type}")
-    negative, k = divmod(datum.index[alpha], len(datum.pos_roots))
-    return tuple(-c for c in datum.pos_coroots[k]) if negative else datum.pos_coroots[k]
-
-
 def _exponents(pos_roots: tuple[Vec, ...], rank: int) -> Vec:
     """Exponents as the conjugate of the height partition of the positive roots:
     the k-th counts the heights held by at least k roots."""
@@ -300,47 +284,13 @@ def exponents(lie_type: LieType) -> Vec:
     return root_datum(lie_type).exponents
 
 
-def diagram_automorphisms(lie_type: LieType) -> tuple[tuple[int, ...], ...]:
-    """All permutations of the affine diagram preserving the labeled edges.
-
-    A permutation p of the node labels 0..rank is an automorphism iff the
-    affine Cartan matrix satisfies A~[p(i)][p(j)] = A~[i][j] for all i, j;
-    found by exhaustive backtracking.
-    """
-    aff = root_datum(lie_type).affine_cartan
-    m = len(aff)
-    found: list[tuple[int, ...]] = []
-    image: list[int] = []
-    used = [False] * m
-
-    def extend(k: int) -> None:
-        if k == m:
-            found.append(tuple(image))
-            return
-        for cand in range(m):
-            if used[cand]:
-                continue
-            if all(
-                aff[cand][image[j]] == aff[k][j] and aff[image[j]][cand] == aff[j][k]
-                for j in range(k)
-            ):
-                used[cand] = True
-                image.append(cand)
-                extend(k + 1)
-                image.pop()
-                used[cand] = False
-
-    extend(0)
-    return tuple(sorted(found))
-
-
 def minuscule_nodes(lie_type: LieType) -> frozenset[int]:
     """Finite nodes whose coefficient in the highest root theta is 1.
 
     These are the special nodes: the finite nodes in the orbit of node 0
     under the automorphisms of the affine diagram (Bourbaki, ch. VI,
-    planches).  :func:`diagram_automorphisms` computes that orbit directly
-    and serves as the oracle for this rule in the tests.
+    planches).  The tests check this rule against that orbit, found by
+    backtracking over the affine Cartan matrix.
     """
     theta = root_datum(lie_type).highest_root
     return frozenset(j + 1 for j, c in enumerate(theta) if c == 1)

@@ -1,9 +1,4 @@
-"""Schubert-basis cohomology of parabolic quotients via divisor multiplication.
-
-Everything here lives on quotients of the finite group: classes are integer
-combinations of minimal-representative basis elements, graded by length.
-Only multiplication by a divisor class is implemented; that is all the chain
-and Thom-space computations need.
+"""Schubert-basis cohomology of the Levi orbit quotient: its cells and its cup ladder.
 
 The first Chern class of the normal bundle of the Levi orbit at the bottom
 translation has weight +theta (the highest root); the sign is pinned by the
@@ -14,20 +9,17 @@ renormalized away.
 The Levi quotient's cell counts and chain ladder are computed together,
 once per type (``_levi_ladder``, interned like ``root_datum``), so a
 classification row, ``chain_coeffs`` and ``levi_poincare`` share one read
-of the long roots by coroot height: no walk, no group element.  The
-Chevalley-product half (``chevalley_divisor_mult``, ``c1_class``,
-``CohomClass``) has no production caller: public API and the ladder's oracle.
+of the long roots by coroot height: no walk, no group element.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from collections import namedtuple
 from operator import mul
 
-from .cartan import LieType, RootDatum, Vec, pairing_row, root_datum
-from .weyl import GradedPoly, WeylElem, identity, reflection
+from .cartan import LieType, RootDatum, Vec, root_datum
+from .weyl import GradedPoly
 
 
 class PDStatus(enum.Enum):
@@ -38,64 +30,6 @@ class PDStatus(enum.Enum):
     INTEGRAL = "integral"
 
 
-class CohomClass(namedtuple("CohomClass", "lie_type nodes coeffs")):
-    """Integer vector over the Schubert basis of one parabolic quotient:
-    ``nodes`` is the parabolic subset I, ``coeffs`` sorted zero-free pairs."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def from_dict(lie_type: LieType, nodes, data: dict[WeylElem, int]) -> "CohomClass":
-        items = tuple(
-            sorted(
-                ((w, c) for w, c in data.items() if c != 0),
-                key=lambda wc: (wc[0].length(), wc[0].word()),
-            )
-        )
-        return CohomClass(lie_type, frozenset(nodes), items)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def support_lengths(self) -> set[int]:
-        return {w.length() for w, _ in self.coeffs}
-
-
-def _in_quotient(w: WeylElem, nodes: frozenset[int]) -> bool:
-    return not any(w.has_right_descent(label) for label in nodes)
-
-
-def chevalley_divisor_mult(
-    lie_type: LieType, nodes, mu: Vec, w: WeylElem
-) -> CohomClass:
-    """Product of the weight-mu divisor class with the basis class at w.
-
-    For each positive root beta with w*s_beta still a minimal representative
-    one step longer, the summand is <beta^v, mu> times that basis class.
-    A root that w sends negative is skipped before any product is formed:
-    then l(w s_beta) < l(w).
-    """
-    datum = root_datum(lie_type)
-    nodeset = frozenset(nodes)
-    if not _in_quotient(w, nodeset):
-        raise ValueError("w is not a minimal representative of the chosen quotient")
-    if len(mu) != datum.rank:
-        raise ValueError("rank mismatch")
-    big, row = len(datum.pos_roots), pairing_row(datum.cartan, mu)
-    target = w.length() + 1
-    out: dict[WeylElem, int] = {}
-    for k, beta in enumerate(datum.pos_roots):
-        if w.perm[k] >= big:
-            continue
-        ws = w * reflection(datum, beta)
-        if ws.length() != target or not _in_quotient(ws, nodeset):
-            continue
-        coeff = sum(map(mul, datum.pos_coroots[k], row))
-        if coeff:
-            out[ws] = out.get(ws, 0) + coeff
-    return CohomClass.from_dict(lie_type, nodeset, out)
-
-
 def levi_nodes(lie_type: LieType) -> frozenset[int]:
     """Finite nodes not adjacent to node 0 in the affine diagram.
 
@@ -104,13 +38,6 @@ def levi_nodes(lie_type: LieType) -> frozenset[int]:
     """
     datum = root_datum(lie_type)
     return frozenset(range(1, datum.rank + 1)) - datum.affine_neighbors()
-
-
-def c1_class(lie_type: LieType) -> CohomClass:
-    """First Chern class of the orbit's normal line bundle: degree 1, weight +theta."""
-    datum = root_datum(lie_type)
-    nodes = levi_nodes(lie_type)
-    return chevalley_divisor_mult(lie_type, nodes, datum.highest_root, identity(datum))
 
 
 def _long_root_levels(datum: RootDatum) -> list[list[Vec]]:
@@ -188,11 +115,6 @@ def pd_status(lie_type: LieType, coeffs: tuple[int, ...] | None) -> PDStatus:
     raise ArithmeticError(
         f"chain quotient of {lie_type} has a vanishing cup coefficient: {coeffs}"
     )
-
-
-def thom_pd_status(lie_type: LieType) -> PDStatus:
-    """Classify the compactified orbit closure by its duality behavior."""
-    return pd_status(lie_type, chain_coeffs(lie_type))
 
 
 def levi_poincare(lie_type: LieType) -> GradedPoly:

@@ -6,7 +6,7 @@ is again a basis class when the product of indices is length-additive and
 stays a minimal representative, and zero otherwise: if the length-additive
 product leaves the representative set, the pushforward target has strictly
 smaller dimension, which kills the class.  The two conditions are not
-equivalent; see star_reading_discrepancies.
+equivalent; see verify.star_reading_discrepancies.
 """
 
 from __future__ import annotations
@@ -15,16 +15,13 @@ import functools
 from collections import namedtuple
 
 from .cartan import LieType, Vec, root_datum
-from .errors import BoundExceededError
 from .weyl import GradedPoly
 from .affine import (
     AffineElem,
-    ELEMENT_BOUND,
     _interval_levels,
     affine_identity,
     bruhat_leq,
     check_enum_bound,
-    enumerate_minreps,
     is_min_rep,
     lower_interval,
     min_rep,
@@ -170,7 +167,7 @@ def _star_decompose(
 ) -> tuple[SchubertClass, SchubertClass]:
     """star_decompose for t = t_lam, given the classes under t in the order it tries them."""
     top = min_rep(sigma * t)
-    if not bruhat_leq(omega, top, bound=max(top.length(), ELEMENT_BOUND)):
+    if not bruhat_leq(omega, top):
         raise ValueError("omega is not below the product class")
     for nu in candidates:
         if nu.length() > omega.length():
@@ -180,7 +177,7 @@ def _star_decompose(
             continue
         if not is_min_rep(tau):
             continue
-        if bruhat_leq(tau, sigma, bound=max(sigma.length(), ELEMENT_BOUND)):
+        if bruhat_leq(tau, sigma):
             return SchubertClass(tau), SchubertClass(nu)
     raise ArithmeticError(f"no star decomposition found for {omega!r}")  # pragma: no cover
 
@@ -190,69 +187,3 @@ def schubert_poincare(cls: SchubertClass, *, bound: int | None = None) -> Graded
     w = cls.elem
     check_enum_bound(w.datum, "Poincare polynomial length", w.length(), bound)
     return GradedPoly.from_coeffs(map(len, _interval_levels(w)))
-
-
-class PowerStep(
-    namedtuple(
-        "PowerStep", "n nonzero index_is_expected_translation length expected_length"
-    )
-):
-    """One step of the generating-variety power check; ``length`` is None
-    when the n-th power is zero."""
-
-    __slots__ = ()
-
-
-def check_generator_powers(lie_type: LieType, n_max: int, *, bound: int = ELEMENT_BOUND) -> list[PowerStep]:
-    """Star powers of the generating class against translations by -n*theta^v.
-
-    The n-th power must be the class at t_{-n theta^v} with length n times
-    the base length (dimension additivity of the generating variety).
-    """
-    datum = root_datum(lie_type)
-    base = generator_class(lie_type)
-    if n_max * base.dim() > bound:
-        raise BoundExceededError(
-            "power check length", n_max * base.dim(), bound, "bound"
-        )
-    steps = []
-    acc: SchubertClass | None = identity_class(lie_type)
-    for n in range(1, n_max + 1):
-        acc = star(acc, base) if acc is not None else None
-        expected = translation(
-            datum, tuple(-n * c for c in datum.highest_coroot)
-        )
-        steps.append(
-            PowerStep(
-                n=n,
-                nonzero=acc is not None,
-                index_is_expected_translation=acc is not None and acc.elem == expected,
-                length=acc.dim() if acc is not None else None,
-                expected_length=n * base.dim(),
-            )
-        )
-    return steps
-
-
-def star_reading_discrepancies(
-    lie_type: LieType, max_len: int, *, bound: int | None = None
-) -> list[tuple[AffineElem, AffineElem]]:
-    """Pairs where the two readings of 'reduced product' disagree.
-
-    Returns (tau, nu) with both indices representatives, the product
-    length-additive, but the product not a representative: under the
-    length-only reading the star product would be a class, under the
-    implemented reading it is zero.  Kept visible so the choice of reading is
-    auditable rather than silent.
-    """
-    levels = enumerate_minreps(lie_type, max_len, bound=bound)
-    elems = list(levels.flat())
-    out = []
-    for tau in elems:
-        for nu in elems:
-            if tau.length() + nu.length() > max_len:
-                continue
-            p = tau * nu
-            if p.length() == tau.length() + nu.length() and not is_min_rep(p):
-                out.append((tau, nu))
-    return out

@@ -3,7 +3,9 @@
 Each suite re-checks a family of invariants at desk scale and returns one
 CheckResult per property.  Where an independent oracle exists (Cayley-graph
 BFS for lengths, power-series expansion for level sizes, exhaustive subword
-search for Bruhat order) the suite runs both routes and compares.
+search for Bruhat order) the suite runs both routes and compares.  The
+oracles and checks that only these suites run are kept here, out of the
+engine's modules.
 """
 
 from __future__ import annotations
@@ -12,15 +14,20 @@ import itertools
 import random
 from collections import namedtuple
 
-from .cartan import LieType, root_datum
+from .cartan import LieType, RootDatum, Vec, root_datum
 from .cohomology import levi_nodes
+from .errors import BoundExceededError
 from .weyl import min_coset_reps
 from . import affine
 from .affine import (
+    AffineElem,
+    affine_identity,
+    bruhat_leq,
+    embed_finite,
     enumerate_minreps,
     format_element,
     is_antidominant,
-    length_bfs_oracle,
+    is_min_rep,
     min_rep,
     reduced_word,
     translation,
@@ -28,7 +35,8 @@ from .affine import (
 from . import schubert
 from .schubert import (
     SchubertClass,
-    check_generator_powers,
+    generator_class,
+    identity_class,
     segment_factorizations,
     star,
     star_refolds,
@@ -48,6 +56,9 @@ STAR_TRIPLE_CAP = 4000
 CANONICAL_N_MAX = 3
 DECOMPOSE_SIGMA_LEN = 3
 
+# the deepest Cayley-graph BFS that length_bfs_oracle runs
+BFS_HARD_CAP = 24
+
 
 class CheckResult(namedtuple("CheckResult", "name passed detail")):
     """One checked property: its name, whether it held, and a one-line detail."""
@@ -62,6 +73,124 @@ def _series_coeffs(exps, through: int) -> list[int]:
         for k in range(e, through + 1):
             coeffs[k] += coeffs[k - e]
     return coeffs
+
+
+def all_generators(datum: RootDatum) -> list[AffineElem]:
+    return [affine.generator(datum, label) for label in range(datum.rank + 1)]
+
+
+def length_bfs_oracle(lie_type: LieType, up_to: int) -> dict[AffineElem, int]:
+    """Cayley-graph distance from the identity, by exhaustive level BFS.
+
+    Independent of the closed length formula on purpose: this is the oracle
+    the formula is checked against.  A depth past BFS_HARD_CAP raises
+    BoundExceededError.
+    """
+    if up_to > BFS_HARD_CAP:
+        raise BoundExceededError("BFS depth", up_to, BFS_HARD_CAP, "BFS_HARD_CAP")
+    datum = root_datum(lie_type)
+    gens = all_generators(datum)
+    dist: dict[AffineElem, int] = {affine_identity(datum): 0}
+    frontier = [affine_identity(datum)]
+    for level in range(1, up_to + 1):
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = x * g
+                if y not in dist:
+                    dist[y] = level
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
+class AntidominanceReport(
+    namedtuple("AntidominanceReport", "min_rep_of_coset orbit_maximal chamber")
+):
+    """The three equivalent characterizations of antidominance, evaluated:
+    t_lam is the shortest element of its coset, its coset Bruhat-dominates
+    the whole W-orbit, and lam pairs <= 0 with every simple root."""
+
+    __slots__ = ()
+
+    def all_agree(self) -> bool:
+        return self.min_rep_of_coset == self.orbit_maximal == self.chamber
+
+
+def antidominant_equivalences(datum: RootDatum, lam: Vec) -> AntidominanceReport:
+    """Evaluate all three antidominance conditions independently.
+
+    The orbit condition walks all of W, so a coordinate past
+    ANTIDOMINANT_COORD_BOUND raises BoundExceededError.
+    """
+    if any(abs(c) > ANTIDOMINANT_COORD_BOUND for c in lam):
+        biggest = max(abs(c) for c in lam)
+        raise BoundExceededError("translation coordinate", biggest, ANTIDOMINANT_COORD_BOUND, "ANTIDOMINANT_COORD_BOUND")
+    t = translation(datum, lam)
+    top = min_rep(t)
+    orbit_maximal = all(
+        bruhat_leq(min_rep(embed_finite(v) * t), top)
+        for level in min_coset_reps(datum.lie_type, ())
+        for v in level
+    )
+    return AntidominanceReport(is_min_rep(t), orbit_maximal, is_antidominant(datum, lam))
+
+
+class PowerStep(
+    namedtuple(
+        "PowerStep", "n nonzero index_is_expected_translation length expected_length"
+    )
+):
+    """One step of the generating-variety power check; ``length`` is None
+    when the n-th power is zero."""
+
+    __slots__ = ()
+
+
+def check_generator_powers(lie_type: LieType, n_max: int) -> list[PowerStep]:
+    """Star powers of the generating class against translations by -n*theta^v.
+
+    The n-th power must be the class at t_{-n theta^v} with length n times
+    the base length (dimension additivity of the generating variety).
+    """
+    datum = root_datum(lie_type)
+    base = generator_class(lie_type)
+    steps = []
+    acc: SchubertClass | None = identity_class(lie_type)
+    for n in range(1, n_max + 1):
+        acc = star(acc, base) if acc is not None else None
+        expected = translation(datum, tuple(-n * c for c in datum.highest_coroot))
+        steps.append(
+            PowerStep(
+                n=n,
+                nonzero=acc is not None,
+                index_is_expected_translation=acc is not None and acc.elem == expected,
+                length=acc.dim() if acc is not None else None,
+                expected_length=n * base.dim(),
+            )
+        )
+    return steps
+
+
+def star_reading_discrepancies(lie_type: LieType, max_len: int) -> list[tuple[AffineElem, AffineElem]]:
+    """Pairs where the two readings of 'reduced product' disagree.
+
+    Returns (tau, nu) with both indices representatives, the product
+    length-additive, but the product not a representative: under the
+    length-only reading the star product would be a class, under the
+    implemented reading it is zero.  Kept visible so the choice of reading is
+    auditable rather than silent.
+    """
+    elems = list(enumerate_minreps(lie_type, max_len).flat())
+    out = []
+    for tau in elems:
+        for nu in elems:
+            if tau.length() + nu.length() > max_len:
+                continue
+            p = tau * nu
+            if p.length() == tau.length() + nu.length() and not is_min_rep(p):
+                out.append((tau, nu))
+    return out
 
 
 def suite_lengths(lie_type: LieType, *, seed: int = 0) -> list[CheckResult]:
@@ -101,7 +230,7 @@ def suite_antidominant(lie_type: LieType) -> list[CheckResult]:
     total = 0
     for lam in boxes:
         total += 1
-        report = affine.antidominant_equivalences(datum, lam, coord_bound=coord_bound)
+        report = antidominant_equivalences(datum, lam)
         if not report.all_agree():
             disagreements.append(lam)
     return [
@@ -189,7 +318,7 @@ def suite_segments(lie_type: LieType) -> list[CheckResult]:
     # min_rep(v s_0) depends only on the coset v W_J, J the Levi nodes (the stabiliser of theta);
     # it lies in t_{v theta^v} W != W, so none is the identity
     orbit = {
-        min_rep(affine.embed_finite(v) * s0)
+        min_rep(embed_finite(v) * s0)
         for level in min_coset_reps(lie_type, levi_nodes(lie_type))
         for v in level
     }
@@ -320,7 +449,7 @@ def suite_star(lie_type: LieType, *, seed: int = 0) -> list[CheckResult]:
             f"{format_element(witness[0].elem)}, {format_element(witness[1].elem)}"
         )
     results.append(CheckResult("star-noncommutative-witness", witness is not None, detail))
-    disc = schubert.star_reading_discrepancies(lie_type, STAR_READING_MAX_LEN)
+    disc = star_reading_discrepancies(lie_type, STAR_READING_MAX_LEN)
     sample = ", ".join(
         f"({format_element(t)})*({format_element(n)})" for t, n in disc[:2]
     )

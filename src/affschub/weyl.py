@@ -296,11 +296,6 @@ class GradedPoly(namedtuple("GradedPoly", "coeffs")):
         return " + ".join(parts)
 
 
-def quotient_poincare(lie_type: LieType, nodes) -> GradedPoly:
-    """Poincare polynomial of W^I: coefficient of q^k counts length-k reps."""
-    return GradedPoly.from_coeffs(len(level) for level in min_coset_reps(lie_type, nodes))
-
-
 def weyl_order(lie_type: LieType) -> int:
     """|W| = prod(e_i + 1) over the exponents e_i, whose e_i + 1 are the degrees of W."""
     return math.prod(e + 1 for e in root_datum(lie_type).exponents)

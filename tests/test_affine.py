@@ -8,12 +8,10 @@ from operator import mul
 import pytest
 
 from affschub import affine, weyl
-from affschub.cartan import pairing, parse_type, root_datum
+from affschub.cartan import parse_type, root_datum
 from affschub.errors import BoundExceededError, ParseError
 from affschub.affine import (
     affine_identity,
-    all_generators,
-    antidominant_equivalences,
     bruhat_leq,
     embed_finite,
     enumerate_minreps,
@@ -22,14 +20,15 @@ from affschub.affine import (
     generator,
     is_antidominant,
     is_min_rep,
-    length_bfs_oracle,
     min_rep,
     parse_element,
     reduced_word,
     seed_translation,
     translation,
 )
+from affschub.verify import all_generators, antidominant_equivalences, length_bfs_oracle
 from affschub.weyl import WeylElem, identity, min_coset_reps
+from oracles import double_loop_pairing
 
 
 def datum(label):
@@ -137,7 +136,7 @@ def test_bfs_level_sizes_match_growth_series(label):
 
 
 def test_bfs_bound():
-    with pytest.raises(BoundExceededError, match="hard_cap"):
+    with pytest.raises(BoundExceededError, match="BFS_HARD_CAP"):
         length_bfs_oracle(parse_type("A1"), 99)
 
 
@@ -365,7 +364,7 @@ def coset_bfs_oracle(d, max_len):
 
 def closed_minrep_length(d, lam):
     """sum |<lam, gamma>| - #{gamma > 0 : <lam, gamma> > 0} over the positive roots."""
-    pairs = [pairing(d, lam, gamma) for gamma in d.pos_roots]
+    pairs = [double_loop_pairing(d, lam, gamma) for gamma in d.pos_roots]
     return sum(abs(p) for p in pairs) - sum(1 for p in pairs if p > 0)
 
 
@@ -518,7 +517,7 @@ def test_antidominant_equivalences_examples():
 
 
 def test_antidominant_equivalences_coord_bound():
-    with pytest.raises(BoundExceededError, match="coord_bound"):
+    with pytest.raises(BoundExceededError, match="ANTIDOMINANT_COORD_BOUND"):
         antidominant_equivalences(datum("A1"), (9,))
 
 
@@ -585,6 +584,17 @@ def test_bruhat_bound():
     big = translation(d, (-40,))
     with pytest.raises(BoundExceededError):
         bruhat_leq(affine_identity(d), big, bound=10)
+
+
+def test_bruhat_default_bound_is_the_word_bound():
+    # the test walks one reduced word of w, so it is bounded as a word is
+    d = datum("A1")
+    big = translation(d, (-40,))
+    assert big.length() == 80
+    assert bruhat_leq(affine_identity(d), big)
+    assert not bruhat_leq(big, affine_identity(d))
+    with pytest.raises(BoundExceededError, match=f"limit {affine.WORD_BOUND}"):
+        bruhat_leq(affine_identity(d), translation(d, (-10**7,)))
 
 
 # --- length additivity -------------------------------------------------------

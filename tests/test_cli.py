@@ -191,6 +191,14 @@ def test_verify_exit_codes(capsys):
     assert code == 2
 
 
+# the types through rank 10 whose third generator power is longer than 64
+@pytest.mark.parametrize("label", ["E6", "E7", "E8", "B7", "B8", "B9", "B10", "D7", "D8", "D9", "D10"])
+def test_verify_canonical_passes_past_element_bound(capsys, label):
+    code, out, err = run(capsys, "verify", label, "--suite", "canonical", "--json")
+    assert code == 0, err
+    assert json.loads(out)["payload"]["passed"] is True
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "A1", "--suite", "series", "--json")
     assert code == 0

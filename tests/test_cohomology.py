@@ -1,4 +1,4 @@
-"""Divisor-class Chevalley multiplication and the Thom duality classification."""
+"""The Levi quotient's cup ladder against the Chevalley rule, and the Thom duality classification."""
 
 import types
 
@@ -7,26 +7,33 @@ import pytest
 from affschub import affine, cli, cohomology, weyl
 from affschub.cartan import RootDatum, parse_type, root_datum
 from affschub.classify import all_canonical_types, type_report
-from affschub.cohomology import (
-    PDStatus,
-    c1_class,
-    chain_coeffs,
-    chevalley_divisor_mult,
-    levi_nodes,
-    levi_poincare,
-    thom_pd_status,
-)
-from affschub.weyl import min_coset_reps, reflection, simple_reflection
+from affschub.cohomology import PDStatus, chain_coeffs, levi_nodes, levi_poincare, pd_status
+from affschub.weyl import identity, min_coset_reps, reflection, simple_reflection
 
 
 def datum(label):
     return root_datum(parse_type(label))
 
 
-def test_zero_weight_gives_zero_class():
-    lt = parse_type("G2")
-    base = min_coset_reps(lt, levi_nodes(lt))[0][0]
-    assert chevalley_divisor_mult(lt, levi_nodes(lt), (0, 0), base).is_zero()
+def _unfiltered_chevalley(lt, nodes, mu, w):
+    """Every positive root tried, pairing through the Cartan matrix: the oracle."""
+    d = root_datum(lt)
+    n = d.rank
+    out = {}
+    for beta, cor in zip(d.pos_roots, d.pos_coroots):
+        ws = w * reflection(d, beta)
+        if ws.length() != w.length() + 1 or any(ws.has_right_descent(lbl) for lbl in nodes):
+            continue
+        coeff = sum(cor[i] * d.cartan[i][j] * mu[j] for i in range(n) for j in range(n))
+        if coeff:
+            out[ws] = out.get(ws, 0) + coeff
+    return out
+
+
+def _c1_terms(label):
+    """c1 as the weight-theta divisor class times the identity's class, by the oracle."""
+    lt, d = parse_type(label), datum(label)
+    return _unfiltered_chevalley(lt, levi_nodes(lt), d.highest_root, identity(d))
 
 
 def test_g2_chain_coeffs():
@@ -35,8 +42,7 @@ def test_g2_chain_coeffs():
 
 def test_c2_twice_a_generator():
     lt = parse_type("C2")
-    c1 = c1_class(lt)
-    ((w, coeff),) = c1.coeffs
+    ((w, coeff),) = _c1_terms("C2").items()
     assert w == simple_reflection(datum("C2"), 1)
     assert coeff == 2
     assert chain_coeffs(lt) == (2, 2, 2)
@@ -55,9 +61,7 @@ def test_cn_chain_coeffs_all_two():
 def test_a2_c1_distributes_over_both_divisors():
     # the Levi quotient is the full flag variety; the highest root is the sum
     # of the simple roots, so c1 pairs (1, 1) against the two divisor classes
-    lt = parse_type("A2")
-    c1 = c1_class(lt)
-    coeffs = {w.word(): c for w, c in c1.coeffs}
+    coeffs = {w.word(): c for w, c in _c1_terms("A2").items()}
     assert coeffs == {(1,): 1, (2,): 1}
 
 
@@ -65,79 +69,25 @@ def test_a3_not_a_chain():
     assert chain_coeffs(parse_type("A3")) is None
 
 
-def test_c1_class_builds_no_quotient(monkeypatch):
-    lt = parse_type("E8")
-    nodes = levi_nodes(lt)
-    real = weyl.min_coset_reps
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(weyl, "min_coset_reps", counting)
-    c1 = c1_class(lt)
-    assert calls == []
-    # the base the class was built from before: the first element of the quotient
-    base = real(lt, nodes)[0][0]
-    assert c1 == chevalley_divisor_mult(lt, nodes, datum("E8").highest_root, base)
-    assert c1.coeffs == ((simple_reflection(datum("E8"), 8), 1),)
-
-
 def test_g2_c1_is_first_chain_class():
-    lt = parse_type("G2")
-    c1 = c1_class(lt)
-    ((w, coeff),) = c1.coeffs
-    assert coeff == 1 and w.length() == 1
+    ((w, coeff),) = _c1_terms("G2").items()
+    assert coeff == 1 and w == simple_reflection(datum("G2"), 2)
+
+
+def test_e8_c1_is_the_last_node():
+    ((w, coeff),) = _c1_terms("E8").items()
+    assert coeff == 1 and w == simple_reflection(datum("E8"), 8)
 
 
 @pytest.mark.parametrize("label", ["A2", "C2", "G2", "B3"])
 def test_chevalley_raises_grading_by_one(label):
-    lt = parse_type(label)
-    nodes = levi_nodes(lt)
+    # the terms s_i y of c1 * y are the up-steps of the point of y(theta) (p[i] > 0), the
+    # ones the ladder reads: each lands one level up, and they reach every point there
     d = datum(label)
-    for level in min_coset_reps(lt, nodes)[:-1]:
-        for w in level:
-            prod = chevalley_divisor_mult(lt, nodes, d.highest_root, w)
-            if not prod.is_zero():
-                assert prod.support_lengths() == {w.length() + 1}
-                for ws, _ in prod.coeffs:
-                    assert not any(ws.has_right_descent(lbl) for lbl in nodes)
-
-
-def _unfiltered_chevalley(lt, nodes, mu, w):
-    """Every positive root tried, pairing through the Cartan matrix: the oracle."""
-    d = root_datum(lt)
-    n = d.rank
-    out = {}
-    for beta, cor in zip(d.pos_roots, d.pos_coroots):
-        ws = w * reflection(d, beta)
-        if ws.length() != w.length() + 1 or any(ws.has_right_descent(lbl) for lbl in nodes):
-            continue
-        coeff = sum(cor[i] * d.cartan[i][j] * mu[j] for i in range(n) for j in range(n))
-        if coeff:
-            out[ws] = out.get(ws, 0) + coeff
-    return out
-
-
-@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "G2", "F4"])
-def test_filtered_chevalley_matches_unfiltered_loop(label):
-    lt = parse_type(label)
-    nodes = levi_nodes(lt)
-    d = datum(label)
-    weights = [d.highest_root] + [tuple(int(i == j) for j in range(d.rank)) for i in range(d.rank)]
-    for level in min_coset_reps(lt, nodes):
-        for w in level:
-            for mu in weights:
-                prod = chevalley_divisor_mult(lt, nodes, mu, w)
-                assert dict(prod.coeffs) == _unfiltered_chevalley(lt, nodes, mu, w)
-
-
-def test_chevalley_rejects_non_representative():
-    lt = parse_type("G2")
-    w = simple_reflection(datum("G2"), 1)  # right descent inside the parabolic
-    with pytest.raises(ValueError, match="not a minimal representative"):
-        chevalley_divisor_mult(lt, levi_nodes(lt), (1, 0), w)
+    levels = cohomology._long_root_levels(d)
+    for below, above in zip(levels, levels[1:]):
+        ups = {tuple(x - c * row[i] for x, row in zip(p, d.cartan)) for p in below for i, c in enumerate(p) if c > 0}
+        assert ups == set(above)
 
 
 # every canonical type through rank 10, E8 among them
@@ -151,13 +101,13 @@ def test_ladder_matches_chevalley_oracle(label):
     assert levi_poincare(lt).coeffs == tuple(len(level) for level in levels)
     for below, above in zip(levels, levels[1:]):
         for w in below:
-            assert {ws for ws, _ in chevalley_divisor_mult(lt, nodes, theta, w).coeffs} <= set(above)
+            assert set(_unfiltered_chevalley(lt, nodes, theta, w)) <= set(above)
     if any(len(level) != 1 for level in levels):
         assert chain_coeffs(lt) is None
         return
     ladder = []
     for (y,), (y_next,) in zip(levels, levels[1:]):
-        ((w, coeff),) = chevalley_divisor_mult(lt, nodes, theta, y).coeffs
+        ((w, coeff),) = _unfiltered_chevalley(lt, nodes, theta, y).items()
         assert w == y_next
         ladder.append(coeff)
     assert chain_coeffs(lt) == tuple(ladder)
@@ -259,7 +209,7 @@ def test_long_root_level_fault_exits_4(capsys, monkeypatch):
 
 def test_type_report_forms_no_chevalley_product(monkeypatch):
     # the classification path reads the long roots off the root datum: no group element, no walk
-    calls = {"chevalley": 0, "mul": 0, "word": 0, "elem": 0, "reflection": 0, "climb": 0}
+    calls = {"mul": 0, "word": 0, "elem": 0, "reflection": 0, "climb": 0}
 
     def count(key, fn):
         def counted(*args, **kwargs):
@@ -268,7 +218,6 @@ def test_type_report_forms_no_chevalley_product(monkeypatch):
         return counted
 
     cohomology._levi_ladder.cache_clear()
-    monkeypatch.setattr(cohomology, "chevalley_divisor_mult", count("chevalley", cohomology.chevalley_divisor_mult))
     monkeypatch.setattr(weyl.WeylElem, "__mul__", count("mul", weyl.WeylElem.__mul__))
     monkeypatch.setattr(weyl.WeylElem, "word", count("word", weyl.WeylElem.word))
     monkeypatch.setattr(weyl.WeylElem, "__init__", count("elem", weyl.WeylElem.__init__))
@@ -282,7 +231,7 @@ def test_type_report_forms_no_chevalley_product(monkeypatch):
     for lt in types:
         assert cli.main(["chevalley", str(lt), "--json"]) == 0
         assert cli.main(["report", str(lt)]) == 0
-    assert calls == {"chevalley": 0, "mul": 0, "word": 0, "elem": 0, "reflection": 0, "climb": 0}
+    assert calls == {"mul": 0, "word": 0, "elem": 0, "reflection": 0, "climb": 0}
 
 
 CHAIN_TYPES = ["A1", "C2", "C3", "C4", "G2"]
@@ -291,17 +240,20 @@ NON_CHAIN = ["A2", "A3", "A4", "B3", "B4", "D4", "D5", "E6", "E7", "E8", "F4"]
 
 @pytest.mark.parametrize("label", CHAIN_TYPES)
 def test_rational_only(label):
-    assert thom_pd_status(parse_type(label)) == PDStatus.RATIONAL_ONLY
+    lt = parse_type(label)
+    assert pd_status(lt, chain_coeffs(lt)) == PDStatus.RATIONAL_ONLY
 
 
 @pytest.mark.parametrize("label", NON_CHAIN)
 def test_not_palindromic(label):
-    assert thom_pd_status(parse_type(label)) == PDStatus.NOT_PALINDROMIC
+    lt = parse_type(label)
+    assert pd_status(lt, chain_coeffs(lt)) == PDStatus.NOT_PALINDROMIC
 
 
 @pytest.mark.parametrize("label", CHAIN_TYPES + NON_CHAIN)
 def test_never_integral(label):
-    assert thom_pd_status(parse_type(label)) != PDStatus.INTEGRAL
+    lt = parse_type(label)
+    assert pd_status(lt, chain_coeffs(lt)) != PDStatus.INTEGRAL
 
 
 @pytest.mark.parametrize("label", CHAIN_TYPES)
@@ -326,5 +278,5 @@ def test_levi_poincare_is_chain_iff_status_palindromic():
     for label in CHAIN_TYPES + NON_CHAIN:
         lt = parse_type(label)
         assert levi_poincare(lt).is_chain() == (
-            thom_pd_status(lt) != PDStatus.NOT_PALINDROMIC
+            pd_status(lt, chain_coeffs(lt)) != PDStatus.NOT_PALINDROMIC
         )

@@ -24,7 +24,6 @@ from affschub.affine import (
 from affschub.cohomology import levi_nodes
 from affschub.schubert import (
     SchubertClass,
-    check_generator_powers,
     generator_class,
     identity_class,
     schubert_poincare,
@@ -34,10 +33,11 @@ from affschub.schubert import (
     star,
     star_decompose,
     star_fold,
-    star_reading_discrepancies,
     star_refactor_check,
 )
-from affschub.weyl import min_coset_reps, quotient_poincare
+from affschub.verify import check_generator_powers, star_reading_discrepancies
+from affschub.weyl import min_coset_reps
+from oracles import quotient_poincare
 
 
 def datum(label):
