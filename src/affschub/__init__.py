@@ -17,7 +17,7 @@ from .cartan import (
     parse_type,
     root_datum,
 )
-from .weyl import GradedPoly, WeylElem, min_coset_reps, weyl_order
+from .weyl import GradedPoly, WeylElem, weyl_order
 from .affine import (
     AffineElem,
     MinRepLevels,

@@ -13,17 +13,16 @@ from __future__ import annotations
 import itertools
 import random
 from collections import namedtuple
+from operator import mul
 
 from .cartan import LieType, RootDatum, Vec, root_datum
-from .cohomology import levi_nodes
 from .errors import BoundExceededError
-from .weyl import min_coset_reps
+from .weyl import _simple_index, weyl_order
 from . import affine
 from .affine import (
     AffineElem,
     affine_identity,
     bruhat_leq,
-    embed_finite,
     enumerate_minreps,
     format_element,
     is_antidominant,
@@ -59,6 +58,9 @@ DECOMPOSE_SIGMA_LEN = 3
 # the deepest Cayley-graph BFS that length_bfs_oracle runs
 BFS_HARD_CAP = 24
 
+# the most |W| * (box points) that suite_antidominant takes on; E6 is 8.1e8, A7 3.15e9
+ANTIDOMINANT_WORK_BOUND = 10**9
+
 
 class CheckResult(namedtuple("CheckResult", "name passed detail")):
     """One checked property: its name, whether it held, and a one-line detail."""
@@ -87,7 +89,7 @@ def length_bfs_oracle(lie_type: LieType, up_to: int) -> dict[AffineElem, int]:
     BoundExceededError.
     """
     if up_to > BFS_HARD_CAP:
-        raise BoundExceededError("BFS depth", up_to, BFS_HARD_CAP, "BFS_HARD_CAP")
+        raise BoundExceededError("BFS depth", up_to, BFS_HARD_CAP)
     datum = root_datum(lie_type)
     gens = all_generators(datum)
     dist: dict[AffineElem, int] = {affine_identity(datum): 0}
@@ -117,21 +119,39 @@ class AntidominanceReport(
         return self.min_rep_of_coset == self.orbit_maximal == self.chamber
 
 
+def coweight_orbit(datum: RootDatum, lam: Vec):
+    """The W-orbit of lam, in coroot coordinates, breadth first from lam, each point once.
+
+    The step s_i mu = mu - <mu, alpha_i> alpha_i^v changes coordinate i alone;
+    <mu, alpha_i> is read off alpha_i's pairing row, as in ``is_antidominant``.
+    """
+    rows = [datum.pairing_rows[k] for k in _simple_index(datum)]
+    queue = [lam]
+    seen = set(queue)
+    for mu in queue:  # the loop reaches the points appended below, in order
+        yield mu
+        for i, row in enumerate(rows):
+            if c := sum(map(mul, mu, row)):
+                nu = mu[:i] + (mu[i] - c,) + mu[i + 1:]
+                if nu not in seen:
+                    seen.add(nu)
+                    queue.append(nu)
+
+
 def antidominant_equivalences(datum: RootDatum, lam: Vec) -> AntidominanceReport:
     """Evaluate all three antidominance conditions independently.
 
-    The orbit condition walks all of W, so a coordinate past
+    The orbit condition walks W/W_lam: as v t_lam = t_{v lam} v, it reads the
+    cosets t_mu W for mu in the orbit W lam.  A coordinate past
     ANTIDOMINANT_COORD_BOUND raises BoundExceededError.
     """
     if any(abs(c) > ANTIDOMINANT_COORD_BOUND for c in lam):
         biggest = max(abs(c) for c in lam)
-        raise BoundExceededError("translation coordinate", biggest, ANTIDOMINANT_COORD_BOUND, "ANTIDOMINANT_COORD_BOUND")
+        raise BoundExceededError("translation coordinate", biggest, ANTIDOMINANT_COORD_BOUND)
     t = translation(datum, lam)
     top = min_rep(t)
     orbit_maximal = all(
-        bruhat_leq(min_rep(embed_finite(v) * t), top)
-        for level in min_coset_reps(datum.lie_type, ())
-        for v in level
+        bruhat_leq(min_rep(translation(datum, mu)), top) for mu in coweight_orbit(datum, lam)
     )
     return AntidominanceReport(is_min_rep(t), orbit_maximal, is_antidominant(datum, lam))
 
@@ -222,9 +242,16 @@ def suite_lengths(lie_type: LieType, *, seed: int = 0) -> list[CheckResult]:
 
 
 def suite_antidominant(lie_type: LieType) -> list[CheckResult]:
-    """The three antidominance characterizations agree on a coordinate box."""
+    """The three antidominance characterizations agree on a coordinate box.
+
+    A type whose |W| times the box size passes ANTIDOMINANT_WORK_BOUND raises
+    BoundExceededError before any point is checked.
+    """
     datum = root_datum(lie_type)
     coord_bound = ANTIDOMINANT_COORD_BOUND
+    work = weyl_order(lie_type) * (2 * coord_bound + 1) ** datum.rank
+    if work > ANTIDOMINANT_WORK_BOUND:
+        raise BoundExceededError("antidominant suite work", work, ANTIDOMINANT_WORK_BOUND)
     boxes = itertools.product(range(-coord_bound, coord_bound + 1), repeat=datum.rank)
     disagreements = []
     total = 0
@@ -314,14 +341,9 @@ def suite_segments(lie_type: LieType) -> list[CheckResult]:
     datum = root_datum(lie_type)
     # the segments are the classes under seed_t, its lower interval less the identity
     segs = schubert.segments(lie_type)
-    s0 = affine.generator(datum, 0)
-    # min_rep(v s_0) depends only on the coset v W_J, J the Levi nodes (the stabiliser of theta);
-    # it lies in t_{v theta^v} W != W, so none is the identity
-    orbit = {
-        min_rep(embed_finite(v) * s0)
-        for level in min_coset_reps(lie_type, levi_nodes(lie_type))
-        for v in level
-    }
+    # v s_0 = t_{v theta^v} v s_theta, so min_rep(v s_0) is that of t_mu for mu = v theta^v
+    # in the orbit of theta^v; as mu != 0, none is the identity
+    orbit = {min_rep(translation(datum, mu)) for mu in coweight_orbit(datum, datum.highest_coroot)}
     same = {s.elem for s in segs} == orbit
     results = [
         CheckResult(

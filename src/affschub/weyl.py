@@ -1,4 +1,4 @@
-"""Finite Weyl group elements, parabolic quotients W^I, and their cell counts.
+"""Finite Weyl group elements, the numbers-game walks, and graded cell counts.
 
 An element is stored as the permutation it induces on the root system, one
 uniform representation across every type.  Root index ``k < N`` stands for
@@ -30,8 +30,9 @@ p[j] -= p[l] * A[l][j], along row l of the matrix.
 * ``_climb`` walks up, level by level, on the orbit of a point x whose
   stabiliser is exactly W_I: this is the quotient W^I.  For w minimal in
   w W_I, p_i(w x) > 0 exactly when s_i w is minimal and one longer; it is 0
-  when s_i w stays in w W_I, and < 0 when s_i w < w.  On the affine Cartan
-  matrix with I = {1..rank} the same walk is W_aff/W (affine).
+  when s_i w stays in w W_I, and < 0 when s_i w < w.  The engine runs it on
+  the affine Cartan matrix with I = {1..rank}, where it is W_aff/W (affine);
+  the tests run it on the finite one as their oracle for W^I.
 
 The grading variable q counts complex cell dimension: q^k stands for
 topological degree 2k.
@@ -228,35 +229,6 @@ def _climb(cartan: Matrix, level, labels, up: dict) -> None:
                 new = tuple([x - c * r for x, r in zip(point, cartan[label])])
                 if new not in up:
                     up[new] = (point, label)
-
-
-def min_coset_reps(lie_type: LieType, nodes) -> list[list[WeylElem]]:
-    """Minimal-length representatives of W/W_I, graded by length.
-
-    I is a set of finite node labels.  Enumeration runs a level-synchronous
-    BFS (``_climb``) on the orbit of a coweight whose stabilizer is exactly
-    W_I (tracked by its integer tuple of pairings against the simple roots),
-    so the group is never listed.  Only up-steps are taken, so no level
-    reaches an earlier one.  Level k holds exactly the representatives of
-    length k, each with no right descent in I, built as s_l times the
-    parent link's element and sorted by their orbit point.
-    """
-    datum = root_datum(lie_type)
-    nodeset = frozenset(nodes)
-    bad = nodeset - set(range(1, datum.rank + 1))
-    if bad:
-        raise ValueError(f"not finite node labels: {sorted(bad)}")
-    simple = tuple(_reflection(datum, k) for k in _simple_index(datum))
-    labels = range(datum.rank)
-    base = tuple(0 if (i + 1) in nodeset else 1 for i in labels)
-    frontier = {base: identity(datum)}
-    levels: list[list[WeylElem]] = []
-    while frontier:
-        levels.append([frontier[point] for point in sorted(frontier)])
-        up: dict[Vec, tuple] = {}
-        _climb(datum.cartan, frontier, labels, up)
-        frontier = {point: simple[label] * frontier[parent] for point, (parent, label) in up.items()}
-    return levels
 
 
 class GradedPoly(namedtuple("GradedPoly", "coeffs")):

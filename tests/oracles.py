@@ -3,8 +3,8 @@
 None of these is on a path the ``affschub`` commands run.
 """
 
-from affschub.cartan import LieType, root_datum
-from affschub.weyl import GradedPoly, min_coset_reps
+from affschub.cartan import LieType, Vec, root_datum
+from affschub.weyl import GradedPoly, WeylElem, _climb, _reflection, _simple_index, identity
 
 
 def double_loop_pairing(datum, lam, alpha):
@@ -45,6 +45,35 @@ def diagram_automorphisms(lie_type: LieType) -> tuple[tuple[int, ...], ...]:
 
     extend(0)
     return tuple(sorted(found))
+
+
+def min_coset_reps(lie_type: LieType, nodes) -> list[list[WeylElem]]:
+    """Minimal-length representatives of W/W_I, graded by length.
+
+    I is a set of finite node labels.  Enumeration runs a level-synchronous
+    BFS (``_climb``) on the orbit of a coweight whose stabilizer is exactly
+    W_I (tracked by its integer tuple of pairings against the simple roots),
+    so the group is never listed.  Only up-steps are taken, so no level
+    reaches an earlier one.  Level k holds exactly the representatives of
+    length k, each with no right descent in I, built as s_l times the
+    parent link's element and sorted by their orbit point.
+    """
+    datum = root_datum(lie_type)
+    nodeset = frozenset(nodes)
+    bad = nodeset - set(range(1, datum.rank + 1))
+    if bad:
+        raise ValueError(f"not finite node labels: {sorted(bad)}")
+    simple = tuple(_reflection(datum, k) for k in _simple_index(datum))
+    labels = range(datum.rank)
+    base = tuple(0 if (i + 1) in nodeset else 1 for i in labels)
+    frontier = {base: identity(datum)}
+    levels: list[list[WeylElem]] = []
+    while frontier:
+        levels.append([frontier[point] for point in sorted(frontier)])
+        up: dict[Vec, tuple] = {}
+        _climb(datum.cartan, frontier, labels, up)
+        frontier = {point: simple[label] * frontier[parent] for point, (parent, label) in up.items()}
+    return levels
 
 
 def quotient_poincare(lie_type: LieType, nodes) -> GradedPoly:

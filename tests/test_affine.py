@@ -26,9 +26,9 @@ from affschub.affine import (
     seed_translation,
     translation,
 )
-from affschub.verify import all_generators, antidominant_equivalences, length_bfs_oracle
-from affschub.weyl import WeylElem, identity, min_coset_reps
-from oracles import double_loop_pairing
+from affschub.verify import all_generators, antidominant_equivalences, coweight_orbit, length_bfs_oracle
+from affschub.weyl import WeylElem, identity
+from oracles import double_loop_pairing, min_coset_reps
 
 
 def datum(label):
@@ -136,7 +136,7 @@ def test_bfs_level_sizes_match_growth_series(label):
 
 
 def test_bfs_bound():
-    with pytest.raises(BoundExceededError, match="BFS_HARD_CAP"):
+    with pytest.raises(BoundExceededError, match="BFS depth 99 exceeds the configured limit 24; the limit is fixed"):
         length_bfs_oracle(parse_type("A1"), 99)
 
 
@@ -517,8 +517,25 @@ def test_antidominant_equivalences_examples():
 
 
 def test_antidominant_equivalences_coord_bound():
-    with pytest.raises(BoundExceededError, match="ANTIDOMINANT_COORD_BOUND"):
+    with pytest.raises(BoundExceededError, match="translation coordinate 9 exceeds the configured limit 2; the limit is fixed"):
         antidominant_equivalences(datum("A1"), (9,))
+
+
+@pytest.mark.parametrize(
+    "label,sample",
+    [("A2", None), ("C2", None), ("G2", None), ("A3", None), ("B3", None), ("C3", None), ("D4", 40), ("F4", 40)],
+)
+def test_coweight_orbit_matches_group_action(label, sample):
+    """The orbit walk against the images of lam under every element of W, for lam in [-2,2]^rank."""
+    d = datum(label)
+    group = [w for level in min_coset_reps(d.lie_type, ()) for w in level]
+    box = list(itertools.product(range(-2, 3), repeat=d.rank))
+    if sample is not None:
+        box = random.Random(8103266).sample(box, sample)
+    for lam in box:
+        orbit = list(coweight_orbit(d, lam))
+        assert orbit[0] == lam and len(orbit) == len(set(orbit))
+        assert set(orbit) == {w.apply_coroot(lam) for w in group}
 
 
 # --- Bruhat order ------------------------------------------------------------

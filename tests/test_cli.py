@@ -382,3 +382,10 @@ def test_enumerate_formats_each_element_once(capsys, monkeypatch, extra, argv, f
     assert code == 0
     assert len(calls) == len(set(calls)) == formatted
     assert out.count("word:") == (formatted if extra else words)
+
+
+@pytest.mark.parametrize("label", ["E7", "E8"])
+def test_verify_antidominant_work_bound_stops_before_the_walk(capsys, label):
+    code, out, err = run(capsys, "verify", label, "--suite", "antidominant", "--json")
+    assert code == 3 and out == ""
+    assert "antidominant suite work" in err and "no flag of 'verify' raises it" in err

@@ -8,7 +8,8 @@ from affschub import affine, cli, cohomology, weyl
 from affschub.cartan import RootDatum, parse_type, root_datum
 from affschub.classify import all_canonical_types, type_report
 from affschub.cohomology import PDStatus, chain_coeffs, levi_nodes, levi_poincare, pd_status
-from affschub.weyl import identity, min_coset_reps, reflection, simple_reflection
+from affschub.weyl import identity, reflection, simple_reflection
+from oracles import min_coset_reps
 
 
 def datum(label):

@@ -36,8 +36,7 @@ from affschub.schubert import (
     star_refactor_check,
 )
 from affschub.verify import check_generator_powers, star_reading_discrepancies
-from affschub.weyl import min_coset_reps
-from oracles import quotient_poincare
+from oracles import min_coset_reps, quotient_poincare
 
 
 def datum(label):

@@ -12,12 +12,11 @@ from affschub.weyl import (
     GradedPoly,
     _reflection,
     identity,
-    min_coset_reps,
     reflection,
     simple_reflection,
     weyl_order,
 )
-from oracles import double_loop_pairing, quotient_poincare
+from oracles import double_loop_pairing, min_coset_reps, quotient_poincare
 
 WEYL_ORDERS = {
     "A1": 2, "A2": 6, "A3": 24, "A4": 120,
