@@ -34,30 +34,44 @@ negative, l(x s) < l(x) iff x sends it negative.  For x = t_lam w:
 Each test is one pairing and one root-permutation lookup.
 
 Reduced words and Bruhat comparisons walk one integer vector, the alcove
-vector r, with no root permutation.  Give delta the height M = ht(theta) + 1,
-so that alpha_0 = delta - theta has height 1; r[l] is the height of the
-affine root x^-1(alpha_l):
+vector r, with no root permutation.  Give delta the height K = 2 ht(theta)
++ 1, so that alpha_0 = delta - theta has height K - ht(theta) = ht(theta) +
+1; r[l] is the height of the affine root x^-1(alpha_l):
 
-    r[l] = M <lam, alpha_l> + ht(w^-1 alpha_l)     for l >= 1,
-    r[0] = M (1 - <lam, theta>) - ht(w^-1 theta),
+    r[l] = K <lam, alpha_l> + ht(w^-1 alpha_l)     for l >= 1,
+    r[0] = K (1 - <lam, theta>) - ht(w^-1 theta),
 
-the pairings of the scaled point M lam + w(rho^v) = M x(rho^v / M), an
+the pairings of the scaled point K lam + w(rho^v) = K x(rho^v / K), an
 interior point of the alcove x(A_0), with the affine simple roots
 (Humphreys, Reflection Groups and Coxeter Groups, 4.3-4.5).  The signed
 heights are read through perm.index, so no inverse is built.  As
-|ht(w^-1 alpha)| <= ht(theta) < M, the sign of r[l] is that of the
+|ht(w^-1 alpha)| <= ht(theta) < K, the sign of r[l] is that of the
 delta-coefficient unless it is 0, and then that of the height: the tests
 above, tie-break included, so l(s_l x) < l(x) iff r[l] < 0.  The identity
-has r = (1, ..., 1), and every walk to it is checked to end there.  As
-(s_l x)^-1 alpha_m = x^-1(alpha_m - <alpha_l^v, alpha_m> alpha_l), the letter
-l is the numbers-game move r[m] -= r[l] * A[l][m] over the nonzero entries
-of row l of the affine Cartan matrix A: the diagonal and the neighbours of
-l in the affine diagram, at most 5 updates in any type (Bjorner-Brenti,
-GTM 231, 4.3); reduced_word is the walk down of weyl._descend.  A letter
-costs a scan of at most rank + 1 signs for the smallest negative entry and
-those updates; the start costs rank + 1 pairings and rank + 1 perm.index
-scans, once per walk.  The tests and the moves agree with
-product-and-length on BFS balls of A1 through F4 (tests/test_affine.py).
+has r = (K - ht(theta), 1, ..., 1), and every walk to it is checked to end
+there.  As (s_l x)^-1 alpha_m = x^-1(alpha_m - <alpha_l^v, alpha_m>
+alpha_l), the letter l is the numbers-game move r[m] -= r[l] * A[l][m] over
+the nonzero entries of row l of the affine Cartan matrix A: the diagonal
+and the neighbours of l in the affine diagram, at most 5 updates in any
+type (Bjorner-Brenti, GTM 231, 4.3); reduced_word is the walk down of
+weyl._descend.  A letter costs a scan of at most rank + 1 signs for the
+smallest negative entry and those updates; the start costs rank + 1
+pairings and rank + 1 perm.index scans, once per walk.  The tests and the
+moves agree with product-and-length on BFS balls of A1 through F4
+(tests/test_affine.py).
+
+Why K, where ht(theta) + 1 would do for the signs: ht(w^-1 alpha_l) = <w
+rho^v, alpha_l> lies in [-ht(theta), ht(theta)], so r mod K gives it, and
+with it w.  Two states with equal residues are x and t_nu x, and the block
+of letters between them moves r to r + D, D = K (<nu, alpha_l>)_l (with
+<nu, alpha_0> = -<nu, theta>), and D to itself.  So from r + D the walk
+repeats the block for j = 0, 1, ... while, before each move i, a_i + j b_i
+has its first negative entry at the block's letter, a_i and b_i being r + D
+and D pushed through the first i moves.  The entries are linear in j and
+hold at j = -1, so the count J of repeats is 1 plus a minimum of floor
+divisions (``_repeats``).  Words longer than LONG_WORD_TRANSLATIONS *
+l(t_theta^v) letters key the residues after each move at label 0, which
+every block holds, and take J blocks at once, capped by the letters left.
 
 from_word builds t_lam w by right steps: x s_l = t_lam (w s_l) for l >= 1
 is a shift of w's permutation, and x s_0 = t_{lam + w(theta^v)} (w s_theta),
@@ -131,6 +145,8 @@ def check_enum_bound(datum: RootDatum, what: str, n: int, bound: int | None) -> 
 
 # default ceiling, in letters, for emitting a canonical reduced word
 WORD_BOUND = 100_000
+# reduced_word jumps translation blocks in words longer than this many l(t_theta^v)
+LONG_WORD_TRANSLATIONS = 32
 
 
 class AffineElem:
@@ -168,9 +184,6 @@ class AffineElem:
 
     def is_identity(self) -> bool:
         return all(c == 0 for c in self.trans) and self.fin.is_identity()
-
-    def is_translation(self) -> bool:
-        return self.fin.is_identity()
 
     def inverse(self) -> "AffineElem":
         u = self.fin.inverse()
@@ -248,6 +261,7 @@ class _Descents:
         self.root = (datum.root_index(datum.highest_root),) + _simple_index(datum)
         self.row = tuple(self.rows[k] for k in self.root)
         self.datum = datum
+        self.names = tuple(map(str, range(datum.rank + 1)))  # the text of each node label
 
     @functools.cached_property
     def shift(self) -> tuple:
@@ -256,8 +270,18 @@ class _Descents:
 
     @functools.cached_property
     def level(self) -> int:
-        """M = ht(theta) + 1, the height given to delta."""
-        return sum(self.datum.highest_root) + 1
+        """K = 2 ht(theta) + 1, the height given to delta."""
+        return 2 * sum(self.datum.highest_root) + 1
+
+    @functools.cached_property
+    def origin(self) -> list[int]:
+        """The identity's alcove vector (K - ht(theta), 1, ..., 1): the heights of the alpha_l."""
+        return [self.level - sum(self.datum.highest_root)] + [1] * self.datum.rank
+
+    @functools.cached_property
+    def long_word(self) -> int:
+        """Words longer than this many letters jump translation blocks (module docstring)."""
+        return LONG_WORD_TRANSLATIONS * translation(self.datum, self.datum.highest_coroot).length()
 
     @functools.cached_property
     def heights(self) -> tuple[int, ...]:
@@ -275,7 +299,7 @@ def _alcove(d: _Descents, x: AffineElem) -> list[int]:
     """The alcove vector r of x = t_lam w (module docstring); w^-1 is read through perm.index."""
     perm, heights, level = x.fin.perm, d.heights, d.level
     r = [level * sum(map(mul, x.trans, row)) + heights[perm.index(k)] for row, k in zip(d.row, d.root)]
-    r[0] = level - r[0]  # the entry built for theta is M <lam, theta> + ht(w^-1 theta)
+    r[0] = level - r[0]  # the entry built for theta is K <lam, theta> + ht(w^-1 theta)
     return r
 
 
@@ -300,23 +324,86 @@ def reduced_word(x: AffineElem, *, bound: int = WORD_BOUND) -> list[int]:
 
     Each letter is the smallest label with a left descent, read off the
     alcove vector (module docstring) by the descent ``weyl._descend``, l(x)
-    moves.  Words longer than ``bound`` letters raise BoundExceededError
-    before any work.
+    moves; a word longer than ``long_word`` letters takes whole translation
+    blocks at once (``_descend_by_blocks``).  Words longer than ``bound``
+    letters raise BoundExceededError before any work.
     """
     n = x.length()
     if n > bound:
         raise BoundExceededError("reduced word length", n, bound, "bound")
-    r = _alcove(_descents(x.datum), x)
-    word = _descend(r, _sparse_rows(x.datum.affine_cartan), n)
+    d = _descents(x.datum)
+    r = _alcove(d, x)
+    rows = _sparse_rows(x.datum.affine_cartan)
+    word = _descend(r, rows, n) if n <= d.long_word else _descend_by_blocks(r, rows, n, d.level)
     if len(word) < n:
         raise ArithmeticError(f"no left descent found for the alcove vector {r}")
-    _check_identity(r)
+    _check_identity(d, r)
     return word
 
 
-def _check_identity(r: list[int]) -> None:
-    """Raise ArithmeticError unless r is the identity's alcove vector (1, ..., 1)."""
-    if r != [1] * len(r):
+def _descend_by_blocks(r: list[int], rows, limit: int, level: int) -> list[int]:
+    """``weyl._descend`` on a level-K alcove vector, taking repeated translation blocks at once.
+
+    After each move at label 0 the residues r mod K are looked up among the
+    earlier ones; on a match the letters since then are a block, taken
+    again ``_repeats`` times, at most as often as the letters left allow.
+    """
+    word = []
+    seen = {}  # residues -> (letters so far, r) after a move at label 0
+    indices = range(len(r))
+    while len(word) < limit:
+        for l in indices:
+            if r[l] < 0:
+                break
+        else:
+            break
+        word.append(l)
+        a = r[l]
+        for m, e in rows[l]:
+            r[m] -= a * e
+        if l:
+            continue
+        key = tuple([c % level for c in r])
+        if key in seen:
+            start, before = seen[key]
+            block = word[start:]
+            step = list(map(sub, r, before))
+            jumps = _repeats(r, step, block, rows, (limit - len(word)) // len(block))
+            if jumps:
+                word += block * jumps
+                r[:] = [c + jumps * s for c, s in zip(r, step)]
+                seen.clear()  # a block through the jump would span every repeat
+        seen[key] = len(word), r.copy()
+    return word
+
+
+def _repeats(a: list[int], b: list[int], block: list[int], rows, cap: int) -> int:
+    """How many times, at most cap, the walk from a takes block again, each time moving by b.
+
+    Before the block's i-th move the j-th repeat is at a_i + j b_i (module
+    docstring): its letter's entry stays negative for j <= (-a - 1) // b when
+    b > 0, and an earlier entry stays >= 0 for j <= a // -b when b < 0.
+    """
+    a, b = a.copy(), b.copy()
+    most = cap - 1  # the largest j allowed so far
+    for l in block:
+        for m in range(l):
+            if b[m] < 0 and a[m] // -b[m] < most:
+                most = a[m] // -b[m]
+        u, v = a[l], b[l]
+        if v > 0 and (-u - 1) // v < most:
+            most = (-u - 1) // v
+        if most < 0:
+            return 0
+        for m, e in rows[l]:
+            a[m] -= u * e
+            b[m] -= v * e
+    return most + 1
+
+
+def _check_identity(d: _Descents, r: list[int]) -> None:
+    """Raise ArithmeticError unless r is the identity's alcove vector ``d.origin``."""
+    if r != d.origin:
         raise ArithmeticError(f"a walk to the identity ended at the alcove vector {r}")
 
 
@@ -415,10 +502,11 @@ def enumerate_minreps(lie_type: LieType, max_len: int, *, bound: int | None = No
     datum = root_datum(lie_type)
     check_enum_bound(datum, "min-rep enumeration length", max_len, bound)
     labels = range(datum.rank + 1)
+    rows = _sparse_rows(datum.affine_cartan)
     levels = [{(1,) + (0,) * datum.rank: None}]
     for _ in range(max_len):
         levels.append({})
-        _climb(datum.affine_cartan, levels[-2], labels, levels[-1])
+        _climb(rows, levels[-2], labels, levels[-1])
     return MinRepLevels(lie_type, levels, max_len)
 
 
@@ -479,19 +567,19 @@ def bruhat_leq(v: AffineElem, w: AffineElem, *, bound: int = WORD_BOUND) -> bool
             lv -= 1
     if lv:
         return False
-    _check_identity(r)
+    _check_identity(_descents(w.datum), r)
     return True
 
 
 def _interval_levels(x: AffineElem) -> list[dict]:
     """The points of lower_interval(x) by length, as point -> (parent point, label)."""
-    cartan = x.datum.affine_cartan
+    rows = _sparse_rows(x.datum.affine_cartan)
     levels = [{(1,) + (0,) * x.datum.rank: None}]
     for label in reversed(reduced_word(x)):
         levels.append({})
         # a point this letter adds steps back down under it, so it adds nothing more
         for level, up in zip(levels, levels[1:]):
-            _climb(cartan, level, (label,), up)
+            _climb(rows, level, (label,), up)
     return levels
 
 
@@ -506,7 +594,8 @@ def lower_interval(x: AffineElem) -> list[AffineElem]:
 
 
 def format_element(x: AffineElem, *, bound: int = WORD_BOUND) -> str:
-    return "word:" + ",".join(map(str, reduced_word(x, bound=bound)))
+    names = _descents(x.datum).names
+    return "word:" + ",".join([names[l] for l in reduced_word(x, bound=bound)])
 
 
 def parse_element(datum: RootDatum, text: str) -> AffineElem:

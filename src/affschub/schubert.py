@@ -7,6 +7,16 @@ stays a minimal representative, and zero otherwise: if the length-additive
 product leaves the representative set, the pushforward target has strictly
 smaller dimension, which kills the class.  The two conditions are not
 equivalent; see verify.star_reading_discrepancies.
+
+The segment search reads no product.  It walks the right alcove vector q of
+x = t_lam w, q[l] = the height of x(alpha_l) with delta at height K (the
+alcove vector of x^-1; affine module docstring), on which the right step
+x s_l moves q[m] -= q[l] * A[l][m], the left walk's rule, as
+(x s_l)(alpha_m) = x(alpha_m - <alpha_l^v, alpha_m> alpha_l).  So x seg^-1 is
+length-additive iff every letter of seg's reduced word, read right to left,
+finds q[letter] < 0 when its move is made; the result is a minimal
+representative iff q[1..rank] > 0 (no finite right descent), and it is the
+identity iff it has length 0, where q must be the identity's vector.
 """
 
 from __future__ import annotations
@@ -15,9 +25,12 @@ import functools
 from collections import namedtuple
 
 from .cartan import LieType, Vec, root_datum
-from .weyl import GradedPoly
+from .weyl import GradedPoly, _sparse_rows
 from .affine import (
     AffineElem,
+    _alcove,
+    _check_identity,
+    _descents,
     _interval_levels,
     affine_identity,
     bruhat_leq,
@@ -25,6 +38,7 @@ from .affine import (
     is_min_rep,
     lower_interval,
     min_rep,
+    reduced_word,
     seed_translation,
     translation,
 )
@@ -85,10 +99,10 @@ def segments(lie_type: LieType) -> list[SchubertClass]:
 
 
 @functools.cache
-def _segments(lie_type: LieType) -> tuple[tuple[SchubertClass, AffineElem], ...]:
-    """The segments of one type, sorted by (length, lam), each with its index's inverse."""
+def _segments(lie_type: LieType) -> tuple[tuple[SchubertClass, tuple[int, ...]], ...]:
+    """The segments of one type, sorted by (length, lam), each with its reduced word reversed."""
     below = lower_interval(seed_translation(root_datum(lie_type)))[1:]  # all but the identity
-    return tuple((SchubertClass(x), x.inverse()) for x in below)
+    return tuple((SchubertClass(x), tuple(reversed(reduced_word(x)))) for x in below)
 
 
 def segment_factorizations(
@@ -98,34 +112,45 @@ def segment_factorizations(
 
     Exhaustive right-stripping search: a factorization is a tuple of segments
     whose product is w, with lengths adding up and every left partial product
-    still a minimal representative.
+    still a minimal representative.  Each partial product x is held as its
+    right alcove vector q and its length n (module docstring).
     """
     datum = w.datum
     check_enum_bound(datum, "factorization length", w.length(), bound)
     if not is_min_rep(w):
         raise ValueError("only minimal coset representatives factor into segments")
     segs = _segments(datum.lie_type)
+    d = _descents(datum)
+    rows = _sparse_rows(datum.affine_cartan)
     out = []
-    # depth first on an explicit stack of (x, chain), where chain links the
+    # depth first on an explicit stack of (q, n, chain), where chain links the
     # segments stripped so far, leftmost at its head; segments are pushed in
     # reverse, so the factorizations come out ordered by their last factor,
     # then by the one before it, and so on
-    stack = [(w, None)]
+    stack = [(_alcove(d, w.inverse()), w.length(), None)]
     while stack:
-        x, chain = stack.pop()
-        if x.is_identity():
+        q, n, chain = stack.pop()
+        if not n:
+            _check_identity(d, q)
             factors = []
             while chain is not None:
                 seg, chain = chain
                 factors.append(seg)
             out.append(factors)
             continue
-        for seg, inv in reversed(segs):
-            if seg.dim() > x.length():
+        for seg, letters in reversed(segs):
+            if len(letters) > n:
                 continue
-            y = x * inv
-            if y.length() == x.length() - seg.dim() and is_min_rep(y):
-                stack.append((y, (seg, chain)))
+            y = q.copy()
+            for l in letters:
+                a = y[l]
+                if a >= 0:
+                    break
+                for m, e in rows[l]:
+                    y[m] -= a * e
+            else:
+                if min(y[1:]) > 0:
+                    stack.append((y, n - len(letters), (seg, chain)))
     return out
 
 

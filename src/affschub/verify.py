@@ -342,9 +342,11 @@ def suite_segments(lie_type: LieType) -> list[CheckResult]:
     # the segments are the classes under seed_t, its lower interval less the identity
     segs = schubert.segments(lie_type)
     # v s_0 = t_{v theta^v} v s_theta, so min_rep(v s_0) is that of t_mu for mu = v theta^v
-    # in the orbit of theta^v; as mu != 0, none is the identity
-    orbit = {min_rep(translation(datum, mu)) for mu in coweight_orbit(datum, datum.highest_coroot)}
-    same = {s.elem for s in segs} == orbit
+    # in the orbit of theta^v; as mu != 0, none is the identity.  Right multiplication by W
+    # keeps the translation, and a coset t_mu W has one minimal representative, so the
+    # segments are these iff each is minimal and their translations are the orbit
+    orbit = set(coweight_orbit(datum, datum.highest_coroot))
+    same = all(is_min_rep(s.elem) for s in segs) and {s.elem.trans for s in segs} == orbit
     results = [
         CheckResult(
             "segment-characterizations-agree",

@@ -18,7 +18,7 @@ positive one by +-N (Humphreys, GTM 9, 9.1).
 The engine has two numbers-game walks on a Cartan matrix (Bjorner-Brenti,
 GTM 231, 4.3), one up and one down, both here; a vector p holds a point's
 pairings with the simple roots, and the move at label l is
-p[j] -= p[l] * A[l][j], along row l of the matrix.
+p[j] -= p[l] * A[l][j], over the nonzero entries of row l (``_sparse_rows``).
 
 * ``_descend`` walks down: each move is at the smallest l with p[l] < 0,
   for at most a given number of moves.  A reduced word is read this way on
@@ -90,10 +90,6 @@ class WeylElem:
         """Act on a vector in coroot coordinates."""
         return self._apply(vec, self.datum.pos_coroots)
 
-    def apply_root(self, vec: tuple) -> tuple:
-        """Act on a vector in root coordinates."""
-        return self._apply(vec, self.datum.pos_roots)
-
     def _apply(self, vec: tuple, basis: tuple[Vec, ...]) -> tuple:
         """sum_i vec[i] * w(b_i), where w(b_i) = +-basis[j] for the image j of alpha_i."""
         n = self.datum.rank
@@ -128,11 +124,6 @@ class WeylElem:
             big = len(self.datum.pos_roots)
             self._len = sum(1 for j in self.perm[:big] if j >= big)
         return self._len
-
-    def has_right_descent(self, label: int) -> bool:
-        """True iff l(w s) < l(w), i.e. w sends the simple root at label negative."""
-        k = _simple_index(self.datum)[label - 1]
-        return self.perm[k] >= len(self.datum.pos_roots)
 
     def word(self) -> Word:
         """Canonical reduced word (node labels), by smallest-descent stripping.
@@ -220,13 +211,17 @@ def _descend(r: list[int], rows, limit: int) -> list[int]:
     return labels
 
 
-def _climb(cartan: Matrix, level, labels, up: dict) -> None:
+def _climb(rows, level, labels, up: dict) -> None:
     """Add to up each up-step of the points p of level by labels, linked to its first (p, label):
-    label l is an up-step when p[l] > 0, and moves p[j] -= p[l] * cartan[l][j]."""
+    label l is an up-step when p[l] > 0, and moves p[m] -= p[l] * A[l][m] over the pairs
+    (m, A[l][m]) of rows[l] (``_sparse_rows``)."""
     for point in level:
         for label in labels:
             if (c := point[label]) > 0:
-                new = tuple([x - c * r for x, r in zip(point, cartan[label])])
+                new = list(point)
+                for m, e in rows[label]:
+                    new[m] -= c * e
+                new = tuple(new)
                 if new not in up:
                     up[new] = (point, label)
 

@@ -3,8 +3,20 @@
 None of these is on a path the ``affschub`` commands run.
 """
 
+from affschub.affine import is_min_rep
 from affschub.cartan import LieType, Vec, root_datum
-from affschub.weyl import GradedPoly, WeylElem, _climb, _reflection, _simple_index, identity
+from affschub.schubert import segments
+from affschub.weyl import GradedPoly, WeylElem, _climb, _reflection, _simple_index, _sparse_rows, identity
+
+
+def apply_root(w: WeylElem, vec: tuple) -> tuple:
+    """w acting on a vector in root coordinates."""
+    return w._apply(vec, w.datum.pos_roots)
+
+
+def has_right_descent(w: WeylElem, label: int) -> bool:
+    """True iff l(w s) < l(w), i.e. w sends the simple root at label negative."""
+    return w.perm[_simple_index(w.datum)[label - 1]] >= len(w.datum.pos_roots)
 
 
 def double_loop_pairing(datum, lam, alpha):
@@ -71,9 +83,31 @@ def min_coset_reps(lie_type: LieType, nodes) -> list[list[WeylElem]]:
     while frontier:
         levels.append([frontier[point] for point in sorted(frontier)])
         up: dict[Vec, tuple] = {}
-        _climb(datum.cartan, frontier, labels, up)
+        _climb(_sparse_rows(datum.cartan), frontier, labels, up)
         frontier = {point: simple[label] * frontier[parent] for point, (parent, label) in up.items()}
     return levels
+
+
+def product_segment_factorizations(w) -> list[list]:
+    """Every segment factorization of w, found with group products and lengths.
+
+    The engine's search, in its order, on elements: depth first, strip a
+    segment seg from the right of x as x * seg^-1 when the length drops by
+    dim seg and the result is still a minimal representative.
+    """
+    segs = [(seg, seg.elem.inverse()) for seg in segments(w.datum.lie_type)]
+    out = []
+    stack = [(w, [])]
+    while stack:
+        x, factors = stack.pop()
+        if x.is_identity():
+            out.append(factors)
+            continue
+        for seg, inv in reversed(segs):
+            y = x * inv
+            if y.length() == x.length() - seg.dim() and is_min_rep(y):
+                stack.append((y, [seg] + factors))
+    return out
 
 
 def quotient_poincare(lie_type: LieType, nodes) -> GradedPoly:

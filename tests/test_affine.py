@@ -9,6 +9,7 @@ import pytest
 
 from affschub import affine, weyl
 from affschub.cartan import parse_type, root_datum
+from affschub.classify import all_canonical_types
 from affschub.errors import BoundExceededError, ParseError
 from affschub.affine import (
     affine_identity,
@@ -159,6 +160,80 @@ def test_reduced_word_roundtrip(label):
         assert from_word(d, word) == x
 
 
+def alcove_at(x, level):
+    """The alcove vector of x with delta at height level, from the inverse's permutation:
+    r[l] = level <lam, alpha_l> + ht(w^-1 alpha_l), r[0] = level (1 - <lam, theta>) - ht(w^-1 theta)."""
+    d = x.datum
+    big = len(d.pos_roots)
+    inv = x.fin.inverse().perm
+    roots = [d.root_index(d.highest_root)] + list(weyl._simple_index(d))
+    heights = [sum(d.pos_roots[inv[k] % big]) * (-1 if inv[k] >= big else 1) for k in roots]
+    r = [level * double_loop_pairing(d, x.trans, d.pos_roots[k]) + h for k, h in zip(roots, heights)]
+    r[0] = level - r[0]
+    return r
+
+
+def long_elements(label):
+    """t_{-k theta^v} for k up to 200, and seeded t:lam|w:word with coordinates in -40..40."""
+    d = datum(label)
+    for k in (1, 2, 3, 31, 32, 33, 200):
+        yield translation(d, tuple(-k * c for c in d.highest_coroot))
+    rng = random.Random(f"long-{label}")
+    for _ in range(4):
+        lam = ",".join(str(rng.randint(-40, 40)) for _ in range(d.rank))
+        word = ",".join(str(rng.randint(1, d.rank)) for _ in range(rng.randint(0, 11)))
+        yield parse_element(d, f"t:{lam}|w:{word}")
+
+
+@pytest.mark.parametrize("lie_type", all_canonical_types(8), ids=str)
+def test_block_jumps_match_the_plain_walk(lie_type):
+    # reduced_word jumps translation blocks on a level-K vector past long_word letters;
+    # the plain walk at delta height M = ht(theta) + 1 makes every move one by one
+    d = root_datum(lie_type)
+    rows = weyl._sparse_rows(d.affine_cartan)
+    level = sum(d.highest_root) + 1
+    jumped = 0
+    for x in long_elements(str(lie_type)):
+        n = x.length()
+        r = alcove_at(x, level)
+        plain = weyl._descend(r, rows, n)
+        assert len(plain) == n and r == [1] * (d.rank + 1)
+        assert reduced_word(x) == plain
+        jumped += n > affine._descents(d).long_word
+    assert jumped >= 2  # t_{-200 theta^v} and t_{-33 theta^v} at least take the jumping walk
+
+
+def takes_block(v, block, rows):
+    """Whether the walk from v makes the moves of block, each at its first negative entry."""
+    v = list(v)
+    for l in block:
+        if next((m for m, c in enumerate(v) if c < 0), None) != l:
+            return False
+        c = v[l]
+        for m, e in rows[l]:
+            v[m] -= c * e
+    return True
+
+
+@pytest.mark.parametrize("label", ["A2", "C2", "G2", "B3"])
+def test_repeats_counts_repeats_one_by_one(label):
+    # _repeats(a, b, block) against taking the block from a + j b for j = 0, 1, ... one
+    # repeat at a time; block is the walk from a - b, so it is taken at j = -1, as in the walk
+    rows = weyl._sparse_rows(datum(label).affine_cartan)
+    rng = random.Random(f"repeats-{label}")
+    for _ in range(300):
+        start = [rng.randint(-30, 30) for _ in rows]
+        b = [rng.randint(-8, 8) for _ in rows]
+        block = weyl._descend(list(start), rows, rng.randint(1, 12))
+        if not block:
+            continue
+        a = [u + v for u, v in zip(start, b)]
+        count = 0
+        while count < 20 and takes_block([u + count * v for u, v in zip(a, b)], block, rows):
+            count += 1
+        assert affine._repeats(a, b, block, rows, 20) == count
+
+
 def test_reduced_word_bound():
     x = translation(datum("A1"), (-30,))
     assert len(reduced_word(x, bound=60)) == 60
@@ -192,7 +267,8 @@ def test_closed_form_descents_match_products(label, depth):
     d = datum(label)
     gens = all_generators(d)
     tables = affine._descents(d)
-    assert affine._alcove(tables, affine_identity(d)) == [1] * (d.rank + 1)
+    # delta has height K = 2 ht(theta) + 1, so alpha_0 = delta - theta has height ht(theta) + 1
+    assert affine._alcove(tables, affine_identity(d)) == tables.origin == [sum(d.highest_root) + 1] + [1] * d.rank
     for x in length_bfs_oracle(parse_type(label), depth):
         n = x.length()
         r = affine._alcove(tables, x)

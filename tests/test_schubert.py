@@ -36,7 +36,7 @@ from affschub.schubert import (
     star_refactor_check,
 )
 from affschub.verify import check_generator_powers, star_reading_discrepancies
-from oracles import min_coset_reps, quotient_poincare
+from oracles import min_coset_reps, product_segment_factorizations, quotient_poincare
 
 
 def datum(label):
@@ -225,15 +225,15 @@ def test_factorization_order_matches_recursive_oracle(monkeypatch):
     # factors has 2^k factorizations, so the order of the results shows
     lt = parse_type("A2")
     segs = schubert._segments(lt)
-    doubled = tuple((SchubertClass(s.elem), inv) for s, inv in segs) + segs
+    doubled = tuple((SchubertClass(s.elem), letters) for s, letters in segs) + segs
     tag = {id(s): k for k, (s, _) in enumerate(doubled)}
 
     def oracle(x):  # the recursive search the explicit stack replaced
         if x.is_identity():
             return [[]]
         out = []
-        for seg, inv in doubled:
-            y = x * inv
+        for seg, _ in doubled:
+            y = x * seg.elem.inverse()
             if seg.dim() <= x.length() and y.length() == x.length() - seg.dim() and is_min_rep(y):
                 out += [prefix + [seg] for prefix in oracle(y)]
         return out
@@ -244,6 +244,16 @@ def test_factorization_order_matches_recursive_oracle(monkeypatch):
         expected = oracle(x)
         assert len(found) == 2 ** len(expected[0])
         assert [[tag[id(s)] for s in f] for f in found] == [[tag[id(s)] for s in f] for f in expected]
+
+
+@pytest.mark.parametrize(
+    "label,depth",
+    [("A1", 10), ("A2", 10), ("C2", 10), ("G2", 10), ("A3", 7), ("B3", 7), ("C3", 7), ("D4", 6), ("F4", 6)],
+)
+def test_factorizations_match_the_product_search(label, depth):
+    # the search on right alcove vectors against the same search on group elements
+    for x in enumerate_minreps(parse_type(label), depth).flat():
+        assert segment_factorizations(x) == product_segment_factorizations(x)
 
 
 @pytest.mark.parametrize("label", ["A2", "C2", "G2"])
@@ -365,7 +375,7 @@ def test_power_indices_are_pure_translations():
     acc = identity_class(lt)
     for n in range(1, 4):
         acc = star(acc, generator_class(lt))
-        assert acc.elem.is_translation()
+        assert acc.elem.fin.is_identity()
         assert acc.elem.trans == tuple(-n * c for c in d.highest_coroot)
 
 
