@@ -28,37 +28,37 @@ negative, l(x s) < l(x) iff x sends it negative.  For x = t_lam w:
   so <lam, alpha_i> < 0, or = 0 and w^-1(alpha_i) < 0;
 * left descent at 0: x^-1(delta - theta) = -w^-1(theta) + (1 - <lam, theta>)
   delta, so <lam, theta> > 1, or = 1 and w^-1(theta) > 0;
-* right descent at i >= 1: x(alpha_i) = w(alpha_i) - <lam, w alpha_i> delta;
-  with w(alpha_i) = +-gamma, <lam, gamma> > 0 when +, <lam, gamma> <= 0 when -.
+* right descent at i >= 1: x(alpha_i) = gamma - <lam, gamma> delta, with
+  gamma = w(alpha_i) = +-pos_roots[perm[root of alpha_i]].
 
-Each test is one pairing and one root-permutation lookup.
+Reduced words, Bruhat comparisons and right descents walk integer vectors
+with no root permutation.  Give delta the height K = 2 ht(theta) + 1, so
+that alpha_0 = delta - theta has height K - ht(theta) = ht(theta) + 1; the
+alcove vector r[l] is the height of x^-1(alpha_l), and the right alcove
+vector q[l] that of x(alpha_l), which is r of x^-1 (``_right_alcove``):
 
-Reduced words and Bruhat comparisons walk one integer vector, the alcove
-vector r, with no root permutation.  Give delta the height K = 2 ht(theta)
-+ 1, so that alpha_0 = delta - theta has height K - ht(theta) = ht(theta) +
-1; r[l] is the height of the affine root x^-1(alpha_l):
+    r[l] = K <lam, alpha_l> + ht(w^-1 alpha_l),    q[l] = ht(gamma) - K <lam, gamma>,
+    r[0] = K (1 - <lam, theta>) - ht(w^-1 theta),  q[0] = K - (that entry for theta),
 
-    r[l] = K <lam, alpha_l> + ht(w^-1 alpha_l)     for l >= 1,
-    r[0] = K (1 - <lam, theta>) - ht(w^-1 theta),
-
-the pairings of the scaled point K lam + w(rho^v) = K x(rho^v / K), an
-interior point of the alcove x(A_0), with the affine simple roots
-(Humphreys, Reflection Groups and Coxeter Groups, 4.3-4.5).  The signed
-heights are read through perm.index, so no inverse is built.  As
+with r the pairings of the scaled point K lam + w(rho^v) = K x(rho^v / K),
+an interior point of the alcove x(A_0), with the affine simple roots
+(Humphreys, Reflection Groups and Coxeter Groups, 4.3-4.5).  r reads its
+heights through perm.index and q off perm, so no inverse is built.  As
 |ht(w^-1 alpha)| <= ht(theta) < K, the sign of r[l] is that of the
 delta-coefficient unless it is 0, and then that of the height: the tests
-above, tie-break included, so l(s_l x) < l(x) iff r[l] < 0.  The identity
-has r = (K - ht(theta), 1, ..., 1), and every walk to it is checked to end
-there.  As (s_l x)^-1 alpha_m = x^-1(alpha_m - <alpha_l^v, alpha_m>
-alpha_l), the letter l is the numbers-game move r[m] -= r[l] * A[l][m] over
-the nonzero entries of row l of the affine Cartan matrix A: the diagonal
-and the neighbours of l in the affine diagram, at most 5 updates in any
-type (Bjorner-Brenti, GTM 231, 4.3); reduced_word is the walk down of
-weyl._descend.  A letter costs a scan of at most rank + 1 signs for the
-smallest negative entry and those updates; the start costs rank + 1
-pairings and rank + 1 perm.index scans, once per walk.  The tests and the
-moves agree with product-and-length on BFS balls of A1 through F4
-(tests/test_affine.py).
+above, tie-break included, so l(s_l x) < l(x) iff r[l] < 0, and likewise
+l(x s_l) < l(x) iff q[l] < 0.  Both read (K - ht(theta), 1, ..., 1) at the
+identity, and every walk to it is checked to end there.  As (s_l x)^-1
+alpha_m = x^-1(alpha_m - <alpha_l^v, alpha_m> alpha_l), the letter l is the
+numbers-game move r[m] -= r[l] * A[l][m] over the nonzero entries of row l
+of the affine Cartan matrix A: the diagonal and the neighbours of l in the
+affine diagram, at most 5 updates in any type (Bjorner-Brenti, GTM 231,
+4.3); reduced_word is the walk down of weyl._descend, and min_rep that
+walk on q[1..rank] (x s_l moves q alike; schubert).  A letter costs a scan
+of at most rank + 1 signs for the smallest negative entry and those
+updates; the start costs rank + 1 pairings, and for r as many perm.index
+scans, once per walk.  The tests and the moves agree with product-and-length
+on BFS balls of A1 through F4 (tests/test_affine.py).
 
 Why K, where ht(theta) + 1 would do for the signs: ht(w^-1 alpha_l) = <w
 rho^v, alpha_l> lies in [-ht(theta), ht(theta)], so r mod K gives it, and
@@ -303,20 +303,15 @@ def _alcove(d: _Descents, x: AffineElem) -> list[int]:
     return r
 
 
-def _right_descent(d: _Descents, lam: Vec, perm: tuple, label: int) -> bool:
-    """l(x s_label) < l(x) for a finite label and x = t_lam w, given w's permutation."""
-    j = perm[d.root[label]]
-    if j < d.big:
-        return sum(map(mul, lam, d.rows[j])) > 0
-    return sum(map(mul, lam, d.rows[j - d.big])) <= 0
-
-
-def _first_right_descent(d: _Descents, lam: Vec, perm: tuple) -> int:
-    """The smallest finite label with a right descent, or 0 if there is none."""
-    for label in range(1, len(d.root)):
-        if _right_descent(d, lam, perm, label):
-            return label
-    return 0
+def _right_alcove(d: _Descents, x: AffineElem) -> list[int]:
+    """The right alcove vector q of x = t_lam w (module docstring), the alcove vector of x^-1."""
+    lam, rows, big, heights, level = x.trans, d.rows, d.big, d.heights, d.level
+    q = []
+    for j in map(x.fin.perm.__getitem__, d.root):  # w(alpha_l) = +-pos_roots[j % big]
+        pair = sum(map(mul, lam, rows[j % big]))
+        q.append(heights[j] - level * pair if j < big else heights[j] + level * pair)
+    q[0] = level - q[0]
+    return q
 
 
 def reduced_word(x: AffineElem, *, bound: int = WORD_BOUND) -> list[int]:
@@ -429,20 +424,24 @@ def from_word(datum: RootDatum, labels) -> AffineElem:
 
 def is_min_rep(x: AffineElem) -> bool:
     """True iff x is the shortest element of its coset x*W (no finite right descent)."""
-    return not _first_right_descent(_descents(x.datum), x.trans, x.fin.perm)
+    return min(_right_alcove(_descents(x.datum), x)[1:]) > 0
 
 
 def min_rep(x: AffineElem) -> AffineElem:
-    """Strip finite right descents until none remain; stays in the coset x*W.
+    """Strip the smallest finite right descent until none remain; stays in the coset x*W.
 
     Right multiplication by W leaves the translation fixed, so only the
-    finite part moves.
+    finite part moves, by ``shift`` for each label of the walk on q[1..rank].
     """
     d = _descents(x.datum)
+    q = _right_alcove(d, x)[1:]
+    labels = _descend(q, _sparse_rows(x.datum.cartan), d.big)
+    if min(q) <= 0:
+        raise ArithmeticError(f"a walk to the coset minimum ended at the right alcove vector {q}")
     perm = x.fin.perm
-    while label := _first_right_descent(d, x.trans, perm):
-        perm = d.shift[label](perm)
-    return x if perm is x.fin.perm else AffineElem(x.datum, x.trans, WeylElem(x.datum, perm))
+    for label in labels:
+        perm = d.shift[label + 1](perm)
+    return AffineElem(x.datum, x.trans, WeylElem(x.datum, perm)) if labels else x
 
 
 class MinRepLevels:

@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("type")
 
     p = add("classify-all", cmd_classify_all, help="classification table over all types")
-    p.add_argument("--max-rank", type=_size, default=8)
+    p.add_argument("--max-rank", type=_size, default=8, help="the largest rank in the table; E8 is always included")
 
     p = add("verify", cmd_verify, help="run a named property suite")
     p.add_argument("type")

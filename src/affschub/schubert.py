@@ -9,14 +9,14 @@ smaller dimension, which kills the class.  The two conditions are not
 equivalent; see verify.star_reading_discrepancies.
 
 The segment search reads no product.  It walks the right alcove vector q of
-x = t_lam w, q[l] = the height of x(alpha_l) with delta at height K (the
-alcove vector of x^-1; affine module docstring), on which the right step
-x s_l moves q[m] -= q[l] * A[l][m], the left walk's rule, as
-(x s_l)(alpha_m) = x(alpha_m - <alpha_l^v, alpha_m> alpha_l).  So x seg^-1 is
-length-additive iff every letter of seg's reduced word, read right to left,
-finds q[letter] < 0 when its move is made; the result is a minimal
-representative iff q[1..rank] > 0 (no finite right descent), and it is the
-identity iff it has length 0, where q must be the identity's vector.
+x = t_lam w, q[l] = the height of x(alpha_l) with delta at height K, read in
+closed form and still the alcove vector of x^-1 (affine module docstring),
+on which the right step x s_l moves q[m] -= q[l] * A[l][m], the left walk's
+rule, as (x s_l)(alpha_m) = x(alpha_m - <alpha_l^v, alpha_m> alpha_l).  So
+x seg^-1 is length-additive iff every letter of seg's reduced word, read
+right to left, finds q[letter] < 0 when its move is made; the result is a
+minimal representative iff q[1..rank] > 0 (no finite right descent), and it
+is the identity iff it has length 0, where q must be the identity's vector.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from .cartan import LieType, Vec, root_datum
 from .weyl import GradedPoly, _sparse_rows
 from .affine import (
     AffineElem,
-    _alcove,
     _check_identity,
     _descents,
     _interval_levels,
+    _right_alcove,
     affine_identity,
     bruhat_leq,
     check_enum_bound,
@@ -127,7 +127,7 @@ def segment_factorizations(
     # segments stripped so far, leftmost at its head; segments are pushed in
     # reverse, so the factorizations come out ordered by their last factor,
     # then by the one before it, and so on
-    stack = [(_alcove(d, w.inverse()), w.length(), None)]
+    stack = [(_right_alcove(d, w), w.length(), None)]
     while stack:
         q, n, chain = stack.pop()
         if not n:

@@ -1,0 +1,84 @@
+"""Mutants the tests must kill, run by tools/run_mutants.py.
+
+Each entry is (file, old text, new text, -k selection): the old text must
+occur exactly once in the file, and with it replaced by the new text, the
+selected tests must fail (or time out) under ``python -O``.  Selections are
+kept small, so that each mutant runs in a few seconds.
+"""
+
+AFFINE = "src/affschub/affine.py"
+
+MUTANTS = [
+    # the right alcove vector: q[0] left as the entry built for theta
+    (AFFINE, "    q[0] = level - q[0]\n", "", "closed_form_descents"),
+    # the right alcove vector: the K term with the wrong sign
+    (
+        AFFINE,
+        "heights[j] - level * pair if j < big else heights[j] + level * pair",
+        "heights[j] + level * pair if j < big else heights[j] - level * pair",
+        "stripping or closed_form_descents",
+    ),
+    # is_min_rep reading label 0 as a finite descent
+    (AFFINE, "return min(_right_alcove(_descents(x.datum), x)[1:]) > 0", "return min(_right_alcove(_descents(x.datum), x)) > 0", "closed_form_descents"),
+    # min_rep walking q[1..rank] on the affine Cartan rows
+    (AFFINE, "_descend(q, _sparse_rows(x.datum.cartan), d.big)", "_descend(q, _sparse_rows(x.datum.affine_cartan), d.big)", "stripping"),
+    # the numbers-game move with the wrong sign
+    ("src/affschub/weyl.py", "            r[m] -= a * e\n", "            r[m] += a * e\n", "closed_form_matches_greedy"),
+    # a zero entry taken as a descent (only the Bott walk meets one)
+    ("src/affschub/weyl.py", "            if r[l] < 0:\n", "            if r[l] <= 0:\n", "bott_nodes_match_fraction_oracle"),
+    # the Chevalley ladder summing a rung's pairings instead of reading its one positive entry
+    (
+        "src/affschub/cohomology.py",
+        "return poly, tuple(max(p) for (p,) in levels[:-1])",
+        "return poly, tuple(sum(p) for (p,) in levels[:-1])",
+        "ladder_matches_chevalley_oracle",
+    ),
+    # the enumeration walk climbing on the transposed affine Cartan matrix
+    (
+        AFFINE,
+        "rows = _sparse_rows(datum.affine_cartan)",
+        "rows = _sparse_rows(tuple(zip(*datum.affine_cartan)))",
+        "lattice_bfs_matches_coset_oracle",
+    ),
+    # the lower-interval walk climbing on the transposed affine Cartan matrix
+    (
+        AFFINE,
+        "rows = _sparse_rows(x.datum.affine_cartan)\n    levels",
+        "rows = _sparse_rows(tuple(zip(*x.datum.affine_cartan)))\n    levels",
+        "segment_count_is_levi_cell_count",
+    ),
+    # the coweight orbit pairing by Cartan row instead of by the simple roots' pairing rows
+    (
+        "src/affschub/verify.py",
+        "rows = [datum.pairing_rows[k] for k in _simple_index(datum)]",
+        "rows = datum.cartan",
+        "coweight_orbit_matches_group_action",
+    ),
+    # one translation block too many in a long reduced word
+    (AFFINE, "    return most + 1\n", "    return most + 2\n", "block_jumps"),
+    # the segment search keeping results that are not minimal representatives
+    ("src/affschub/schubert.py", "if min(y[1:]) > 0:", "if True:", "factorizations_match_the_product_search"),
+    # delta at height ht(theta), so that alpha_0 has height 0
+    (AFFINE, "return 2 * sum(self.datum.highest_root) + 1", "return sum(self.datum.highest_root)", "closed_form_descents"),
+    # from_word adding w(theta^v) with the wrong sign
+    (
+        AFFINE,
+        "tuple(map(add, lam, coroots[j])) if j < big else tuple(map(sub, lam, coroots[j - big]))",
+        "tuple(map(sub, lam, coroots[j])) if j < big else tuple(map(add, lam, coroots[j - big]))",
+        "product_fold",
+    ),
+    # the lam replay of a link with the wrong sign
+    (AFFINE, "(lam[label - 1] - c,)", "(lam[label - 1] + c,)", "lattice_walk_matches_eager_oracle"),
+    # an up-step taken at a zero pairing, where s_l stays in the coset
+    ("src/affschub/weyl.py", "if (c := point[label]) > 0:", "if (c := point[label]) >= 0:", "cell_count_is_a_sum_of_orbit_sizes"),
+    # the Bott walk started at level 0
+    ("src/affschub/classify.py", "r = [1 - theta[label - 1]]", "r = [-theta[label - 1]]", "bott_nodes_match_fraction_oracle"),
+    # a reflection reading the root where its coroot belongs
+    ("src/affschub/weyl.py", "beta, cor = datum.pos_roots[k], datum.pos_coroots[k]", "beta, cor = datum.pos_roots[k], datum.pos_roots[k]", "reflection"),
+    # the symmetrizers doubled
+    ("src/affschub/cartan.py", "d = tuple(r * c // t for", "d = tuple(2 * r * c // t for", "symmetrizers"),
+    # the long-root level of -beta one too high
+    ("src/affschub/cohomology.py", "levels.setdefault(height + h - 1, [])", "levels.setdefault(height + h, [])", "ladder"),
+    # short roots kept among the long ones
+    ("src/affschub/cohomology.py", "top, height = max(d), sum(datum.highest_coroot)", "top, height = min(d), sum(datum.highest_coroot)", "ladder"),
+]

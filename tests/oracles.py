@@ -3,7 +3,9 @@
 None of these is on a path the ``affschub`` commands run.
 """
 
-from affschub.affine import is_min_rep
+from operator import mul
+
+from affschub.affine import AffineElem, _descents, is_min_rep
 from affschub.cartan import LieType, Vec, root_datum
 from affschub.schubert import segments
 from affschub.weyl import GradedPoly, WeylElem, _climb, _reflection, _simple_index, _sparse_rows, identity
@@ -17,6 +19,34 @@ def apply_root(w: WeylElem, vec: tuple) -> tuple:
 def has_right_descent(w: WeylElem, label: int) -> bool:
     """True iff l(w s) < l(w), i.e. w sends the simple root at label negative."""
     return w.perm[_simple_index(w.datum)[label - 1]] >= len(w.datum.pos_roots)
+
+
+def right_descent(x: AffineElem, label: int) -> bool:
+    """l(x s) < l(x) for the finite node label, per label in closed form.
+
+    x(alpha) = w(alpha) - <lam, w alpha> delta for x = t_lam w; with
+    w(alpha) = +-gamma, gamma > 0, that is negative iff <lam, gamma> > 0 when
+    +, and <lam, gamma> <= 0 when -.
+    """
+    datum = x.datum
+    big = len(datum.pos_roots)
+    j = x.fin.perm[_simple_index(datum)[label - 1]]
+    if j < big:
+        return sum(map(mul, x.trans, datum.pairing_rows[j])) > 0
+    return sum(map(mul, x.trans, datum.pairing_rows[j - big])) <= 0
+
+
+def first_right_descent(x: AffineElem) -> int:
+    """The smallest finite label with a right descent (``right_descent``), or 0 if there is none."""
+    return next((l for l in range(1, x.datum.rank + 1) if right_descent(x, l)), 0)
+
+
+def stripping_min_rep(x: AffineElem) -> AffineElem:
+    """The coset minimum of x W, rescanning for the smallest finite right descent after every strip."""
+    shift = _descents(x.datum).shift
+    while label := first_right_descent(x):
+        x = AffineElem(x.datum, x.trans, WeylElem(x.datum, shift[label](x.fin.perm)))
+    return x
 
 
 def double_loop_pairing(datum, lam, alpha):

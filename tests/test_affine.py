@@ -29,7 +29,7 @@ from affschub.affine import (
 )
 from affschub.verify import all_generators, antidominant_equivalences, coweight_orbit, length_bfs_oracle
 from affschub.weyl import WeylElem, identity
-from oracles import double_loop_pairing, min_coset_reps
+from oracles import double_loop_pairing, first_right_descent, min_coset_reps, right_descent, stripping_min_rep
 
 
 def datum(label):
@@ -269,19 +269,24 @@ def test_closed_form_descents_match_products(label, depth):
     tables = affine._descents(d)
     # delta has height K = 2 ht(theta) + 1, so alpha_0 = delta - theta has height ht(theta) + 1
     assert affine._alcove(tables, affine_identity(d)) == tables.origin == [sum(d.highest_root) + 1] + [1] * d.rank
+    assert affine._right_alcove(tables, affine_identity(d)) == tables.origin
+    rows = weyl._sparse_rows(d.affine_cartan)
     for x in length_bfs_oracle(parse_type(label), depth):
         n = x.length()
         r = affine._alcove(tables, x)
+        q = affine._right_alcove(tables, x)
         for l, g in enumerate(gens):
             assert (r[l] < 0) == ((g * x).length() < n)
             stepped = list(r)
-            for m, e in weyl._sparse_rows(d.affine_cartan)[l]:
+            for m, e in rows[l]:
                 stepped[m] -= r[l] * e
             assert stepped == affine._alcove(tables, g * x)
-            if l:
-                assert affine._right_descent(tables, x.trans, x.fin.perm, l) == (
-                    (x * g).length() < n
-                )
+            # the right step x s_l moves q along affine row l, the segment search's rule
+            assert (q[l] < 0) == ((x * g).length() < n)
+            stepped = list(q)
+            for m, e in rows[l]:
+                stepped[m] -= q[l] * e
+            assert stepped == affine._right_alcove(tables, x * g)
         assert is_min_rep(x) == all((x * g).length() > n for g in gens[1:])
 
 
@@ -356,6 +361,31 @@ def test_finite_elements_project_to_identity():
             assert min_rep(embed_finite(w)).is_identity()
 
 
+def assert_min_rep_matches_stripping(x):
+    """is_min_rep, min_rep and the signs of the right alcove vector against the per-label oracle."""
+    q = affine._right_alcove(affine._descents(x.datum), x)
+    assert [a < 0 for a in q[1:]] == [right_descent(x, l) for l in range(1, x.datum.rank + 1)]
+    assert is_min_rep(x) == (not first_right_descent(x))
+    m = min_rep(x)
+    assert m == stripping_min_rep(x)
+    assert is_min_rep(m)
+
+
+@pytest.mark.parametrize("label", SWEEP_TYPES)
+def test_min_rep_matches_stripping_oracle(label):
+    for x in random_elements(label, 200):
+        assert_min_rep_matches_stripping(x)
+
+
+@pytest.mark.parametrize("lie_type", [t for t in all_canonical_types(8) if t.rank <= 8], ids=str)
+def test_min_rep_matches_stripping_oracle_on_translation_orbits(lie_type):
+    """t_mu for mu in W theta^v and W 2 theta^v: the cosets min_rep meets in the segment and orbit checks."""
+    d = root_datum(lie_type)
+    for m in (1, 2):
+        for mu in coweight_orbit(d, tuple(m * c for c in d.highest_coroot)):
+            assert_min_rep_matches_stripping(translation(d, mu))
+
+
 def test_antidominant_translations_are_min_reps():
     d = datum("A2")
     for lam in itertools.product(range(-2, 1), repeat=2):
@@ -370,6 +400,12 @@ def test_positive_translation_strips_to_s0():
     m = min_rep(t)
     assert m == generator(d, 0)
     assert m.length() == t.length() - 1
+
+
+def test_min_rep_raises_when_the_walk_leaves_a_descent(monkeypatch):
+    monkeypatch.setattr(affine, "_descend", lambda r, rows, limit: [])
+    with pytest.raises(ArithmeticError, match="coset minimum ended at the right alcove vector"):
+        min_rep(translation(datum("A1"), (1,)))
 
 
 def test_is_antidominant():
