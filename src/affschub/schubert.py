@@ -117,17 +117,18 @@ def segment_factorizations(
     """
     datum = w.datum
     check_enum_bound(datum, "factorization length", w.length(), bound)
-    if not is_min_rep(w):
+    d = _descents(datum)
+    q = _right_alcove(d, w)
+    if min(q[1:]) <= 0:
         raise ValueError("only minimal coset representatives factor into segments")
     segs = _segments(datum.lie_type)
-    d = _descents(datum)
     rows = _sparse_rows(datum.affine_cartan)
     out = []
     # depth first on an explicit stack of (q, n, chain), where chain links the
     # segments stripped so far, leftmost at its head; segments are pushed in
     # reverse, so the factorizations come out ordered by their last factor,
     # then by the one before it, and so on
-    stack = [(_right_alcove(d, w), w.length(), None)]
+    stack = [(q, w.length(), None)]
     while stack:
         q, n, chain = stack.pop()
         if not n:

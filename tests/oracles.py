@@ -7,8 +7,13 @@ from operator import mul
 
 from affschub.affine import AffineElem, _descents, is_min_rep
 from affschub.cartan import LieType, Vec, root_datum
+from affschub.classify import all_canonical_types
 from affschub.schubert import segments
 from affschub.weyl import GradedPoly, WeylElem, _climb, _reflection, _simple_index, _sparse_rows, identity
+
+# every canonical type through rank 8; all_canonical_types appends E8 whatever
+# its cap, so the rank bound is stated by the filter, not by the cap
+TYPES_TO_RANK_8 = [t for t in all_canonical_types(8) if t.rank <= 8]
 
 
 def apply_root(w: WeylElem, vec: tuple) -> tuple:

@@ -26,12 +26,9 @@ import pytest
 
 from affschub.affine import bruhat_leq, is_antidominant, min_rep, translation
 from affschub.cartan import parse_type, root_datum
-from affschub.classify import all_canonical_types
 from affschub.schubert import SchubertClass, schubert_poincare
 from affschub.verify import coweight_orbit
-
-# all_canonical_types appends E8 whatever the cap, so the cap is applied here
-TYPES_TO_RANK_8 = [t for t in all_canonical_types(8) if t.rank <= 8]
+from oracles import TYPES_TO_RANK_8
 
 
 def negate(vec):

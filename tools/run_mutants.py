@@ -4,18 +4,17 @@ A mutant is (file, old text, new text, -k selection).  For each one the
 runner copies src/, tests/ and pyproject.toml into a temporary directory,
 replaces the one occurrence of the old text in the file, and runs
 ``python -O -m pytest -x -k <selection>`` there, with the copy's src/ alone
-on PYTHONPATH, a per-mutant timeout and a 3 GB address-space limit.  A
+on PYTHONPATH, a 60 s per-mutant timeout and a 3 GB address-space limit.  A
 mutant is killed when that run fails or times out.  Before any mutant, the
 union of the selections must pass on an unmutated copy.  Exits 1 if an old
 text does not occur exactly once, if the unmutated run fails, or if a
 mutant survives.
 
-    python3 tools/run_mutants.py [--timeout SECONDS]
+    python3 tools/run_mutants.py
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import resource
 import shutil
@@ -31,6 +30,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 from mutants import MUTANTS  # noqa: E402
 
 MEMORY_LIMIT = 3 * 2**30
+TIMEOUT = 60  # seconds per mutant; a run that outlasts it counts as a kill
 
 
 def limit_memory() -> None:
@@ -59,10 +59,6 @@ def run_selection(tree: Path, selection: str, timeout: float) -> int | None:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--timeout", type=float, default=60.0, help="seconds per run before a mutant counts as killed")
-    args = parser.parse_args()
-
     stale = []
     for path, old, _, _ in MUTANTS:
         count = (ROOT / path).read_text().count(old)
@@ -76,7 +72,7 @@ def main() -> int:
         tree = Path(scratch) / "tree"
         copy_tree(tree)
         union = " or ".join(f"({selection})" for *_, selection in MUTANTS)
-        code = run_selection(tree, union, args.timeout * len(MUTANTS))
+        code = run_selection(tree, union, TIMEOUT * len(MUTANTS))
         if code != 0:
             print(f"the unmutated selections fail (exit {code}); no mutant run means anything")
             return 1
@@ -87,10 +83,10 @@ def main() -> int:
             target = tree / path
             target.write_text(target.read_text().replace(old, new))
             start = time.perf_counter()
-            code = run_selection(tree, selection, args.timeout)
+            code = run_selection(tree, selection, TIMEOUT)
             took = time.perf_counter() - start
             if code is None:
-                verdict = f"killed (timeout after {args.timeout:.0f} s)"
+                verdict = f"killed (timeout after {TIMEOUT} s)"
             elif code in (1, 2):  # tests failed, or collection broke
                 verdict = f"killed (exit {code}, {took:.1f} s)"
             else:  # passed, or pytest could not run the selection (exit 5: no test selected)
