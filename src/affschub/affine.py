@@ -112,8 +112,12 @@ x are the coset minima of [e, x].  A coset is its point, so lower_interval
 reads a reduced word of x right to left from the origin.  By Deodhar's
 lemma a letter s sends a representative v down (s v < v is already below),
 into v's own coset, or up, so only up-steps add points: the same walk, one
-label at a time.  Its points are kept by length with their parent links,
-and the elements are built from the links in the same way;
+label at a time.  A point that letter l has stepped keeps its s_l image, so
+each later l steps only the points added since it was last read: every
+point is stepped at most once per label, and the walk costs
+O(l(x) + |interval| (rank + 1)), against O(l(x) |interval|) for rescanning
+every point at every letter.  Its points are kept by length with their
+parent links, and the elements are built from the links in the same way;
 schubert_poincare counts the points and builds none.
 
 Enumeration-style operations carry configurable length limits, checked by
@@ -571,14 +575,27 @@ def bruhat_leq(v: AffineElem, w: AffineElem, *, bound: int = WORD_BOUND) -> bool
 
 
 def _interval_levels(x: AffineElem) -> list[dict]:
-    """The points of lower_interval(x) by length, as point -> (parent point, label)."""
+    """The points of lower_interval(x) by length, as point -> (parent point, label).
+
+    Once letter l is read, every point then held has its s_l image, or s_l
+    takes it down or keeps it in its coset, and a point l adds has p[l] < 0;
+    so a later l steps only the points added since (read[l] into points).
+    """
     rows = _sparse_rows(x.datum.affine_cartan)
-    levels = [{(1,) + (0,) * x.datum.rank: None}]
+    origin = (1,) + (0,) * x.datum.rank
+    points, depth, read = [origin], {origin: 0}, [0] * (x.datum.rank + 1)
+    levels = [{origin: None}]
     for label in reversed(reduced_word(x)):
-        levels.append({})
-        # a point this letter adds steps back down under it, so it adds nothing more
-        for level, up in zip(levels, levels[1:]):
-            _climb(rows, level, (label,), up)
+        up = {}
+        _climb(rows, points[read[label]:], (label,), up)
+        for point, link in up.items():
+            if point not in depth:
+                k = depth[point] = depth[link[0]] + 1
+                if k == len(levels):
+                    levels.append({})
+                levels[k][point] = link
+                points.append(point)
+        read[label] = len(points)
     return levels
 
 

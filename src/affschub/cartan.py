@@ -227,10 +227,6 @@ class RootDatum:
             raise ValueError(f"{alpha} is not a positive root of {self.lie_type}")
         return k
 
-    def is_long(self, label: int) -> bool:
-        """Whether the simple root at a finite node label is long."""
-        return self.symmetrizers[label - 1] == max(self.symmetrizers)
-
     def affine_neighbors(self) -> frozenset[int]:
         """Finite node labels adjacent to node 0 in the affine diagram."""
         return frozenset(

@@ -4,6 +4,7 @@ smoothness facts for a simple type."""
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import itemgetter
 
 from .cartan import LieType, RootDatum, minuscule_nodes, parse_type, root_datum
 from .cohomology import chain_coeffs, levi_nodes, pd_status
@@ -22,13 +23,18 @@ def bott_nodes(lie_type: LieType) -> frozenset[int]:
     domain of the affine Weyl group, the coroot lattice times W, and its
     coweight points are 0 and the minuscule omega_j^v, theta_j = 1
     (Bourbaki, Lie Groups, ch. VI, sec. 2).  So omega_i^v is a coroot exactly when
-    the alcove descent (``_coweight_vertex``) carries it to the origin.
+    the alcove descent (``_coweight_vertex``) carries it to the origin.  Only
+    the long labels with theta_label > 1 are walked: a minuscule omega_label^v
+    starts at (0, e_label), already the vertex label != 0 of the alcove, where
+    the descent finds no negative entry and stops.
     """
     datum = root_datum(lie_type)
+    d, theta = datum.symmetrizers, datum.highest_root
+    top = max(d)
     return frozenset(
         label
         for label in range(1, datum.rank + 1)
-        if datum.is_long(label) and _coweight_vertex(datum, label) == 0
+        if d[label - 1] == top and theta[label - 1] > 1 and _coweight_vertex(datum, label) == 0
     )
 
 
@@ -45,9 +51,10 @@ def _coweight_vertex(datum: RootDatum, label: int) -> int:
     other end raises ArithmeticError, also under ``python -O``.
     """
     theta = datum.highest_root
-    r = [1 - theta[label - 1]] + [int(m == label) for m in range(1, datum.rank + 1)]
-    _descend(r, _sparse_rows(datum.affine_cartan), sum(beta[label - 1] for beta in datum.pos_roots))
-    if sorted(r) == [0] * datum.rank + [1]:
+    r = [0] * (datum.rank + 1)
+    r[0], r[label] = 1 - theta[label - 1], 1
+    _descend(r, _sparse_rows(datum.affine_cartan), sum(map(itemgetter(label - 1), datum.pos_roots)))
+    if r.count(0) == datum.rank and 1 in r:
         vertex = r.index(1)
         if vertex == 0 or theta[vertex - 1] == 1:
             return vertex

@@ -9,14 +9,16 @@ renormalized away.
 The Levi quotient's cell counts and chain ladder are computed together,
 once per type (``_levi_ladder``, interned like ``root_datum``), so a
 classification row, ``chain_coeffs`` and ``levi_poincare`` share one read
-of the long roots by coroot height: no walk, no group element.
+of the long roots by coroot height: no walk, no group element.  On a chain
+the ladder is collected in the same pass that checks each rung against
+a column of the Cartan matrix, transposed once.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from operator import mul
+from operator import mul, neg
 
 from .cartan import LieType, RootDatum, Vec, root_datum
 from .weyl import GradedPoly
@@ -53,11 +55,10 @@ def _long_root_levels(datum: RootDatum) -> list[list[Vec]]:
     d = datum.symmetrizers
     top, height = max(d), sum(datum.highest_coroot)
     levels: dict[int, list[Vec]] = {}
-    for beta, coroot, row in zip(datum.pos_roots, datum.pos_coroots, datum.pairing_rows):
-        h = sum(coroot)
+    for beta, h, row in zip(datum.pos_roots, map(sum, datum.pos_coroots), datum.pairing_rows):
         if top * h == sum(map(mul, beta, d)):
             levels.setdefault(height - h, []).append(row)
-            levels.setdefault(height + h - 1, []).append(tuple(-c for c in row))
+            levels.setdefault(height + h - 1, []).append(tuple(map(neg, row)))
     if sorted(levels) != list(range(2 * height)):
         raise ArithmeticError(f"the long-root levels of {datum.lie_type} are {sorted(levels)}, not 0..{2 * height - 1}")
     return [levels[k] for k in range(2 * height)]
@@ -72,22 +73,25 @@ def _levi_ladder(lie_type: LieType) -> tuple[GradedPoly, tuple[int, ...] | None]
     where y_k = s_i y_{k-1}: the one Chevalley term, beta = y_{k-1}^-1(alpha_i).
     As s_i is the one up-step from rung k-1, a_k is the one positive entry of
     that rung's point.  Level 0 must be theta alone, the last level -theta alone,
-    and each rung the last moved by its up-step (p[j] -= p[i] * A[j][i]), else
-    ArithmeticError.
+    and each rung the last moved by its up-step (p[j] -= p[i] * A[j][i], over
+    column i of A), else ArithmeticError.
     """
     datum = root_datum(lie_type)
     levels = _long_root_levels(datum)
     theta = datum.pairing_rows[-1]
-    if levels[0] != [theta] or levels[-1] != [tuple(-c for c in theta)]:
+    if levels[0] != [theta] or levels[-1] != [tuple(map(neg, theta))]:
         raise ArithmeticError(f"the long-root levels of {lie_type} do not run from theta to -theta")
     poly = GradedPoly.from_coeffs(map(len, levels))
     if any(len(level) != 1 for level in levels):
         return poly, None
+    columns = tuple(zip(*datum.cartan))
+    ladder = []
     for k, ((p,), (q,)) in enumerate(zip(levels, levels[1:]), 1):
-        i = p.index(max(p))
-        if sum(c > 0 for c in p) != 1 or q != tuple(x - p[i] * row[i] for x, row in zip(p, datum.cartan)):
+        a = max(p)
+        if sum(c > 0 for c in p) != 1 or q != tuple(x - a * e for x, e in zip(p, columns[p.index(a)])):
             raise ArithmeticError(f"rung {k} of the {lie_type} chain is not an up-step")
-    return poly, tuple(max(p) for (p,) in levels[:-1])
+        ladder.append(a)
+    return poly, tuple(ladder)
 
 
 def chain_coeffs(lie_type: LieType) -> tuple[int, ...] | None:

@@ -29,8 +29,8 @@ MUTANTS = [
     # the Chevalley ladder summing a rung's pairings instead of reading its one positive entry
     (
         "src/affschub/cohomology.py",
-        "return poly, tuple(max(p) for (p,) in levels[:-1])",
-        "return poly, tuple(sum(p) for (p,) in levels[:-1])",
+        "        ladder.append(a)\n",
+        "        ladder.append(sum(p))\n",
         "ladder_matches_chevalley_oracle",
     ),
     # the enumeration walk climbing on the transposed affine Cartan matrix
@@ -43,8 +43,8 @@ MUTANTS = [
     # the lower-interval walk climbing on the transposed affine Cartan matrix
     (
         AFFINE,
-        "rows = _sparse_rows(x.datum.affine_cartan)\n    levels",
-        "rows = _sparse_rows(tuple(zip(*x.datum.affine_cartan)))\n    levels",
+        "rows = _sparse_rows(x.datum.affine_cartan)\n    origin",
+        "rows = _sparse_rows(tuple(zip(*x.datum.affine_cartan)))\n    origin",
         "segment_count_is_levi_cell_count",
     ),
     # the coweight orbit pairing by Cartan row instead of by the simple roots' pairing rows
@@ -69,10 +69,17 @@ MUTANTS = [
     ),
     # the lam replay of a link with the wrong sign
     (AFFINE, "(lam[label - 1] - c,)", "(lam[label - 1] + c,)", "lattice_walk_matches_eager_oracle"),
-    # an up-step taken at a zero pairing, where s_l stays in the coset
-    ("src/affschub/weyl.py", "if (c := point[label]) > 0:", "if (c := point[label]) >= 0:", "cell_count_is_a_sum_of_orbit_sizes"),
+    # an up-step taken at a zero pairing, where s_l stays in the coset (the
+    # interval walk skips a point already placed, so only enumeration meets it)
+    ("src/affschub/weyl.py", "if (c := point[label]) > 0:", "if (c := point[label]) >= 0:", "lattice_bfs_matches_coset_oracle"),
     # the Bott walk started at level 0
-    ("src/affschub/classify.py", "r = [1 - theta[label - 1]]", "r = [-theta[label - 1]]", "bott_nodes_match_fraction_oracle"),
+    ("src/affschub/classify.py", "r[0], r[label] = 1 - theta[label - 1], 1", "r[0], r[label] = -theta[label - 1], 1", "bott_nodes_match_fraction_oracle"),
+    # the Bott walk skipping the long labels with theta_label = 2 as well
+    ("src/affschub/classify.py", "theta[label - 1] > 1 and", "theta[label - 1] > 2 and", "bott_nodes_match_fraction_oracle"),
+    # the interval walk's cursor dropping the first point it should step
+    (AFFINE, "points[read[label]:]", "points[read[label] + 1:]", "interval_walk_matches_rescanning_oracle"),
+    # a chain rung checked against the Cartan row where its column belongs
+    ("src/affschub/cohomology.py", "zip(p, columns[p.index(a)])", "zip(p, datum.cartan[p.index(a)])", "ladder"),
     # a reflection reading the root where its coroot belongs
     ("src/affschub/weyl.py", "beta, cor = datum.pos_roots[k], datum.pos_coroots[k]", "beta, cor = datum.pos_roots[k], datum.pos_roots[k]", "reflection"),
     # the symmetrizers doubled

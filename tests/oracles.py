@@ -5,7 +5,7 @@ None of these is on a path the ``affschub`` commands run.
 
 from operator import mul
 
-from affschub.affine import AffineElem, _descents, is_min_rep
+from affschub.affine import AffineElem, _descents, is_min_rep, reduced_word
 from affschub.cartan import LieType, Vec, root_datum
 from affschub.classify import all_canonical_types
 from affschub.schubert import segments
@@ -143,6 +143,22 @@ def product_segment_factorizations(w) -> list[list]:
             if y.length() == x.length() - seg.dim() and is_min_rep(y):
                 stack.append((y, [seg] + factors))
     return out
+
+
+def rescanning_interval_levels(x: AffineElem) -> list[dict]:
+    """The points of lower_interval(x) by length, as point -> (parent point, label).
+
+    Reads a reduced word of x right to left from the origin, and steps every
+    point held, level by level, at every letter: l(x) |interval| steps.
+    """
+    rows = _sparse_rows(x.datum.affine_cartan)
+    levels = [{(1,) + (0,) * x.datum.rank: None}]
+    for label in reversed(reduced_word(x)):
+        levels.append({})
+        # a point this letter adds steps back down under it, so it adds nothing more
+        for level, up in zip(levels, levels[1:]):
+            _climb(rows, level, (label,), up)
+    return levels
 
 
 def quotient_poincare(lie_type: LieType, nodes) -> GradedPoly:

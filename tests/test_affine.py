@@ -34,6 +34,7 @@ from oracles import (
     double_loop_pairing,
     first_right_descent,
     min_coset_reps,
+    rescanning_interval_levels,
     right_descent,
     stripping_min_rep,
 )
@@ -886,6 +887,58 @@ def test_lower_interval_carries_coset_minima(label, top):
     for v in affine.lower_interval(x):
         assert v.fin.perm == min_rep(translation(d, v.trans)).fin.perm
         assert v.length() == affine.AffineElem(d, v.trans, v.fin).length()
+
+
+def level_points(levels):
+    """The points of each nonempty level of an interval walk."""
+    return [set(level) for level in levels if level]
+
+
+def numbers_game_step(rows, point, label):
+    """The point moved at label: p[m] -= p[label] * A[label][m] over row label."""
+    step = list(point)
+    for m, e in rows[label]:
+        step[m] -= point[label] * e
+    return tuple(step)
+
+
+def random_minrep_word(d, n, rng):
+    """A reduced word of a random minimal representative of length n: n up-steps
+    (p[l] > 0) from the origin, each at a label drawn among those that go up."""
+    rows = weyl._sparse_rows(d.affine_cartan)
+    p = (1,) + (0,) * d.rank
+    word = []
+    for _ in range(n):
+        l = rng.choice([l for l, c in enumerate(p) if c > 0])
+        p = numbers_game_step(rows, p, l)
+        word.append(l)
+    return word[::-1]
+
+
+# seeded minimal representatives per type, each walked as is and times a finite word
+INTERVAL_SAMPLES = 6
+
+
+@pytest.mark.parametrize("lie_type", TYPES_TO_RANK_8, ids=str)
+def test_interval_walk_matches_rescanning_oracle(lie_type):
+    # stepping each point once per label reaches the points, at the lengths,
+    # that stepping every point at every letter reaches; each link is an up-step
+    # from a point one level down
+    d = root_datum(lie_type)
+    rows = weyl._sparse_rows(d.affine_cartan)
+    rng = random.Random(str(lie_type))
+    elems = [translation(d, tuple(-m * c for c in d.highest_coroot)) for m in (1, 2)]
+    for _ in range(INTERVAL_SAMPLES):
+        word = random_minrep_word(d, rng.randrange(6, 30), rng)
+        elems.append(from_word(d, word))
+        elems.append(from_word(d, word + [rng.randrange(1, d.rank + 1) for _ in range(5)]))
+    for x in elems:
+        levels = affine._interval_levels(x)
+        assert level_points(levels) == level_points(rescanning_interval_levels(x))
+        for below, level in zip(levels, levels[1:]):
+            for point, (parent, label) in level.items():
+                assert parent in below and parent[label] > 0
+                assert numbers_game_step(rows, parent, label) == point
 
 
 @pytest.mark.parametrize("label,text", [("A2", "t:-10,-10"), ("A4", "t:-4,-4,-4,-4")])

@@ -245,6 +245,14 @@ def test_fundamental_coweight_matches_fraction_oracle(label):
             assert all((a - b).denominator == 1 for a, b in zip(inverse[s - 1], inverse[vertex - 1]))
 
 
+@pytest.mark.parametrize("label", TYPES_RANK14)
+def test_minuscule_coweight_descends_to_its_own_vertex(label):
+    # bott_nodes walks no label with theta_j = 1, as its descent starts and stays at the vertex j
+    datum = root_datum(parse_type(label))
+    for j in minuscule_nodes(datum.lie_type):
+        assert _coweight_vertex(datum, j) == j
+
+
 def _fraction_symmetrizers(a):
     """Symmetrizers over Fractions, kept here as the oracle.
 
@@ -318,6 +326,11 @@ def test_coweight_descent_fault_exits_4(capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+def is_long(datum, label):
+    """Whether the simple root at a finite node label is long."""
+    return datum.symmetrizers[label - 1] == max(datum.symmetrizers)
+
+
 def test_automorphisms_are_a_group():
     for label in ["A2", "C3", "D4", "E6"]:
         perms = diagram_automorphisms(parse_type(label))
@@ -347,7 +360,7 @@ def test_fundamental_coweights():
     g2 = parse_type("G2")
     datum = root_datum(g2)
     (long_neighbor,) = datum.affine_neighbors()
-    assert datum.is_long(long_neighbor)
+    assert is_long(datum, long_neighbor)
     cw = _fraction_inverse(datum.cartan)[long_neighbor - 1]
     assert cw == tuple(Fraction(c) for c in datum.highest_coroot)
     e8 = root_datum(parse_type("E8"))
@@ -392,7 +405,7 @@ def test_unique_affine_neighbor_outside_type_a(label):
     (t,) = nbrs
     if label[0] not in "AC":
         # outside A and C the neighbor is long and its coweight is the highest coroot
-        assert datum.is_long(t)
+        assert is_long(datum, t)
         cw = _fraction_inverse(datum.cartan)[t - 1]
         assert cw == tuple(Fraction(c) for c in datum.highest_coroot)
 
