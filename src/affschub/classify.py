@@ -22,31 +22,29 @@ def bott_nodes(lie_type: LieType) -> frozenset[int]:
     classical commutator construction.  The closed alcove is a fundamental
     domain of the affine Weyl group, the coroot lattice times W, and its
     coweight points are 0 and the minuscule omega_j^v, theta_j = 1
-    (Bourbaki, Lie Groups, ch. VI, sec. 2).  So omega_i^v is a coroot exactly when
-    the alcove descent (``_coweight_vertex``) carries it to the origin.  Only
-    the long labels with theta_label > 1 are walked: a minuscule omega_label^v
-    starts at (0, e_label), already the vertex label != 0 of the alcove, where
-    the descent finds no negative entry and stops.
+    (Bourbaki, Lie Groups, ch. VI, sec. 2).  So with no theta_j = 1 (E8, F4, G2)
+    every coweight is a coroot and nothing is walked; otherwise omega_i^v with
+    theta_i > 1 is a coroot exactly when the alcove descent (``_coweight_vertex``)
+    carries it to the origin, and a minuscule one starts at the vertex i != 0.
     """
     datum = root_datum(lie_type)
     d, theta = datum.symmetrizers, datum.highest_root
-    top = max(d)
+    top, walk = max(d), 1 in theta
     return frozenset(
         label
         for label in range(1, datum.rank + 1)
-        if d[label - 1] == top and theta[label - 1] > 1 and _coweight_vertex(datum, label) == 0
+        if d[label - 1] == top and theta[label - 1] > 1 and (not walk or _coweight_vertex(datum, label) == 0)
     )
 
 
 def _coweight_vertex(datum: RootDatum, label: int) -> int:
     """The vertex of the closed alcove that omega_label^v descends to: 0 for the origin, j for omega_j^v.
 
-    The coweight's pairings with the affine simple roots at level 1 are
-    r = (1 - theta_label, e_label).  Each move of the numbers game
-    ``weyl._descend`` on the affine Cartan rows reflects the point in an
-    alcove wall it lies strictly beyond, and so crosses one of the hyperplanes
-    <x, beta> = k, 0 < k < beta_label, that part it from the alcove: fewer
-    than the step limit sum_{beta > 0} beta_label = <omega_label^v, 2 rho>.
+    The walk starts at the coweight's pairings with the affine simple roots at
+    level 1, r = (1 - theta_label, e_label).  Each move of ``weyl._descend`` on the
+    affine Cartan rows reflects the point in an alcove wall it lies strictly beyond,
+    crossing one of the hyperplanes <x, beta> = k, 0 < k < beta_label, that part it
+    from the alcove: fewer than sum_{beta > 0} beta_label = <omega_label^v, 2 rho>.
     The walk must end at (1, 0, ..., 0) or at (0, e_j) with theta_j = 1; any
     other end raises ArithmeticError, also under ``python -O``.
     """

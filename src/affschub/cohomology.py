@@ -8,10 +8,11 @@ renormalized away.
 
 The Levi quotient's cell counts and chain ladder are computed together,
 once per type (``_levi_ladder``, interned like ``root_datum``), so a
-classification row, ``chain_coeffs`` and ``levi_poincare`` share one read
-of the long roots by coroot height: no walk, no group element.  On a chain
-the ladder is collected in the same pass that checks each rung against
-a column of the Cartan matrix, transposed once.
+classification row, ``chain_coeffs`` and ``levi_poincare`` share one count
+of the long roots by coroot height: no walk, no group element, and no
+point of the quotient unless it is a chain.  Only on a chain (A1, C_n, G2)
+are the rungs' pairing rows read, and each is checked against the sparse
+columns of the Cartan matrix as the ladder is collected.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import enum
 import functools
 from operator import mul, neg
 
-from .cartan import LieType, RootDatum, Vec, root_datum
-from .weyl import GradedPoly
+from .cartan import LieType, RootDatum, root_datum
+from .weyl import GradedPoly, _sparse_rows
 
 
 class PDStatus(enum.Enum):
@@ -42,56 +43,60 @@ def levi_nodes(lie_type: LieType) -> frozenset[int]:
     return frozenset(range(1, datum.rank + 1)) - datum.affine_neighbors()
 
 
-def _long_root_levels(datum: RootDatum) -> list[list[Vec]]:
-    """The long roots gamma as (<alpha_i^v, gamma>)_i, level k holding y(theta), y in W^J of length k.
-
-    For a long root gamma other than +-alpha_i, |<alpha_i, gamma^v>| <= 1, so an
-    up-step (<alpha_i^v, gamma> > 0) lowers ht(gamma^v) by exactly 1, and
-    alpha_i -> -alpha_i takes it from 1 to -1.  So with H = ht(theta^v), a long
-    root beta > 0 lies at level H - ht(beta^v) and -beta at H + ht(beta^v) - 1.
-    beta is long when max(d) * ht(beta^v) = sum_i beta_i d_i, d the symmetrizers.
-    Levels that do not run over 0..2H-1 without a gap raise ArithmeticError.
-    """
+def _long_coroot_heights(datum: RootDatum):
+    """(k, ht(beta^v)) for each long beta = pos_roots[k]: max(d) * ht(beta^v) = sum_i beta_i d_i,
+    d the symmetrizers, which holds for every root when every d_i is equal."""
     d = datum.symmetrizers
-    top, height = max(d), sum(datum.highest_coroot)
-    levels: dict[int, list[Vec]] = {}
-    for beta, h, row in zip(datum.pos_roots, map(sum, datum.pos_coroots), datum.pairing_rows):
-        if top * h == sum(map(mul, beta, d)):
-            levels.setdefault(height - h, []).append(row)
-            levels.setdefault(height + h - 1, []).append(tuple(map(neg, row)))
-    if sorted(levels) != list(range(2 * height)):
-        raise ArithmeticError(f"the long-root levels of {datum.lie_type} are {sorted(levels)}, not 0..{2 * height - 1}")
-    return [levels[k] for k in range(2 * height)]
+    heights = enumerate(map(sum, datum.pos_coroots))
+    if (top := max(d)) == min(d):
+        return heights
+    return ((k, h) for (k, h), beta in zip(heights, datum.pos_roots) if top * h == sum(map(mul, beta, d)))
 
 
 @functools.cache
 def _levi_ladder(lie_type: LieType) -> tuple[GradedPoly, tuple[int, ...] | None]:
     """The Levi quotient's Poincare polynomial and its chain ladder, per type,
-    read off :func:`_long_root_levels` and interned like :func:`root_datum`.
+    counted off the long roots by coroot height and interned like :func:`root_datum`.
 
-    On a chain, c1 * y_{k-1} is a_k y_k with a_k = <alpha_i^v, y_{k-1}(theta)>,
-    where y_k = s_i y_{k-1}: the one Chevalley term, beta = y_{k-1}^-1(alpha_i).
-    As s_i is the one up-step from rung k-1, a_k is the one positive entry of
-    that rung's point.  Level 0 must be theta alone, the last level -theta alone,
-    and each rung the last moved by its up-step (p[j] -= p[i] * A[j][i], over
-    column i of A), else ArithmeticError.
+    Level k holds the long roots y(theta), y in W^J of length k.  An up-step
+    (<alpha_i^v, gamma> > 0) lowers ht(gamma^v) of a long root gamma != +-alpha_i
+    by 1, as |<alpha_i, gamma^v>| <= 1, and alpha_i -> -alpha_i takes it from 1 to -1.
+    So with H = ht(theta^v), a long beta > 0 of coroot height h lies at level
+    H - h and -beta at H + h - 1: the polynomial is up + up reversed, with
+    up = (c_H, ..., c_1) and c_h the number of such beta.  On a chain (each
+    c_h = 1), c1 * y_{k-1} = a_k y_k with y_k = s_i y_{k-1}, and the one Chevalley
+    term beta = y_{k-1}^-1(alpha_i) gives a_k = <alpha_i^v, y_{k-1}(theta)>, the
+    one positive entry of rung k-1's point p = (<alpha_i^v, gamma>)_i (a row of
+    ``pairing_rows`` or its negative).  The levels must run over 0..2H-1, level 0
+    must be theta alone, and each rung the last moved by its up-step
+    (p[j] -= p[i] * A[j][i], over column i of A), else ArithmeticError.
     """
     datum = root_datum(lie_type)
-    levels = _long_root_levels(datum)
-    theta = datum.pairing_rows[-1]
-    if levels[0] != [theta] or levels[-1] != [tuple(map(neg, theta))]:
-        raise ArithmeticError(f"the long-root levels of {lie_type} do not run from theta to -theta")
-    poly = GradedPoly.from_coeffs(map(len, levels))
-    if any(len(level) != 1 for level in levels):
+    height, n = sum(datum.highest_coroot), len(datum.pos_roots)
+    counts, last = [0] * (n + 1), [0] * (n + 1)  # no coroot height exceeds n
+    for k, h in _long_coroot_heights(datum):
+        counts[h] += 1
+        last[h] = k  # on a chain, the one long root of coroot height h
+    up = counts[height:0:-1]
+    if 0 in up or any(counts[height + 1:]):
+        levels = sorted({lv for h, c in enumerate(counts) if c for lv in (height - h, height + h - 1)})
+        raise ArithmeticError(f"the long-root levels of {lie_type} are {levels}, not 0..{2 * height - 1}")
+    if up[0] != 1 or last[height] != n - 1:  # theta is the last positive root
+        raise ArithmeticError(f"level 0 of the long roots of {lie_type} is not theta alone")
+    poly = GradedPoly.from_coeffs(up + up[::-1])
+    if max(up) > 1:
         return poly, None
-    columns = tuple(zip(*datum.cartan))
-    ladder = []
-    for k, ((p,), (q,)) in enumerate(zip(levels, levels[1:]), 1):
+    rungs = [datum.pairing_rows[k] for k in last[height:0:-1]]
+    rungs += [tuple(map(neg, p)) for p in reversed(rungs)]
+    columns = _sparse_rows(tuple(zip(*datum.cartan)))
+    for k, (p, q) in enumerate(zip(rungs, rungs[1:]), 1):
         a = max(p)
-        if sum(c > 0 for c in p) != 1 or q != tuple(x - a * e for x, e in zip(p, columns[p.index(a)])):
+        step = list(p)
+        for j, e in columns[p.index(a)]:
+            step[j] -= a * e
+        if sum(c > 0 for c in p) != 1 or q != tuple(step):
             raise ArithmeticError(f"rung {k} of the {lie_type} chain is not an up-step")
-        ladder.append(a)
-    return poly, tuple(ladder)
+    return poly, tuple(map(max, rungs[:-1]))
 
 
 def chain_coeffs(lie_type: LieType) -> tuple[int, ...] | None:
@@ -116,9 +121,7 @@ def pd_status(lie_type: LieType, coeffs: tuple[int, ...] | None) -> PDStatus:
         return PDStatus.INTEGRAL
     if all(a != 0 for a in coeffs):
         return PDStatus.RATIONAL_ONLY
-    raise ArithmeticError(
-        f"chain quotient of {lie_type} has a vanishing cup coefficient: {coeffs}"
-    )
+    raise ArithmeticError(f"chain quotient of {lie_type} has a vanishing cup coefficient: {coeffs}")
 
 
 def levi_poincare(lie_type: LieType) -> GradedPoly:

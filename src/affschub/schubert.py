@@ -75,7 +75,7 @@ def star(tau: SchubertClass, nu: SchubertClass) -> SchubertClass | None:
     """Basis-level product; None encodes the zero class."""
     p = tau.elem * nu.elem
     if p.length() == tau.dim() + nu.dim() and is_min_rep(p):
-        return SchubertClass(p)
+        return SchubertClass._make((p,))  # is_min_rep(p) held: skip the class's own check
     return None
 
 
@@ -159,9 +159,7 @@ def segment_factorize(w: AffineElem, *, bound: int | None = None) -> list[Schube
     """The unique segment factorization of w; ArithmeticError if uniqueness fails."""
     found = segment_factorizations(w, bound=bound)
     if len(found) != 1:
-        raise ArithmeticError(
-            f"expected exactly one segment factorization of {w!r}, found {len(found)}"
-        )
+        raise ArithmeticError(f"expected exactly one segment factorization of {w!r}, found {len(found)}")
     return found[0]
 
 

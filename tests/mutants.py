@@ -29,8 +29,8 @@ MUTANTS = [
     # the Chevalley ladder summing a rung's pairings instead of reading its one positive entry
     (
         "src/affschub/cohomology.py",
-        "        ladder.append(a)\n",
-        "        ladder.append(sum(p))\n",
+        "tuple(map(max, rungs[:-1]))",
+        "tuple(map(sum, rungs[:-1]))",
         "ladder_matches_chevalley_oracle",
     ),
     # the enumeration walk climbing on the transposed affine Cartan matrix
@@ -78,14 +78,18 @@ MUTANTS = [
     ("src/affschub/classify.py", "theta[label - 1] > 1 and", "theta[label - 1] > 2 and", "bott_nodes_match_fraction_oracle"),
     # the interval walk's cursor dropping the first point it should step
     (AFFINE, "points[read[label]:]", "points[read[label] + 1:]", "interval_walk_matches_rescanning_oracle"),
-    # a chain rung checked against the Cartan row where its column belongs
-    ("src/affschub/cohomology.py", "zip(p, columns[p.index(a)])", "zip(p, datum.cartan[p.index(a)])", "ladder"),
+    # a chain rung moved along the Cartan row where its column belongs
+    ("src/affschub/cohomology.py", "columns = _sparse_rows(tuple(zip(*datum.cartan)))", "columns = _sparse_rows(datum.cartan)", "ladder"),
     # a reflection reading the root where its coroot belongs
     ("src/affschub/weyl.py", "beta, cor = datum.pos_roots[k], datum.pos_coroots[k]", "beta, cor = datum.pos_roots[k], datum.pos_roots[k]", "reflection"),
     # the symmetrizers doubled
     ("src/affschub/cartan.py", "d = tuple(r * c // t for", "d = tuple(2 * r * c // t for", "symmetrizers"),
     # the long-root level of -beta one too high
-    ("src/affschub/cohomology.py", "levels.setdefault(height + h - 1, [])", "levels.setdefault(height + h, [])", "ladder"),
+    ("src/affschub/cohomology.py", "from_coeffs(up + up[::-1])", "from_coeffs(up + [0] + up[::-1])", "ladder"),
     # short roots kept among the long ones
-    ("src/affschub/cohomology.py", "top, height = max(d), sum(datum.highest_coroot)", "top, height = min(d), sum(datum.highest_coroot)", "ladder"),
+    ("src/affschub/cohomology.py", "(top := max(d)) == min(d)", "(top := min(d)) == min(d)", "ladder"),
+    # a long root counted one coroot height low
+    ("src/affschub/cohomology.py", "        counts[h] += 1\n", "        counts[h - 1] += 1\n", "ladder"),
+    # the Bott shortcut taken although a node is minuscule
+    ("src/affschub/classify.py", "top, walk = max(d), 1 in theta", "top, walk = max(d), False", "bott_nodes_match_fraction_oracle"),
 ]

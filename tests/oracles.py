@@ -164,3 +164,23 @@ def rescanning_interval_levels(x: AffineElem) -> list[dict]:
 def quotient_poincare(lie_type: LieType, nodes) -> GradedPoly:
     """Poincare polynomial of W^I: coefficient of q^k counts length-k reps."""
     return GradedPoly.from_coeffs(len(level) for level in min_coset_reps(lie_type, nodes))
+
+
+def long_root_levels(datum) -> list[list[Vec]]:
+    """The long roots gamma as (<alpha_i^v, gamma>)_i, level k holding y(theta), y in W^J of length k.
+
+    Collects every long root's pairing row, beta > 0 at level H - ht(beta^v)
+    and -beta at H + ht(beta^v) - 1 with H = ht(theta^v), testing each root
+    for length as max(d) * ht(beta^v) = sum_i beta_i d_i, d the symmetrizers.
+    Levels that do not run over 0..2H-1 without a gap raise ArithmeticError.
+    """
+    d = datum.symmetrizers
+    top, height = max(d), sum(datum.highest_coroot)
+    levels: dict[int, list[Vec]] = {}
+    for beta, h, row in zip(datum.pos_roots, map(sum, datum.pos_coroots), datum.pairing_rows):
+        if top * h == sum(map(mul, beta, d)):
+            levels.setdefault(height - h, []).append(row)
+            levels.setdefault(height + h - 1, []).append(tuple(-c for c in row))
+    if sorted(levels) != list(range(2 * height)):
+        raise ArithmeticError(f"the long-root levels of {datum.lie_type} are {sorted(levels)}, not 0..{2 * height - 1}")
+    return [levels[k] for k in range(2 * height)]

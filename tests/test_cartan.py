@@ -282,18 +282,32 @@ def test_symmetrizers_match_fraction_oracle(label):
     assert all(d[i] * a[i][j] == d[j] * a[j][i] for i in range(n) for j in range(n))
 
 
-@pytest.mark.parametrize("label", TYPES_RANK14)
-def test_bott_nodes_match_fraction_oracle(label):
-    # a long node whose coweight, a row of the Fraction inverse, is integral
-    lt = parse_type(label)
+def _fraction_bott_nodes(lt):
+    """The long nodes whose coweight, a row of the Fraction inverse, is integral: the oracle."""
     a = root_datum(lt).cartan
     d = _fraction_symmetrizers(a)
     inverse = _fraction_inverse(a)
-    expected = {
+    return {
         s for s in range(1, lt.rank + 1)
         if d[s - 1] == max(d) and all(c.denominator == 1 for c in inverse[s - 1])
     }
-    assert bott_nodes(lt) == expected
+
+
+@pytest.mark.parametrize("label", TYPES_RANK14)
+def test_bott_nodes_match_fraction_oracle(label):
+    lt = parse_type(label)
+    assert bott_nodes(lt) == _fraction_bott_nodes(lt)
+
+
+@pytest.mark.parametrize("label", ["E8", "F4", "G2"])
+def test_bott_nodes_walk_nothing_without_a_minuscule_node(label, monkeypatch):
+    # with no theta_j = 1 the coweight lattice is the coroot lattice: every long
+    # node with theta_i > 1 is a Bott node, and no coweight is walked
+    walks = []
+    monkeypatch.setattr(classify, "_descend", lambda *args: walks.append(args))
+    lt = parse_type(label)
+    assert 1 not in root_datum(lt).highest_root
+    assert bott_nodes(lt) == _fraction_bott_nodes(lt) and walks == []
 
 
 def _short_limit_datum(label):
@@ -317,12 +331,14 @@ def test_coweight_descent_fault_raises(monkeypatch):
 
 
 def test_coweight_descent_fault_exits_4(capsys, monkeypatch):
-    fake = _short_limit_datum("E8")
+    # E7 has a minuscule node, so its report walks; omega_1^v reaches the origin
+    # in its one move, omega_2^v does not
+    fake = _short_limit_datum("E7")
     monkeypatch.setattr(classify, "root_datum", lambda lt: fake)
-    assert cli.main(["report", "E8"]) == 4
+    assert cli.main(["report", "E7"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "internal error: the alcove descent of the coweight at node 1 of E8 ended at" in captured.err
+    assert "internal error: the alcove descent of the coweight at node 2 of E7 ended at" in captured.err
     assert "Traceback" not in captured.err
 
 

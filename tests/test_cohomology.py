@@ -9,7 +9,7 @@ from affschub.cartan import RootDatum, parse_type, root_datum
 from affschub.classify import all_canonical_types, type_report
 from affschub.cohomology import PDStatus, chain_coeffs, levi_nodes, levi_poincare, pd_status
 from affschub.weyl import identity, reflection, simple_reflection
-from oracles import apply_root, has_right_descent, min_coset_reps
+from oracles import apply_root, has_right_descent, long_root_levels, min_coset_reps
 
 
 def datum(label):
@@ -85,7 +85,7 @@ def test_chevalley_raises_grading_by_one(label):
     # the terms s_i y of c1 * y are the up-steps of the point of y(theta) (p[i] > 0), the
     # ones the ladder reads: each lands one level up, and they reach every point there
     d = datum(label)
-    levels = cohomology._long_root_levels(d)
+    levels = long_root_levels(d)
     for below, above in zip(levels, levels[1:]):
         ups = {tuple(x - c * row[i] for x, row in zip(p, d.cartan)) for p in below for i, c in enumerate(p) if c > 0}
         assert ups == set(above)
@@ -140,14 +140,19 @@ def _theta_walk(lt):
         levels.append(nxt)
 
 
-@pytest.mark.parametrize("label", [str(t) for t in all_canonical_types(14) if t.rank <= 14])
+@pytest.mark.parametrize("label", [str(t) for t in all_canonical_types(14)])
 def test_long_root_levels_match_walk_oracle(label):
-    # the coroot-height levels against the up-step walk of theta's orbit
-    levels = cohomology._long_root_levels(datum(label))
-    walk = _theta_walk(parse_type(label))
+    # the oracle's coroot-height levels against the up-step walk of theta's orbit,
+    # and the counted polynomial and ladder against the oracle's levels
+    lt = parse_type(label)
+    levels = long_root_levels(datum(label))
+    walk = _theta_walk(lt)
     assert len(levels) == len(walk)
     for points, walked in zip(levels, walk):
         assert len(points) == len(walked) and set(points) == set(walked)
+    assert levi_poincare(lt).coeffs == tuple(map(len, levels))
+    chain = all(len(points) == 1 for points in levels)
+    assert chain_coeffs(lt) == (tuple(max(p) for (p,) in levels[:-1]) if chain else None)
 
 
 @pytest.mark.parametrize("label", [str(t) for t in all_canonical_types(10)])
@@ -157,7 +162,7 @@ def test_theta_orbit_matches_coset_oracle(label):
     d = datum(label)
     theta = d.highest_root
     levels = min_coset_reps(lt, levi_nodes(lt))
-    orbit = cohomology._long_root_levels(d)
+    orbit = long_root_levels(d)
     assert levi_poincare(lt).coeffs == tuple(len(level) for level in levels)
     for points, level in zip(orbit, levels, strict=True):
         images = [apply_root(y, theta) for y in level]
@@ -168,38 +173,53 @@ def test_theta_orbit_matches_coset_oracle(label):
     assert apply_root(levels[-1][0], theta) == tuple(-c for c in theta)
 
 
-# each corruption breaks one of the ladder's three checks: level 0, the last level, a chain rung
-@pytest.mark.parametrize("label, corrupt, match", [
-    ("A3", lambda levels: [levels[0] + levels[1][:1]] + levels[1:], "from theta to -theta"),
-    ("G2", lambda levels: levels[:-1] + [levels[-2][:1]], "from theta to -theta"),
-    ("C3", lambda levels: levels[:2] + [levels[3], levels[2]] + levels[4:], "rung 2 of the C3 chain"),
-], ids=["level_0", "last_level", "chain_rung"])
-def test_ladder_check_rejects_corrupted_level(label, corrupt, match, monkeypatch):
-    real = cohomology._long_root_levels
-    monkeypatch.setattr(cohomology, "_long_root_levels", lambda d: corrupt(real(d)))
-    with pytest.raises(ArithmeticError, match=match):
-        # past the memo, so the corrupted levels are read
-        cohomology._levi_ladder.__wrapped__(parse_type(label))
-
-
 def _stand_in(label, **fields):
     """The root datum of a type as a plain namespace, with some fields replaced."""
     real = datum(label)
     return types.SimpleNamespace(**{**{f: getattr(real, f) for f in RootDatum._FIELDS}, **fields})
 
 
-# every symmetrizer equal leaves gaps; a highest coroot of height 1 gives negative levels
+def _ladder_of(stand_in, monkeypatch):
+    monkeypatch.setattr(cohomology, "root_datum", lambda lt: stand_in)
+    # past the memo, so the stand-in is read
+    return cohomology._levi_ladder.__wrapped__(stand_in.lie_type)
+
+
+def _swap(seq, i, j):
+    out = list(seq)
+    out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
+# each stand-in breaks one of the ladder's three checks: contiguous levels, level 0, a chain rung
+@pytest.mark.parametrize("label, fields, match", [
+    # the symmetrizers swapped: alpha_1, of coroot height 1, is G2's one long root
+    ("G2", lambda d: {"symmetrizers": (3, 1)}, r"long-root levels of G2 are \[2, 3\], not 0..5"),
+    # a second long root at theta^v's height: two points at level 0
+    ("A3", lambda d: {"pos_coroots": d.pos_coroots[:-2] + d.pos_coroots[-1:] * 2}, "level 0 of the long roots of A3"),
+    # the pairing rows of the long roots at levels 1 and 2 swapped
+    ("C3", lambda d: {"pairing_rows": _swap(d.pairing_rows, 0, 5)}, "rung 1 of the C3 chain"),
+], ids=["gap", "level_0", "chain_rung"])
+def test_ladder_check_rejects_corrupted_level(label, fields, match, monkeypatch):
+    with pytest.raises(ArithmeticError, match=match):
+        _ladder_of(_stand_in(label, **fields(datum(label))), monkeypatch)
+
+
+# every symmetrizer equal counts short roots beyond theta^v's height; a highest
+# coroot of height 1 leaves the long roots above it
 @pytest.mark.parametrize("label", ["C2", "G2", "B3", "C3", "F4"])
 @pytest.mark.parametrize("kind", ["equal_symmetrizers", "low_highest_coroot"])
-def test_long_root_levels_reject_stand_in_datum(label, kind):
+def test_long_root_levels_reject_stand_in_datum(label, kind, monkeypatch):
     d = datum(label)
     fields = {"symmetrizers": (1,) * d.rank} if kind == "equal_symmetrizers" else {"highest_coroot": d.pos_coroots[0]}
     with pytest.raises(ArithmeticError, match=f"long-root levels of {label} are"):
-        cohomology._long_root_levels(_stand_in(label, **fields))
+        _ladder_of(_stand_in(label, **fields), monkeypatch)
+    with pytest.raises(ArithmeticError, match=f"long-root levels of {label} are"):
+        long_root_levels(_stand_in(label, **fields))
 
 
 def test_long_root_level_fault_exits_4(capsys, monkeypatch):
-    fake = _stand_in("G2", symmetrizers=(1, 1))
+    fake = _stand_in("G2", symmetrizers=(3, 1))
     cohomology._levi_ladder.cache_clear()
     monkeypatch.setattr(cohomology, "root_datum", lambda lt: fake)
     assert cli.main(["chevalley", "G2", "--json"]) == 4

@@ -69,6 +69,17 @@ def test_a1_star_example():
     assert got.elem == from_word(datum("A1"), [0, 1, 0])
 
 
+def test_nonzero_star_builds_one_right_alcove_vector(monkeypatch):
+    # is_min_rep(p) reads the product's right alcove vector once; the class is
+    # then built without reading it again
+    g = generator_class(parse_type("A2"))
+    builds = []
+    real = affine._right_alcove
+    monkeypatch.setattr(affine, "_right_alcove", lambda d, x: builds.append(x) or real(d, x))
+    got = star(g, g)
+    assert got is not None and len(builds) == 1 and builds[0] == got.elem
+
+
 def test_star_dimension_law():
     for label in ["A2", "C2"]:
         elems = [SchubertClass(x) for x in enumerate_minreps(parse_type(label), 5).flat()]

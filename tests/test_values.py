@@ -4,9 +4,11 @@ Every record type but RootDatum and MinRepLevels is an immutable named
 tuple: two instances built alike are equal and hash alike (the tuple hash of
 their fields), and the repr names each field.  MinRepLevels builds its
 elements on first read and keeps the same contract by hand.  RootDatum is
-interned per type, so it compares and hashes by identity.
+interned per type, so it compares and hashes by identity.  The last tests
+pin the bytes of the classification table and of every Chevalley ladder.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -14,9 +16,10 @@ import sys
 import pytest
 
 import affschub
+from affschub import cli
 from affschub.affine import AffineElem, enumerate_minreps, translation
 from affschub.cartan import LieType, RootDatum, parse_type, root_datum
-from affschub.classify import type_report
+from affschub.classify import all_canonical_types, type_report
 from affschub.schubert import SchubertClass, generator_class
 from affschub.verify import CheckResult, antidominant_equivalences, check_generator_powers
 from affschub.weyl import GradedPoly
@@ -142,3 +145,85 @@ def test_import_leaves_out_dataclasses_and_fractions():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# sha256 of the stdout of `affschub classify-all --max-rank 14 --json` and of
+# `affschub chevalley T --json` for every canonical type T through rank 14,
+# frozen before the Levi quotient was counted by coroot height and the Bott
+# walk skipped where every coweight is a coroot
+CLASSIFY_ALL_14_SHA256 = "9f3d7bfdacce6ee4059c662da08ed477b4a6b6cbfd90eb66a05ba41d434f5e3d"
+CHEVALLEY_SHA256 = {
+    "A1": "bd6ec48edcc1b4a9ce479ba5971f13c4be42eb4849240502e80af779cdb5e282",
+    "A2": "2a905953aa0a6ccea838fded375f003f34a3564c0349fb90e972b49aa03c30f8",
+    "C2": "d875281ab6edb0e70c3ee2bb331650dea65f3962c5d9f1512cbd42276874c2cb",
+    "G2": "804d19416945e93d76bd3aeb848b32bec3832be50a06e102f06fc2d3cf1d62b7",
+    "A3": "0b7ac90a7e1c28f1e0b15d0d1b2a95472b93f2ff5ed2585cec266098760dce0a",
+    "B3": "032eaf51b907dafebbb82cea4f1a78b327d65fd4bf6be51a03fe00791a7a7be7",
+    "C3": "d103c97a0c1b58a69f2aa78ebc132bad515f333c6b39f272fd655def317d195c",
+    "A4": "cf5d9578914c77b7fffd5e35cc2d8dbf830648c9932b3e9aedac6fabdecd8962",
+    "B4": "c69a2120b2b390503864c3302d85964b36f5461e10f4e386af82617ad26f3b72",
+    "C4": "7ca3f49340facdccc7b0e24e8cedb6e1197f96da96778f675de3d846a9a22c5f",
+    "D4": "9d7c249357d40f0b645be12c66f51d5ec1916b15e331b84e41deab0e47956968",
+    "F4": "548a88ace86480bcce7bd40ffe31b2d3d5667350548f1cbdddc166b93a65350d",
+    "A5": "67eb3d54d03c7be108ff1dcf1cff070516a4034a5223953670e0ff44c4b09c72",
+    "B5": "78273012f35cb31425dd8ddad1da5070acda7c930456dac4b3fa9b5b55965ee1",
+    "C5": "ca318156c26ce6422ff5ece97b2c715a43ed7e33af8f76404ee5bdedbcf5cfcf",
+    "D5": "5d454a023c2981b92b855244dbd6badf995c24b5b8e58ea7a0a07783ae1c8b5b",
+    "A6": "e723c3cfa84d42ede7a4a045094f04f60bafa5eef8eba0c7e47ca38b276ed22c",
+    "B6": "df6f7efb29bf42108aab289b48a6ded89457cd89fa683d5c326ccb7e6d56b4f8",
+    "C6": "c7581f26c3e64c9b60235d7b0350bfeac57bd90e724bb961afcba19979fdb2f4",
+    "D6": "023c12ac3398dbacc2efbab824dadc7b0adc2ea767687136a951c2ab9ef9dc58",
+    "E6": "e3099f90fa06d704201d2a0bb7b52dbea0a6717e447929b088a73cf23ffa2be9",
+    "A7": "2364e92c4357bca67ab209068e45e27090e697850278e8c93ae1e498bcfabec8",
+    "B7": "fa9875cf443f76a06eaa2318440e1f3491fafd2f61e7649f6f47a277cf462817",
+    "C7": "15a8abb4d30de57f9d4658ff6eb7488d83ddbe0bbba9a9ac6e983d89f39241e5",
+    "D7": "299b760c09f97500804c91dba3a6d7dd9956ece20a471379e6098296c0c524c0",
+    "E7": "b82910fcec90e6b89f8401959db559039d7730250fb72c1eac5569915290eda7",
+    "A8": "a7f700493d3ac42cd8bd2c900938f153b15ca6c7b5a5353973ad8706a904e503",
+    "B8": "43e458475b34e6b2b2e6eee76fca4b6d00fa46fb77cae06662da98cf40813414",
+    "C8": "9833ceff51e3b70ae39798a7397c0974e41371fd33ae260b18ef04966c93dd04",
+    "D8": "581fd6864637341a23628b4d5c686b968fe542a1609714c7950ab20ce5dbfad8",
+    "E8": "66d917b826673205966f3f422181825e5dd920ced85eff8bc0ab7943179f5406",
+    "A9": "c50096770fc5ed8170cf3f2d673db415d9d051902dd864b896d2d5c1b4daa219",
+    "B9": "1449b4ce697b48036e6007a46cb985f0194891933e5538e4de2b6f10454135cc",
+    "C9": "b510a1bf2607cdaa36cd266f4c8e20bb5dfd688f7e8746977f6de43c862df76b",
+    "D9": "0c5487d22ebc0160ba1a98f67b6fea98e34c188cd31a88e3a7dead8093b20b87",
+    "A10": "c48985707acb3643b899cebf06b478980b4aeaeb503eebbdc335910463374f38",
+    "B10": "ed40431f8e30c7823a84c1bbb1fd1785270995b69017f3826b618b86c5855b3d",
+    "C10": "26420213e847f445c50e2b365bec22bf92b0062f42c4144fcd22358cdc4a91d8",
+    "D10": "e3047c9f7ac576e7260f95b7e3929947b5f319a276a78ef7a392fbaa5d2da425",
+    "A11": "9133476937acfbda38e643c864267b8c34f932e36a42d288ef7bad46ce784080",
+    "B11": "e422b2c8eb8f2279d2dcb3191b51ca17dd96eb5ec03ad347502ab264d3617442",
+    "C11": "b058c91297c1879f62f63eeeef1676b4394accc7f04d1264aff772e5684775de",
+    "D11": "408f70e452b9cbe4b40feae51a0487f715c09b551aac081d4c55b92caefa59d9",
+    "A12": "dfa5f6b23a9db5bbadb35a3694e63f237069cd4abcac7643aa319b06e58b8ea9",
+    "B12": "cd8e024c8efa95b1477d13fcd4f766d0685d4db7f65d639066f1ba5f96514944",
+    "C12": "1fa8cec2c484c2c5ad3899f81a05ced29a41ad092a80b636400fb6131854cab2",
+    "D12": "d10840342bc8f4ec789e767e6fe1cb71aacf59359b188c47c6fb27d7a440a4da",
+    "A13": "27bc8e85758eabe63e8ce1228eb27e4466fdbc1d8848658aece47ac09deb546c",
+    "B13": "0589a95ac0b6576cb645db7fc3f2be8b1f4f81ce8deebf613bd788a81e667895",
+    "C13": "a9af0fbe29cacba4c1c7b355a9e63eab5b2de1c6d63fd5d6dd32fca0699128fb",
+    "D13": "cb25e592ff706f27b6a3a82170197f59c95a9f89991c7053dfa2b9b0b1872a37",
+    "A14": "b13dc697527a6bf7a381b1581e418c29576f647c4c971ea26c1e4178709d9307",
+    "B14": "38ab7895960d14536cbb4a2111d4a5a15b4be1a1c4cabe2a84e1b55e4e48ef6f",
+    "C14": "fa8ea3ed02ae607bd13a37c5b36481f57a78fab304c08a24df7cf656c0cd9fd2",
+    "D14": "7bd05b0bd1700dc5558c06f54f906c6597e217ae1262735153bdc3e8e343db5f",
+}
+
+
+def _stdout_sha256(capsys, argv):
+    assert cli.main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_classify_all_output_matches_frozen_digest(capsys):
+    assert _stdout_sha256(capsys, ["classify-all", "--max-rank", "14", "--json"]) == CLASSIFY_ALL_14_SHA256
+
+
+def test_chevalley_digests_cover_every_type_through_rank_14():
+    assert list(CHEVALLEY_SHA256) == [str(t) for t in all_canonical_types(14)]
+
+
+@pytest.mark.parametrize("label", sorted(CHEVALLEY_SHA256))
+def test_chevalley_output_matches_frozen_digest(label, capsys):
+    assert _stdout_sha256(capsys, ["chevalley", label, "--json"]) == CHEVALLEY_SHA256[label]
