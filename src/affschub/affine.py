@@ -544,7 +544,7 @@ def _materialize(datum: RootDatum, levels: list[dict]) -> tuple[tuple[AffineElem
     return tuple(out)
 
 
-def bruhat_leq(v: AffineElem, w: AffineElem, *, bound: int = WORD_BOUND) -> bool:
+def bruhat_leq(v: AffineElem, w: AffineElem) -> bool:
     """Bruhat order test via the subword property along a reduced word of w.
 
     Walks the canonical reduced word of w one letter at a time (the standard
@@ -553,12 +553,12 @@ def bruhat_leq(v: AffineElem, w: AffineElem, *, bound: int = WORD_BOUND) -> bool
     """
     if v.datum is not w.datum:
         raise ValueError("type mismatch")
-    if w.length() > bound:
-        raise BoundExceededError("Bruhat comparison length", w.length(), bound, "bound")
+    if w.length() > WORD_BOUND:
+        raise BoundExceededError("Bruhat comparison length", w.length(), WORD_BOUND)
     rows = _sparse_rows(w.datum.affine_cartan)
     lv = v.length()
     r = _alcove(_descents(w.datum), v)
-    for lw, label in zip(range(w.length(), 0, -1), reduced_word(w, bound=bound)):
+    for lw, label in zip(range(w.length(), 0, -1), reduced_word(w)):
         if lv > lw:
             return False
         if lv == 0:
@@ -640,7 +640,7 @@ def _parse_labels(datum: RootDatum, body: str, *, affine_ok: bool) -> list[int]:
     labels = []
     for tok in body.split(","):
         tok = tok.strip()
-        if not tok.isdigit():
+        if not tok.isdecimal():
             raise ParseError(f"bad node index {tok!r} in word")
         label = int(tok)
         low = 0 if affine_ok else 1

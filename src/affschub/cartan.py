@@ -71,13 +71,15 @@ def parse_type(label: str) -> LieType:
             f"malformed type label {label!r}: expected <letter><digits> with letter in A..G"
         )
     family, rank = m.group(1).upper(), int(m.group(2))
-    _check_rank(family, rank)
+    if rule := _rank_bound(family, rank):
+        raise ParseError(f"rank {rank} out of bounds: {rule}")
     family, rank = _ALIASES.get((family, rank), (family, rank))
     return LieType(family, rank)
 
 
-def _check_rank(family: str, rank: int) -> None:
-    ok, bound = {
+def _rank_bound(family: str, rank: int) -> str | None:
+    """The family's rank rule if rank breaks it, else None."""
+    ok, rule = {
         "A": (rank >= 1, "A requires rank >= 1"),
         "B": (rank >= 2, "B requires rank >= 2"),
         "C": (rank >= 1, "C requires rank >= 1"),
@@ -86,8 +88,7 @@ def _check_rank(family: str, rank: int) -> None:
         "F": (rank == 4, "F requires rank = 4"),
         "G": (rank == 2, "G requires rank = 2"),
     }[family]
-    if not ok:
-        raise ParseError(f"rank {rank} out of bounds: {bound}")
+    return None if ok else rule
 
 
 def _cartan_matrix(family: str, n: int) -> Matrix:

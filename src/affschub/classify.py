@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import itemgetter
 
-from .cartan import LieType, RootDatum, minuscule_nodes, parse_type, root_datum
+from .cartan import _ALIASES, FAMILIES, LieType, RootDatum, _rank_bound, minuscule_nodes, parse_type, root_datum
 from .cohomology import chain_coeffs, levi_nodes, pd_status
 from .weyl import _descend, _sparse_rows
 
@@ -106,31 +106,15 @@ def type_report(lie_type: LieType) -> TypeReport:
 
 
 def all_canonical_types(max_rank: int) -> list[LieType]:
-    """Every canonical simple type of rank <= max_rank, plus E8 always.
-
-    E8 rides along as a fixed type regardless of the rank cap so the
-    exceptional trio is always visible in classification tables.
-    """
-    out = []
-    for n in range(1, max_rank + 1):
-        out.append(LieType("A", n))
-        if n >= 3:
-            out.append(LieType("B", n))
-        if n >= 2:
-            out.append(LieType("C", n))
-        if n >= 4:
-            out.append(LieType("D", n))
-        if n in (6, 7, 8):
-            out.append(LieType("E", n))
-        if n == 4:
-            out.append(LieType("F", 4))
-        if n == 2:
-            out.append(LieType("G", 2))
-    e8 = parse_type("E8")
-    if e8 not in out:
-        out.append(e8)
-    return out
+    """Every canonical simple type of rank <= max_rank, by rank and then in the order of
+    ``FAMILIES``: the (family, rank) pairs that ``parse_type`` accepts, less its aliases."""
+    pairs = ((family, n) for n in range(1, max_rank + 1) for family in FAMILIES)
+    return [LieType(*p) for p in pairs if _rank_bound(*p) is None and p not in _ALIASES]
 
 
 def classify_all(max_rank: int = 8) -> list[TypeReport]:
-    return [type_report(t) for t in all_canonical_types(max_rank)]
+    """The report of each type of ``all_canonical_types(max_rank)``, then E8's below rank 8: every table has E8."""
+    types = all_canonical_types(max_rank)
+    if max_rank < 8:
+        types.append(parse_type("E8"))
+    return [type_report(t) for t in types]

@@ -57,10 +57,6 @@ class SchubertClass(namedtuple("SchubertClass", "elem")):
     def dim(self) -> int:
         return self.elem.length()
 
-    @property
-    def datum(self):
-        return self.elem.datum
-
 
 def identity_class(lie_type: LieType) -> SchubertClass:
     return SchubertClass(affine_identity(root_datum(lie_type)))
@@ -163,9 +159,9 @@ def segment_factorize(w: AffineElem, *, bound: int | None = None) -> list[Schube
     return found[0]
 
 
-def star_refactor_check(w: AffineElem, *, bound: int | None = None) -> bool:
+def star_refactor_check(w: AffineElem) -> bool:
     """True iff folding star over the segment factorization recovers [X_w]."""
-    return star_refolds(w, segment_factorize(w, bound=bound))
+    return star_refolds(w, segment_factorize(w))
 
 
 def star_refolds(w: AffineElem, factors: list[SchubertClass]) -> bool:

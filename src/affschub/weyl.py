@@ -55,18 +55,17 @@ Perm = tuple[int, ...]
 class WeylElem:
     """A finite Weyl group element over a fixed root datum.
 
-    Equality and hashing use the root permutation alone; the inverse and
-    length are lazy caches.  Multiplication composes actions:
+    Equality and hashing use the root permutation alone; the inverse is a
+    lazy cache.  Multiplication composes actions:
     (u*w)(v) = u(w(v)).
     """
 
-    __slots__ = ("datum", "perm", "_inv", "_len")
+    __slots__ = ("datum", "perm", "_inv")
 
     def __init__(self, datum: RootDatum, perm: Perm):
         self.datum = datum
         self.perm = perm
         self._inv: WeylElem | None = None
-        self._len: int | None = None
 
     def __mul__(self, other: "WeylElem") -> "WeylElem":
         if self.datum is not other.datum:
@@ -120,10 +119,8 @@ class WeylElem:
 
     def length(self) -> int:
         """Number of positive roots sent to negative roots."""
-        if self._len is None:
-            big = len(self.datum.pos_roots)
-            self._len = sum(1 for j in self.perm[:big] if j >= big)
-        return self._len
+        big = len(self.datum.pos_roots)
+        return sum(1 for j in self.perm[:big] if j >= big)
 
     def word(self) -> Word:
         """Canonical reduced word (node labels), by smallest-descent stripping.
@@ -238,18 +235,12 @@ class GradedPoly(namedtuple("GradedPoly", "coeffs")):
             coeffs.pop()
         return GradedPoly(tuple(coeffs))
 
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
     def is_chain(self) -> bool:
         """One cell in every complex dimension up to the top."""
         return bool(self.coeffs) and all(c == 1 for c in self.coeffs)
 
     def is_palindromic(self) -> bool:
         return self.coeffs == tuple(reversed(self.coeffs))
-
-    def total(self) -> int:
-        return sum(self.coeffs)
 
     def __str__(self) -> str:
         if not self.coeffs:

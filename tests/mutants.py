@@ -92,4 +92,10 @@ MUTANTS = [
     ("src/affschub/cohomology.py", "        counts[h] += 1\n", "        counts[h - 1] += 1\n", "ladder"),
     # the Bott shortcut taken although a node is minuscule
     ("src/affschub/classify.py", "top, walk = max(d), 1 in theta", "top, walk = max(d), False", "bott_nodes_match_fraction_oracle"),
+    # the type list keeping the aliases C1, B2 and D3
+    ("src/affschub/classify.py", " and p not in _ALIASES]", "]", "canonical_types_are_the_ranks_rows"),
+    # E8 appended to a table that already has it
+    ("src/affschub/classify.py", "if max_rank < 8:", "if max_rank <= 8:", "classify_all_rows_add_e8_once"),
+    # E8 appended whatever the rank
+    ("src/affschub/classify.py", "if max_rank < 8:", "if True:", "classify_all_rows_add_e8_once"),
 ]

@@ -614,7 +614,7 @@ def test_level_sizes_build_no_finite_part(monkeypatch):
     assert calls == Counter()
     cls = SchubertClass(parse_element(datum("A2"), "word:0,2,0,1,2,0,1,2,0,1,2,0"))
     calls.clear()
-    assert schubert_poincare(cls).total() > 0
+    assert sum(schubert_poincare(cls).coeffs) > 0
     assert calls["inverse"] == 0
     calls.clear()
     assert sum(len(level) for levels in runs for level in levels.by_length) == 296
@@ -714,13 +714,6 @@ def test_bruhat_finite_subgroup_ranks_up_to_3():
                 if v.length() > w.length() or w.length() > 4:
                     continue
                 assert bruhat_leq(v, w) == subword_oracle(v, w)
-
-
-def test_bruhat_bound():
-    d = datum("A1")
-    big = translation(d, (-40,))
-    with pytest.raises(BoundExceededError):
-        bruhat_leq(affine_identity(d), big, bound=10)
 
 
 def test_bruhat_default_bound_is_the_word_bound():

@@ -119,6 +119,14 @@ def test_parse_error_exit_2(capsys):
     assert "Z9" in err
 
 
+# str.isdigit accepts these, int() does not
+@pytest.mark.parametrize("word,token", [("word:²", "²"), ("word:1,①", "①")])
+def test_non_decimal_digit_is_a_parse_error(capsys, word, token):
+    code, out, err = run(capsys, "star", "A3", word, "word:0")
+    assert code == 2 and out == ""
+    assert f"parse error: bad node index {token!r} in word" in err
+
+
 def test_bound_exceeded_exit_3(capsys):
     code, _, err = run(capsys, "enumerate", "A2", "--max-len", "30")
     assert code == 3

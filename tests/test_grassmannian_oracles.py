@@ -74,7 +74,7 @@ def test_cell_count_is_a_sum_of_orbit_sizes(lie_type):
     for m in (1, 2):
         mu = tuple(m * c for c in d.highest_coroot)
         t = translation(d, negate(mu))
-        cells = schubert_poincare(SchubertClass(t), bound=t.length()).total()
+        cells = sum(schubert_poincare(SchubertClass(t), bound=t.length()).coeffs)
         assert cells == sum(len(list(coweight_orbit(d, nu))) for nu in dominant_below(d, mu))
 
 

@@ -19,7 +19,7 @@ import affschub
 from affschub import cli
 from affschub.affine import AffineElem, enumerate_minreps, translation
 from affschub.cartan import LieType, RootDatum, parse_type, root_datum
-from affschub.classify import all_canonical_types, type_report
+from affschub.classify import all_canonical_types, classify_all, type_report
 from affschub.schubert import SchubertClass, generator_class
 from affschub.verify import CheckResult, antidominant_equivalences, check_generator_powers
 from affschub.weyl import GradedPoly
@@ -227,3 +227,64 @@ def test_chevalley_digests_cover_every_type_through_rank_14():
 @pytest.mark.parametrize("label", sorted(CHEVALLEY_SHA256))
 def test_chevalley_output_matches_frozen_digest(label, capsys):
     assert _stdout_sha256(capsys, ["chevalley", label, "--json"]) == CHEVALLEY_SHA256[label]
+
+
+# all_canonical_types(k) is the types of ranks 1..k, row by row: by rank, then
+# in the order of cartan.FAMILIES, with the aliases C1, B2 and D3 left out
+CANONICAL_TYPES_BY_RANK = [
+    "A1",
+    "A2 C2 G2",
+    "A3 B3 C3",
+    "A4 B4 C4 D4 F4",
+    "A5 B5 C5 D5",
+    "A6 B6 C6 D6 E6",
+    "A7 B7 C7 D7 E7",
+    "A8 B8 C8 D8 E8",
+] + [f"A{n} B{n} C{n} D{n}" for n in range(9, 15)]
+
+# the rows of classify_all(k): E8 exactly once, and last when k < 8
+CLASSIFY_ALL_LABELS = {
+    0: "E8",
+    1: "A1 E8",
+    3: "A1 A2 C2 G2 A3 B3 C3 E8",
+    7: "A1 A2 C2 G2 A3 B3 C3 A4 B4 C4 D4 F4 A5 B5 C5 D5 A6 B6 C6 D6 E6 A7 B7 C7 D7 E7 E8",
+    8: "A1 A2 C2 G2 A3 B3 C3 A4 B4 C4 D4 F4 A5 B5 C5 D5 A6 B6 C6 D6 E6 A7 B7 C7 D7 E7 A8 B8 C8 D8 E8",
+    9: "A1 A2 C2 G2 A3 B3 C3 A4 B4 C4 D4 F4 A5 B5 C5 D5 A6 B6 C6 D6 E6 A7 B7 C7 D7 E7 A8 B8 C8 D8 E8"
+    " A9 B9 C9 D9",
+}
+
+# sha256 of the stdout of `affschub classify-all --max-rank k --json`, k < 14,
+# frozen before the type list was read off parse_type's rank rule
+CLASSIFY_ALL_SHA256 = {
+    0: "36fb5a9e737f2aee82295eb3967d795989b10c3b0fe7cb69fbd766f91a8ac064",
+    1: "016877872ca7db660c3083e520c9230ab2cf2912a189e83e1b2d0fc29d7485e1",
+    2: "3d52b28756809fe58a5295f393ae791cc00e80a06ec5fd59ba414c6713e62147",
+    3: "6d6d1d6981b03f7f953def0c70ee8de56000213425506045ae1358cf31ec35bb",
+    4: "c65b70c4500b428fdb90fab137072bc3a2def1817c51c1ef425d657920e69d0c",
+    5: "8a1a978995d1f1f6417bf0d1d237e5e298c0c24fa72944218a9ec2abcd9ecbd1",
+    6: "75b9d49d35a81a8a1055d1edeceefbaa2abeb7ab60e249712241ab6e427abe77",
+    7: "67626d5c9c370c0ccbf08f673ac1219568a58fe3eacf2f330b4fdf88659243b7",
+    8: "4baf77701399b88f686b510b4355c7467f5dab9eab37b6a343aed8ca3c7aabe6",
+    9: "346b0034eb33ca8ab8d69134f8630095fa5b1a6e882ffe65e3b73705786c4579",
+    10: "4e50f2de782d80f02fc7be2beef94666372806f4a5ff07683953707562058462",
+    11: "f8dc58c026d359054e6f72623185d36067352382f4cd2b20afcaf1bbdc5c1497",
+    12: "c90dc068d7b9a6ba25655ef8ca3fbfd512829d7853b284a7c968d04646156068",
+    13: "1b89ab97bbebde489fad414bae2b0e1486d50cb4129d2ef98d7d12afad533108",
+}
+
+
+@pytest.mark.parametrize("max_rank", range(15))
+def test_canonical_types_are_the_ranks_rows(max_rank):
+    labels = " ".join(CANONICAL_TYPES_BY_RANK[:max_rank]).split()
+    assert [str(t) for t in all_canonical_types(max_rank)] == labels
+
+
+@pytest.mark.parametrize("max_rank", sorted(CLASSIFY_ALL_LABELS))
+def test_classify_all_rows_add_e8_once(max_rank):
+    assert [str(r.lie_type) for r in classify_all(max_rank)] == CLASSIFY_ALL_LABELS[max_rank].split()
+
+
+@pytest.mark.parametrize("max_rank", sorted(CLASSIFY_ALL_SHA256))
+def test_classify_all_output_below_rank_14_matches_frozen_digest(max_rank, capsys):
+    argv = ["classify-all", "--max-rank", str(max_rank), "--json"]
+    assert _stdout_sha256(capsys, argv) == CLASSIFY_ALL_SHA256[max_rank]

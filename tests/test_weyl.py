@@ -83,7 +83,7 @@ def stripped_word(w):
 
 
 # the whole group of every type through rank 3, and G2
-@pytest.mark.parametrize("label", [str(t) for t in all_canonical_types(3) if t.rank <= 3])
+@pytest.mark.parametrize("label", [str(t) for t in all_canonical_types(3)])
 def test_word_matches_stripping_oracle_whole_group(label):
     for level in min_coset_reps(parse_type(label), ()):
         for w in level:
@@ -148,7 +148,7 @@ def test_e8_mod_e7_has_240_cells():
     levels = min_coset_reps(parse_type("E8"), set(range(1, 8)))
     assert sum(len(l) for l in levels) == 240
     poly = quotient_poincare(parse_type("E8"), set(range(1, 8)))
-    assert poly.coefficient(6) == 2
+    assert poly.coeffs[6] == 2
     assert not poly.is_chain()
 
 
@@ -227,7 +227,7 @@ def test_graded_poly_helpers():
     assert str(p) == "1 + q + q^2"
     q = GradedPoly.from_coeffs([1, 2, 1])
     assert not q.is_chain() and q.is_palindromic()
-    assert q.coefficient(1) == 2 and q.coefficient(9) == 0
+    assert q.coeffs == (1, 2, 1)
     assert str(GradedPoly.from_coeffs([])) == "0"
 
 
@@ -389,7 +389,7 @@ def _perm_levels(levels):
 
 
 # every type through rank 4, G2 and F4 among them
-@pytest.mark.parametrize("label", [str(t) for t in all_canonical_types(4) if t.rank <= 4])
+@pytest.mark.parametrize("label", [str(t) for t in all_canonical_types(4)])
 def test_min_coset_reps_up_steps_match_orbit_oracle(label):
     lt = parse_type(label)
     for nodes in [(), tuple(sorted(levi_nodes(lt)))] + [(i,) for i in range(1, lt.rank + 1)]:
