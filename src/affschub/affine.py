@@ -132,7 +132,7 @@ from operator import add, itemgetter, mul, sub
 
 from .cartan import LieType, RootDatum, Vec, root_datum
 from .errors import BoundExceededError, ParseError
-from .weyl import WeylElem, _climb, _descend, _simple_index, _sparse_rows, identity
+from .weyl import WeylElem, _climb, _descend, identity
 from .weyl import reflection, simple_reflection
 
 def default_enum_bound(datum: RootDatum) -> int:
@@ -245,7 +245,7 @@ def is_antidominant(datum: RootDatum, lam: Vec) -> bool:
     if len(lam) != datum.rank:
         raise ValueError("rank mismatch")
     rows = datum.pairing_rows
-    return all(sum(map(mul, lam, rows[k])) <= 0 for k in _simple_index(datum))
+    return all(sum(map(mul, lam, rows[k])) <= 0 for k in datum.simple_index)
 
 
 class _Descents:
@@ -254,18 +254,23 @@ class _Descents:
     For a node label l, ``root[l]`` is the root index of alpha_l (of theta
     when l = 0), ``row[l]`` its pairing row, and ``shift[l]`` maps a root
     permutation q to that of q * s, where s is the finite part of the
-    generator at l (s_theta when l = 0).  ``shift`` and the alcove-vector
-    tables (module docstring) are built on first use; the walks of
-    enumeration and lower intervals read the affine Cartan matrix only.
+    generator at l (s_theta when l = 0).  ``shift`` and ``long_word`` build
+    group elements, so they are built on first use; the walks of enumeration
+    and lower intervals read the affine Cartan rows only.
     """
 
     def __init__(self, datum: RootDatum):
         self.big = len(datum.pos_roots)
         self.rows = datum.pairing_rows
-        self.root = (datum.root_index(datum.highest_root),) + _simple_index(datum)
+        self.root = (datum.root_index(datum.highest_root),) + datum.simple_index
         self.row = tuple(self.rows[k] for k in self.root)
         self.datum = datum
         self.names = tuple(map(str, range(datum.rank + 1)))  # the text of each node label
+        self.level = 2 * sum(datum.highest_root) + 1  # K, the height given to delta
+        # the identity's alcove vector (K - ht(theta), 1, ..., 1): the heights of the alpha_l
+        self.origin = [self.level - sum(datum.highest_root)] + [1] * datum.rank
+        up = tuple(map(sum, datum.pos_roots))
+        self.heights = up + tuple(-h for h in up)  # the signed height of every root, by root index
 
     @functools.cached_property
     def shift(self) -> tuple:
@@ -273,25 +278,9 @@ class _Descents:
         return tuple(itemgetter(*generator(self.datum, l).fin.perm) for l in range(self.datum.rank + 1))
 
     @functools.cached_property
-    def level(self) -> int:
-        """K = 2 ht(theta) + 1, the height given to delta."""
-        return 2 * sum(self.datum.highest_root) + 1
-
-    @functools.cached_property
-    def origin(self) -> list[int]:
-        """The identity's alcove vector (K - ht(theta), 1, ..., 1): the heights of the alpha_l."""
-        return [self.level - sum(self.datum.highest_root)] + [1] * self.datum.rank
-
-    @functools.cached_property
     def long_word(self) -> int:
         """Words longer than this many letters jump translation blocks (module docstring)."""
         return LONG_WORD_TRANSLATIONS * translation(self.datum, self.datum.highest_coroot).length()
-
-    @functools.cached_property
-    def heights(self) -> tuple[int, ...]:
-        """The signed height of every root, by root index."""
-        up = tuple(map(sum, self.datum.pos_roots))
-        return up + tuple(-h for h in up)
 
 
 @functools.cache
@@ -332,7 +321,7 @@ def reduced_word(x: AffineElem, *, bound: int = WORD_BOUND) -> list[int]:
         raise BoundExceededError("reduced word length", n, bound, "bound")
     d = _descents(x.datum)
     r = _alcove(d, x)
-    rows = _sparse_rows(x.datum.affine_cartan)
+    rows = x.datum.affine_rows
     word = _descend(r, rows, n) if n <= d.long_word else _descend_by_blocks(r, rows, n, d.level)
     if len(word) < n:
         raise ArithmeticError(f"no left descent found for the alcove vector {r}")
@@ -439,7 +428,7 @@ def min_rep(x: AffineElem) -> AffineElem:
     """
     d = _descents(x.datum)
     q = _right_alcove(d, x)[1:]
-    labels = _descend(q, _sparse_rows(x.datum.cartan), d.big)
+    labels = _descend(q, x.datum.cartan_rows, d.big)
     if min(q) <= 0:
         raise ArithmeticError(f"a walk to the coset minimum ended at the right alcove vector {q}")
     perm = x.fin.perm
@@ -505,7 +494,7 @@ def enumerate_minreps(lie_type: LieType, max_len: int, *, bound: int | None = No
     datum = root_datum(lie_type)
     check_enum_bound(datum, "min-rep enumeration length", max_len, bound)
     labels = range(datum.rank + 1)
-    rows = _sparse_rows(datum.affine_cartan)
+    rows = datum.affine_rows
     levels = [{(1,) + (0,) * datum.rank: None}]
     for _ in range(max_len):
         levels.append({})
@@ -555,7 +544,7 @@ def bruhat_leq(v: AffineElem, w: AffineElem) -> bool:
         raise ValueError("type mismatch")
     if w.length() > WORD_BOUND:
         raise BoundExceededError("Bruhat comparison length", w.length(), WORD_BOUND)
-    rows = _sparse_rows(w.datum.affine_cartan)
+    rows = w.datum.affine_rows
     lv = v.length()
     r = _alcove(_descents(w.datum), v)
     for lw, label in zip(range(w.length(), 0, -1), reduced_word(w)):
@@ -581,7 +570,7 @@ def _interval_levels(x: AffineElem) -> list[dict]:
     takes it down or keeps it in its coset, and a point l adds has p[l] < 0;
     so a later l steps only the points added since (read[l] into points).
     """
-    rows = _sparse_rows(x.datum.affine_cartan)
+    rows = x.datum.affine_rows
     origin = (1,) + (0,) * x.datum.rank
     points, depth, read = [origin], {origin: 0}, [0] * (x.datum.rank + 1)
     levels = [{origin: None}]

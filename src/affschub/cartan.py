@@ -14,9 +14,14 @@ Conventions, fixed here once and relied on by every other module:
   with ``r = max(d)`` the long-to-short ratio of squared lengths.
 * The positive roots, their coroots and their pairing rows come from one
   closure under the simple reflections, starting at the simple roots (whose
-  coroots are the unit vectors); sorted by (height, lex), the highest root
-  is last.  ``RootDatum.index`` numbers every root: ``k`` for
-  ``pos_roots[k]`` and ``k + N`` for its negative.
+  coroots are the unit vectors and rows the columns of A): the reflection
+  that raises a root steps its coroot and its row too, in O(rank).  Sorted
+  by (height, lex), the highest root is last and alpha_i is
+  ``pos_roots[rank - i]``.  Tables derived once per datum: ``index`` numbers
+  every root, ``k`` for ``pos_roots[k]`` and ``k + N`` for its negative;
+  ``simple_index`` is the index of each alpha_i; ``cartan_rows`` and
+  ``affine_rows`` hold the nonzero entries of the two Cartan matrices by row.
+  ``root_datum`` builds at most ``ROOT_DATA_BOUND`` root coordinates.
 * No floats and no rationals anywhere, and no matrix is inverted: whether
   a coweight is a coroot is read off the alcove descent of the numbers game
   (``classify.bott_nodes``).
@@ -34,9 +39,9 @@ from __future__ import annotations
 import functools
 import re
 from collections import Counter, namedtuple
-from operator import mul
+from operator import mul, neg
 
-from .errors import ParseError
+from .errors import BoundExceededError, ParseError
 
 Vec = tuple[int, ...]
 Matrix = tuple[Vec, ...]
@@ -153,26 +158,27 @@ def _positive_roots(cartan: Matrix) -> tuple[tuple[Vec, ...], tuple[Vec, ...], M
     Every positive root is reached from a simple root by simple reflections
     that raise it (Humphreys, GTM 9, 10.2): s_i alpha = alpha - a_i alpha_i
     with a_i = <alpha_i^v, alpha> < 0.  Its coroot is s_i(alpha^v), i.e.
-    coordinate i of alpha^v minus <alpha^v, alpha_i>.  Each root is kept with
-    its row (a_1, ..., a_n), and the three are returned sorted by (height, lex).
-    A coroot that does not pair to 2 with its root raises ArithmeticError.
+    coordinate i of alpha^v minus <alpha^v, alpha_i>, and its row (a_1, ..., a_n)
+    is alpha's minus a_i times column i of A; the three are returned sorted by
+    (height, lex).  A coroot that does not pair to 2 with its root raises ArithmeticError.
     """
     n = len(cartan)
+    columns = tuple(zip(*cartan))
     simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     coroot = dict(zip(simple, simple))
-    rows: dict[Vec, Vec] = {}
+    rows = dict(zip(simple, columns))
     todo = list(simple)
     for alpha in todo:  # grows as roots are found
-        cor = coroot[alpha]
-        row = rows[alpha] = pairing_row(cartan, alpha)
+        cor, row = coroot[alpha], rows[alpha]
         if sum(map(mul, cor, row)) != 2:
             raise ArithmeticError(f"coroot {cor} of {alpha} does not pair to 2 with it")
         for i, a in enumerate(row):
             if a < 0:
                 beta = alpha[:i] + (alpha[i] - a,) + alpha[i + 1:]
                 if beta not in coroot:
-                    c = sum(cor[j] * cartan[j][i] for j in range(n))
+                    c = sum(map(mul, cor, columns[i]))
                     coroot[beta] = cor[:i] + (cor[i] - c,) + cor[i + 1:]
+                    rows[beta] = tuple([r - a * e for r, e in zip(row, columns[i])])
                     todo.append(beta)
     roots = tuple(sorted(todo, key=lambda v: (sum(v), v)))
     return roots, tuple(coroot[r] for r in roots), tuple(rows[r] for r in roots)
@@ -197,17 +203,22 @@ class RootDatum:
         "exponents",  # Vec
         "affine_cartan",  # (rank+1)^2, index 0 = affine node, i>=1 = label i
     )
-    # index: root -> k for pos_roots[k] and k + N for its negative (N positive roots)
-    __slots__ = _FIELDS + ("index",)
+    # the tables derived from the fields, outside the repr (module docstring)
+    __slots__ = _FIELDS + ("index", "simple_index", "cartan_rows", "affine_rows")
 
     def __init__(self, **fields):
         if set(fields) != set(self._FIELDS):
             raise TypeError(f"RootDatum takes exactly the fields {self._FIELDS}")
-        for name in self._FIELDS:
+        pos, lie_type = fields["pos_roots"], fields["lie_type"]
+        index = {r: k for k, r in enumerate(pos + tuple(tuple(map(neg, r)) for r in pos))}
+        n = lie_type.rank
+        simple = tuple(range(n - 1, -1, -1))  # the roots of height 1, alpha_rank first in lex order
+        if simple != tuple(index.get(tuple(int(i == j) for j in range(n))) for i in range(n)):
+            raise ArithmeticError(f"the simple roots of {lie_type} are not pos_roots[{n - 1}], ..., pos_roots[0]")
+        rows = {"cartan_rows": _sparse_rows(fields["cartan"]), "affine_rows": _sparse_rows(fields["affine_cartan"])}
+        fields.update(rows, index=index, simple_index=simple)
+        for name in self.__slots__:
             object.__setattr__(self, name, fields[name])
-        pos = self.pos_roots
-        roots = pos + tuple(tuple(-c for c in r) for r in pos)
-        object.__setattr__(self, "index", {r: k for k, r in enumerate(roots)})
 
     def __setattr__(self, name, *_):
         raise AttributeError(f"cannot assign to RootDatum.{name}: its fields are read-only")
@@ -235,9 +246,9 @@ class RootDatum:
         )
 
 
-def pairing_row(cartan: Matrix, alpha: Vec) -> Vec:
-    """The pairing row A alpha of alpha in root coordinates: <lam, alpha> = sum_i lam[i] * row[i]."""
-    return tuple(sum(map(mul, r, alpha)) for r in cartan)
+def _sparse_rows(matrix: Matrix) -> tuple:
+    """Row l of a matrix as the pairs (m, matrix[l][m]) with a nonzero entry."""
+    return tuple(tuple((m, e) for m, e in enumerate(row) if e) for row in matrix)
 
 
 def _exponents(pos_roots: tuple[Vec, ...], rank: int) -> Vec:
@@ -247,9 +258,24 @@ def _exponents(pos_roots: tuple[Vec, ...], rank: int) -> Vec:
     return tuple(sorted(sum(m >= k for m in counts) for k in range(1, rank + 1)))
 
 
+# the most root coordinates, positive roots times rank, that root_datum builds
+ROOT_DATA_BOUND = 2_000_000
+
+
+def check_root_bound(lie_type: LieType) -> None:
+    """Raise BoundExceededError if the root data of a canonical LieType would hold more than
+    ROOT_DATA_BOUND coordinates: N * rank, with N positive roots read off the family."""
+    family, n = lie_type
+    roots = {"A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1), "F": 24, "G": 6}.get(family)
+    count = n * (roots or {6: 36, 7: 63, 8: 120}[n])  # E has no formula in n
+    if count > ROOT_DATA_BOUND:
+        raise BoundExceededError(f"{lie_type} root coordinates (positive roots x rank)", count, ROOT_DATA_BOUND)
+
+
 @functools.lru_cache(maxsize=None)
 def root_datum(lie_type: LieType) -> RootDatum:
-    """Build (and intern) the root datum for a canonical LieType."""
+    """Build (and intern) the root datum for a canonical LieType, within ``check_root_bound``."""
+    check_root_bound(lie_type)
     n = lie_type.rank
     cartan = _cartan_matrix(lie_type.family, n)
     pos, pos_coroots, pairing_rows = _positive_roots(cartan)

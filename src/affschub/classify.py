@@ -6,9 +6,10 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import itemgetter
 
-from .cartan import _ALIASES, FAMILIES, LieType, RootDatum, _rank_bound, minuscule_nodes, parse_type, root_datum
+from .cartan import _ALIASES, FAMILIES, LieType, RootDatum, _rank_bound, check_root_bound, minuscule_nodes
+from .cartan import parse_type, root_datum
 from .cohomology import chain_coeffs, levi_nodes, pd_status
-from .weyl import _descend, _sparse_rows
+from .weyl import _descend
 
 # Largest dimension of a smooth Schubert variety in the three exceptional
 # types with no minuscule node; cited constants, not recomputed here.
@@ -51,7 +52,7 @@ def _coweight_vertex(datum: RootDatum, label: int) -> int:
     theta = datum.highest_root
     r = [0] * (datum.rank + 1)
     r[0], r[label] = 1 - theta[label - 1], 1
-    _descend(r, _sparse_rows(datum.affine_cartan), sum(map(itemgetter(label - 1), datum.pos_roots)))
+    _descend(r, datum.affine_rows, sum(map(itemgetter(label - 1), datum.pos_roots)))
     if r.count(0) == datum.rank and 1 in r:
         vertex = r.index(1)
         if vertex == 0 or theta[vertex - 1] == 1:
@@ -113,8 +114,11 @@ def all_canonical_types(max_rank: int) -> list[LieType]:
 
 
 def classify_all(max_rank: int = 8) -> list[TypeReport]:
-    """The report of each type of ``all_canonical_types(max_rank)``, then E8's below rank 8: every table has E8."""
+    """The report of each type of ``all_canonical_types(max_rank)``, then E8's below rank 8: every table has E8.
+    Every type passes ``check_root_bound`` before the first row is built."""
     types = all_canonical_types(max_rank)
     if max_rank < 8:
         types.append(parse_type("E8"))
+    for t in types:
+        check_root_bound(t)
     return [type_report(t) for t in types]

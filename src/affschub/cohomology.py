@@ -21,8 +21,8 @@ import enum
 import functools
 from operator import mul, neg
 
-from .cartan import LieType, RootDatum, root_datum
-from .weyl import GradedPoly, _sparse_rows
+from .cartan import LieType, RootDatum, _sparse_rows, root_datum
+from .weyl import GradedPoly
 
 
 class PDStatus(enum.Enum):

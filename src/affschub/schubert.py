@@ -25,7 +25,7 @@ import functools
 from collections import namedtuple
 
 from .cartan import LieType, Vec, root_datum
-from .weyl import GradedPoly, _sparse_rows
+from .weyl import GradedPoly
 from .affine import (
     AffineElem,
     _check_identity,
@@ -118,7 +118,7 @@ def segment_factorizations(
     if min(q[1:]) <= 0:
         raise ValueError("only minimal coset representatives factor into segments")
     segs = _segments(datum.lie_type)
-    rows = _sparse_rows(datum.affine_cartan)
+    rows = datum.affine_rows
     out = []
     # depth first on an explicit stack of (q, n, chain), where chain links the
     # segments stripped so far, leftmost at its head; segments are pushed in

@@ -17,7 +17,7 @@ from operator import mul
 
 from .cartan import LieType, RootDatum, Vec, root_datum
 from .errors import BoundExceededError
-from .weyl import _simple_index, weyl_order
+from .weyl import weyl_order
 from . import affine
 from .affine import (
     AffineElem,
@@ -125,7 +125,7 @@ def coweight_orbit(datum: RootDatum, lam: Vec):
     The step s_i mu = mu - <mu, alpha_i> alpha_i^v changes coordinate i alone;
     <mu, alpha_i> is read off alpha_i's pairing row, as in ``is_antidominant``.
     """
-    rows = [datum.pairing_rows[k] for k in _simple_index(datum)]
+    rows = [datum.pairing_rows[k] for k in datum.simple_index]
     queue = [lam]
     seen = set(queue)
     for mu in queue:  # the loop reaches the points appended below, in order

@@ -3,11 +3,13 @@
 An element is stored as the permutation it induces on the root system, one
 uniform representation across every type.  Root index ``k < N`` stands for
 ``pos_roots[k]`` and ``k + N`` for its negative, where N is the number of
-positive roots (the numbering of ``RootDatum.index``).  A product is a composition of permutations, the inverse is
-the inverse permutation, the length is the number of positive indices sent
-to negative ones, and a right descent at node i is one lookup: whether the
-image of alpha_i is negative.  The action on coroot (or root) coordinates is
-read off the images of the simple roots.
+positive roots (the numbering of ``RootDatum.index``).  A product is a
+composition of permutations, the inverse is the inverse permutation, built
+on each call, the length is the number of positive indices sent to negative
+ones, and a right descent at node i is one lookup: whether the image of
+alpha_i, root index ``RootDatum.simple_index[i - 1]``, is negative.  The
+action on coroot (or root) coordinates is read off the images of the simple
+roots.
 
 A reflection's permutation is built from the formula, once per root and
 datum on first use: ``s_beta(gamma) = gamma - <beta^v, gamma> beta``, where
@@ -18,7 +20,8 @@ positive one by +-N (Humphreys, GTM 9, 9.1).
 The engine has two numbers-game walks on a Cartan matrix (Bjorner-Brenti,
 GTM 231, 4.3), one up and one down, both here; a vector p holds a point's
 pairings with the simple roots, and the move at label l is
-p[j] -= p[l] * A[l][j], over the nonzero entries of row l (``_sparse_rows``).
+p[j] -= p[l] * A[l][j], over the nonzero entries of row l, which the datum
+holds once as ``cartan_rows`` and ``affine_rows``.
 
 * ``_descend`` walks down: each move is at the smallest l with p[l] < 0,
   for at most a given number of moves.  A reduced word is read this way on
@@ -46,7 +49,7 @@ from collections import namedtuple
 from itertools import repeat
 from operator import itemgetter, mul, sub
 
-from .cartan import LieType, Matrix, RootDatum, Vec, root_datum
+from .cartan import LieType, RootDatum, Vec, root_datum
 
 Word = tuple[int, ...]
 Perm = tuple[int, ...]
@@ -55,17 +58,15 @@ Perm = tuple[int, ...]
 class WeylElem:
     """A finite Weyl group element over a fixed root datum.
 
-    Equality and hashing use the root permutation alone; the inverse is a
-    lazy cache.  Multiplication composes actions:
-    (u*w)(v) = u(w(v)).
+    Equality and hashing use the root permutation alone.  Multiplication
+    composes actions: (u*w)(v) = u(w(v)).
     """
 
-    __slots__ = ("datum", "perm", "_inv")
+    __slots__ = ("datum", "perm")
 
     def __init__(self, datum: RootDatum, perm: Perm):
         self.datum = datum
         self.perm = perm
-        self._inv: WeylElem | None = None
 
     def __mul__(self, other: "WeylElem") -> "WeylElem":
         if self.datum is not other.datum:
@@ -96,7 +97,7 @@ class WeylElem:
             raise ValueError("rank mismatch")
         big = len(basis)
         out = [0] * n
-        for c, k in zip(vec, _simple_index(self.datum)):
+        for c, k in zip(vec, self.datum.simple_index):
             if not c:
                 continue
             j = self.perm[k]
@@ -108,14 +109,10 @@ class WeylElem:
         return tuple(out)
 
     def inverse(self) -> "WeylElem":
-        if self._inv is None:
-            inv = [0] * len(self.perm)
-            for k, j in enumerate(self.perm):
-                inv[j] = k
-            elem = WeylElem(self.datum, tuple(inv))
-            elem._inv = self
-            self._inv = elem
-        return self._inv
+        inv = [0] * len(self.perm)
+        for k, j in enumerate(self.perm):
+            inv[j] = k
+        return WeylElem(self.datum, tuple(inv))
 
     def length(self) -> int:
         """Number of positive roots sent to negative roots."""
@@ -132,20 +129,13 @@ class WeylElem:
         datum = self.datum
         big = len(datum.pos_roots)
         h = []
-        for k in _simple_index(datum):
+        for k in datum.simple_index:
             negative, j = divmod(self.perm[k], big)
             h.append(-sum(datum.pos_roots[j]) if negative else sum(datum.pos_roots[j]))
-        labels = _descend(h, _sparse_rows(datum.cartan), self.length())
+        labels = _descend(h, datum.cartan_rows, self.length())
         if any(x != 1 for x in h):
             raise ArithmeticError(f"descent stripping of {self.perm} ended at heights {h}, not the identity")
         return tuple(i + 1 for i in reversed(labels))
-
-
-@functools.cache
-def _simple_index(datum: RootDatum) -> tuple[int, ...]:
-    """The root index of alpha_i, for i = 0..rank-1."""
-    n = datum.rank
-    return tuple(datum.index[tuple(int(i == j) for j in range(n))] for i in range(n))
 
 
 @functools.cache
@@ -172,7 +162,7 @@ def simple_reflection(datum: RootDatum, label: int) -> WeylElem:
     """The simple reflection at a finite node label (1-based)."""
     if not 1 <= label <= datum.rank:
         raise ValueError(f"node label {label} is not a finite node")
-    return _reflection(datum, _simple_index(datum)[label - 1])
+    return _reflection(datum, datum.simple_index[label - 1])
 
 
 def reflection(datum: RootDatum, alpha: Vec) -> WeylElem:
@@ -180,17 +170,11 @@ def reflection(datum: RootDatum, alpha: Vec) -> WeylElem:
     return _reflection(datum, datum.root_index(alpha))
 
 
-@functools.cache
-def _sparse_rows(cartan: Matrix) -> tuple:
-    """Row l of a Cartan matrix as the pairs (m, cartan[l][m]) with a nonzero entry."""
-    return tuple(tuple((m, e) for m, e in enumerate(row) if e) for row in cartan)
-
-
 def _descend(r: list[int], rows, limit: int) -> list[int]:
     """Make at most limit moves on r, each at the smallest l with r[l] < 0, and return the labels l.
 
     The move at l is r[m] -= r[l] * A[l][m] over the pairs (m, A[l][m]) of
-    rows[l] (``_sparse_rows``).  It stops early when no entry is negative; r is
+    rows[l] (``RootDatum.cartan_rows`` or ``affine_rows``).  It stops early when no entry is negative; r is
     changed in place, and the caller checks where it ended.
     """
     labels = []
@@ -211,7 +195,7 @@ def _descend(r: list[int], rows, limit: int) -> list[int]:
 def _climb(rows, level, labels, up: dict) -> None:
     """Add to up each up-step of the points p of level by labels, linked to its first (p, label):
     label l is an up-step when p[l] > 0, and moves p[m] -= p[l] * A[l][m] over the pairs
-    (m, A[l][m]) of rows[l] (``_sparse_rows``)."""
+    (m, A[l][m]) of rows[l] (``RootDatum.cartan_rows`` or ``affine_rows``)."""
     for point in level:
         for label in labels:
             if (c := point[label]) > 0:

@@ -21,7 +21,7 @@ MUTANTS = [
     # is_min_rep reading label 0 as a finite descent
     (AFFINE, "return min(_right_alcove(_descents(x.datum), x)[1:]) > 0", "return min(_right_alcove(_descents(x.datum), x)) > 0", "closed_form_descents"),
     # min_rep walking q[1..rank] on the affine Cartan rows
-    (AFFINE, "_descend(q, _sparse_rows(x.datum.cartan), d.big)", "_descend(q, _sparse_rows(x.datum.affine_cartan), d.big)", "stripping"),
+    (AFFINE, "_descend(q, x.datum.cartan_rows, d.big)", "_descend(q, x.datum.affine_rows, d.big)", "stripping"),
     # the numbers-game move with the wrong sign
     ("src/affschub/weyl.py", "            r[m] -= a * e\n", "            r[m] += a * e\n", "closed_form_matches_greedy"),
     # a zero entry taken as a descent (only the Bott walk meets one)
@@ -36,21 +36,21 @@ MUTANTS = [
     # the enumeration walk climbing on the transposed affine Cartan matrix
     (
         AFFINE,
-        "rows = _sparse_rows(datum.affine_cartan)",
-        "rows = _sparse_rows(tuple(zip(*datum.affine_cartan)))",
+        "rows = datum.affine_rows",
+        "rows = tuple(tuple((m, e) for m, e in enumerate(col) if e) for col in zip(*datum.affine_cartan))",
         "lattice_bfs_matches_coset_oracle",
     ),
     # the lower-interval walk climbing on the transposed affine Cartan matrix
     (
         AFFINE,
-        "rows = _sparse_rows(x.datum.affine_cartan)\n    origin",
-        "rows = _sparse_rows(tuple(zip(*x.datum.affine_cartan)))\n    origin",
+        "rows = x.datum.affine_rows\n    origin",
+        "rows = tuple(tuple((m, e) for m, e in enumerate(col) if e) for col in zip(*x.datum.affine_cartan))\n    origin",
         "segment_count_is_levi_cell_count",
     ),
     # the coweight orbit pairing by Cartan row instead of by the simple roots' pairing rows
     (
         "src/affschub/verify.py",
-        "rows = [datum.pairing_rows[k] for k in _simple_index(datum)]",
+        "rows = [datum.pairing_rows[k] for k in datum.simple_index]",
         "rows = datum.cartan",
         "coweight_orbit_matches_group_action",
     ),
@@ -59,7 +59,7 @@ MUTANTS = [
     # the segment search keeping results that are not minimal representatives
     ("src/affschub/schubert.py", "if min(y[1:]) > 0:", "if True:", "factorizations_match_the_product_search"),
     # delta at height ht(theta), so that alpha_0 has height 0
-    (AFFINE, "return 2 * sum(self.datum.highest_root) + 1", "return sum(self.datum.highest_root)", "closed_form_descents"),
+    (AFFINE, "self.level = 2 * sum(datum.highest_root) + 1", "self.level = sum(datum.highest_root)", "closed_form_descents"),
     # from_word adding w(theta^v) with the wrong sign
     (
         AFFINE,
@@ -82,6 +82,17 @@ MUTANTS = [
     ("src/affschub/cohomology.py", "columns = _sparse_rows(tuple(zip(*datum.cartan)))", "columns = _sparse_rows(datum.cartan)", "ladder"),
     # a reflection reading the root where its coroot belongs
     ("src/affschub/weyl.py", "beta, cor = datum.pos_roots[k], datum.pos_coroots[k]", "beta, cor = datum.pos_roots[k], datum.pos_roots[k]", "reflection"),
+    # a root's row stepped from its parent's with + where - belongs
+    (
+        "src/affschub/cartan.py",
+        "tuple([r - a * e for r, e in zip(row, columns[i])])",
+        "tuple([r + a * e for r, e in zip(row, columns[i])])",
+        "stepped_rows",
+    ),
+    # the simple roots' indices not reversed
+    ("src/affschub/cartan.py", "simple = tuple(range(n - 1, -1, -1))", "simple = tuple(range(n))", "derived_tables"),
+    # the affine rows built from the finite Cartan matrix
+    ("src/affschub/cartan.py", '"affine_rows": _sparse_rows(fields["affine_cartan"])', '"affine_rows": _sparse_rows(fields["cartan"])', "derived_tables"),
     # the symmetrizers doubled
     ("src/affschub/cartan.py", "d = tuple(r * c // t for", "d = tuple(2 * r * c // t for", "symmetrizers"),
     # the long-root level of -beta one too high

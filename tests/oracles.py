@@ -6,10 +6,10 @@ None of these is on a path the ``affschub`` commands run.
 from operator import mul
 
 from affschub.affine import AffineElem, _descents, is_min_rep, reduced_word
-from affschub.cartan import LieType, Vec, root_datum
+from affschub.cartan import LieType, Matrix, Vec, _sparse_rows, root_datum
 from affschub.classify import all_canonical_types
 from affschub.schubert import segments
-from affschub.weyl import GradedPoly, WeylElem, _climb, _reflection, _simple_index, _sparse_rows, identity
+from affschub.weyl import GradedPoly, WeylElem, _climb, _reflection, identity
 
 # every canonical type through rank 8
 TYPES_TO_RANK_8 = all_canonical_types(8)
@@ -22,7 +22,7 @@ def apply_root(w: WeylElem, vec: tuple) -> tuple:
 
 def has_right_descent(w: WeylElem, label: int) -> bool:
     """True iff l(w s) < l(w), i.e. w sends the simple root at label negative."""
-    return w.perm[_simple_index(w.datum)[label - 1]] >= len(w.datum.pos_roots)
+    return w.perm[w.datum.simple_index[label - 1]] >= len(w.datum.pos_roots)
 
 
 def right_descent(x: AffineElem, label: int) -> bool:
@@ -34,7 +34,7 @@ def right_descent(x: AffineElem, label: int) -> bool:
     """
     datum = x.datum
     big = len(datum.pos_roots)
-    j = x.fin.perm[_simple_index(datum)[label - 1]]
+    j = x.fin.perm[datum.simple_index[label - 1]]
     if j < big:
         return sum(map(mul, x.trans, datum.pairing_rows[j])) > 0
     return sum(map(mul, x.trans, datum.pairing_rows[j - big])) <= 0
@@ -51,6 +51,12 @@ def stripping_min_rep(x: AffineElem) -> AffineElem:
     while label := first_right_descent(x):
         x = AffineElem(x.datum, x.trans, WeylElem(x.datum, shift[label](x.fin.perm)))
     return x
+
+
+def pairing_row(cartan: Matrix, alpha: Vec) -> Vec:
+    """The pairing row A alpha of alpha in root coordinates, <lam, alpha> = sum_i lam[i] * row[i],
+    straight off the Cartan matrix: the oracle of the rows the root closure steps."""
+    return tuple(sum(map(mul, r, alpha)) for r in cartan)
 
 
 def double_loop_pairing(datum, lam, alpha):
@@ -109,7 +115,7 @@ def min_coset_reps(lie_type: LieType, nodes) -> list[list[WeylElem]]:
     bad = nodeset - set(range(1, datum.rank + 1))
     if bad:
         raise ValueError(f"not finite node labels: {sorted(bad)}")
-    simple = tuple(_reflection(datum, k) for k in _simple_index(datum))
+    simple = tuple(_reflection(datum, k) for k in datum.simple_index)
     labels = range(datum.rank)
     base = tuple(0 if (i + 1) in nodeset else 1 for i in labels)
     frontier = {base: identity(datum)}

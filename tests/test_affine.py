@@ -8,7 +8,7 @@ from operator import mul
 import pytest
 
 from affschub import affine, weyl
-from affschub.cartan import parse_type, root_datum
+from affschub.cartan import _sparse_rows, parse_type, root_datum
 from affschub.classify import all_canonical_types
 from affschub.errors import BoundExceededError, ParseError
 from affschub.affine import (
@@ -174,7 +174,7 @@ def alcove_at(x, level):
     d = x.datum
     big = len(d.pos_roots)
     inv = x.fin.inverse().perm
-    roots = [d.root_index(d.highest_root)] + list(weyl._simple_index(d))
+    roots = [d.root_index(d.highest_root)] + list(d.simple_index)
     heights = [sum(d.pos_roots[inv[k] % big]) * (-1 if inv[k] >= big else 1) for k in roots]
     r = [level * double_loop_pairing(d, x.trans, d.pos_roots[k]) + h for k, h in zip(roots, heights)]
     r[0] = level - r[0]
@@ -198,7 +198,7 @@ def test_block_jumps_match_the_plain_walk(lie_type):
     # reduced_word jumps translation blocks on a level-K vector past long_word letters;
     # the plain walk at delta height M = ht(theta) + 1 makes every move one by one
     d = root_datum(lie_type)
-    rows = weyl._sparse_rows(d.affine_cartan)
+    rows = _sparse_rows(d.affine_cartan)
     level = sum(d.highest_root) + 1
     jumped = 0
     for x in long_elements(str(lie_type)):
@@ -227,7 +227,7 @@ def takes_block(v, block, rows):
 def test_repeats_counts_repeats_one_by_one(label):
     # _repeats(a, b, block) against taking the block from a + j b for j = 0, 1, ... one
     # repeat at a time; block is the walk from a - b, so it is taken at j = -1, as in the walk
-    rows = weyl._sparse_rows(datum(label).affine_cartan)
+    rows = _sparse_rows(datum(label).affine_cartan)
     rng = random.Random(f"repeats-{label}")
     for _ in range(300):
         start = [rng.randint(-30, 30) for _ in rows]
@@ -278,7 +278,7 @@ def test_closed_form_descents_match_products(label, depth):
     # delta has height K = 2 ht(theta) + 1, so alpha_0 = delta - theta has height ht(theta) + 1
     assert affine._alcove(tables, affine_identity(d)) == tables.origin == [sum(d.highest_root) + 1] + [1] * d.rank
     assert affine._right_alcove(tables, affine_identity(d)) == tables.origin
-    rows = weyl._sparse_rows(d.affine_cartan)
+    rows = _sparse_rows(d.affine_cartan)
     for x in length_bfs_oracle(parse_type(label), depth):
         n = x.length()
         r = affine._alcove(tables, x)
@@ -505,7 +505,7 @@ def test_lattice_bfs_matches_coset_oracle(label, max_len):
             assert is_min_rep(fresh)
             assert fresh.length() == k == closed_minrep_length(d, x.trans)
             inv = x.fin.inverse()
-            assert inv.inverse() is x.fin and inv * x.fin == identity(d)
+            assert inv.inverse() == x.fin and inv * x.fin == identity(d)
             assert all(inv.perm[j] == i for i, j in enumerate(x.fin.perm))
 
 
@@ -898,7 +898,7 @@ def numbers_game_step(rows, point, label):
 def random_minrep_word(d, n, rng):
     """A reduced word of a random minimal representative of length n: n up-steps
     (p[l] > 0) from the origin, each at a label drawn among those that go up."""
-    rows = weyl._sparse_rows(d.affine_cartan)
+    rows = _sparse_rows(d.affine_cartan)
     p = (1,) + (0,) * d.rank
     word = []
     for _ in range(n):
@@ -918,7 +918,7 @@ def test_interval_walk_matches_rescanning_oracle(lie_type):
     # that stepping every point at every letter reaches; each link is an up-step
     # from a point one level down
     d = root_datum(lie_type)
-    rows = weyl._sparse_rows(d.affine_cartan)
+    rows = _sparse_rows(d.affine_cartan)
     rng = random.Random(str(lie_type))
     elems = [translation(d, tuple(-m * c for c in d.highest_coroot)) for m in (1, 2)]
     for _ in range(INTERVAL_SAMPLES):

@@ -11,21 +11,22 @@ from operator import mul
 import pytest
 
 import affschub
-from affschub import classify, cli, weyl
+from affschub import cartan, classify, cli
 from affschub.cartan import (
     _positive_roots,
+    _sparse_rows,
     _symmetrizers,
     LieType,
     RootDatum,
+    check_root_bound,
     exponents,
     minuscule_nodes,
-    pairing_row,
     parse_type,
     root_datum,
 )
 from affschub.classify import _coweight_vertex, all_canonical_types, bott_nodes
-from affschub.errors import ParseError
-from oracles import diagram_automorphisms, double_loop_pairing
+from affschub.errors import BoundExceededError, ParseError
+from oracles import diagram_automorphisms, double_loop_pairing, pairing_row
 
 # Frozen classical tables: the independent oracle the height-partition
 # computation is measured against.
@@ -318,16 +319,18 @@ def _short_limit_datum(label):
     return RootDatum(**{**fields, "pos_roots": real.pos_roots[: real.rank]})
 
 
-def test_coweight_descent_fault_raises(monkeypatch):
+def test_coweight_descent_fault_raises():
     # an entry still negative at the step limit: omega_1^v of E8 is (-1, 1, 0, ..., 0)
     # and its one move leaves -1 at node 8, the affine neighbour
     with pytest.raises(ArithmeticError, match=r"node 1 of E8 ended at \[1, 1, 0, 0, 0, 0, 0, 0, -1\], not a vertex"):
         _coweight_vertex(_short_limit_datum("E8"), 1)
-    # with the move's sign flipped, each move at node 0 triples its negative entry
-    flipped = lambda a: tuple(tuple((m, -e) for m, e in row) for row in weyl._sparse_rows(a))
-    monkeypatch.setattr(classify, "_sparse_rows", flipped)
+    # with the move's sign flipped (the affine Cartan matrix negated), each move at
+    # node 0 triples its negative entry
+    g2 = root_datum(parse_type("G2"))
+    fields = {f: getattr(g2, f) for f in RootDatum._FIELDS}
+    negated = tuple(tuple(-e for e in row) for row in g2.affine_cartan)
     with pytest.raises(ArithmeticError, match="node 1 of G2 ended at"):
-        _coweight_vertex(root_datum(parse_type("G2")), 1)
+        _coweight_vertex(RootDatum(**{**fields, "affine_cartan": negated}), 1)
 
 
 def test_coweight_descent_fault_exits_4(capsys, monkeypatch):
@@ -572,3 +575,58 @@ def test_closure_invariant_raises():
     # so it holds under python -O too (CI runs this test with -O)
     with pytest.raises(ArithmeticError, match="does not pair to 2"):
         _positive_roots(((2, -1), (-1, 3)))
+
+
+# every canonical type through rank 14, and a few at larger rank
+DERIVED_TABLE_TYPES = TYPES_RANK14 + ["A40", "B30", "C30", "D40"]
+
+
+@pytest.mark.parametrize("label", DERIVED_TABLE_TYPES)
+def test_stepped_rows_match_pairing_row_oracle(label):
+    # the closure steps each root's row from its parent's; the oracle multiplies out A alpha
+    datum = root_datum(parse_type(label))
+    assert datum.pairing_rows == tuple(pairing_row(datum.cartan, alpha) for alpha in datum.pos_roots)
+
+
+@pytest.mark.parametrize("label", DERIVED_TABLE_TYPES)
+def test_derived_tables_match_their_definitions(label):
+    datum = root_datum(parse_type(label))
+    n = datum.rank
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    assert datum.simple_index == tuple(datum.index[e] for e in units) == tuple(n - i for i in range(1, n + 1))
+    assert datum.cartan_rows == _sparse_rows(datum.cartan)
+    assert datum.affine_rows == _sparse_rows(datum.affine_cartan)
+
+
+def test_simple_index_check_raises():
+    # pos_roots out of (height, lex) order puts the simple roots elsewhere: a raise, not an assert
+    real = root_datum(parse_type("B3"))
+    fields = {f: getattr(real, f) for f in RootDatum._FIELDS}
+    with pytest.raises(ArithmeticError, match=r"simple roots of B3 are not pos_roots\[2\], ..., pos_roots\[0\]"):
+        RootDatum(**{**fields, "pos_roots": real.pos_roots[::-1]})
+
+
+@pytest.mark.parametrize("lt", all_canonical_types(14), ids=str)
+def test_root_bound_counts_the_root_coordinates(lt, monkeypatch):
+    # check_root_bound reads N off the family; at a limit of N * rank the type passes, one below it fails
+    coordinates = len(root_datum(lt).pos_roots) * lt.rank
+    monkeypatch.setattr(cartan, "ROOT_DATA_BOUND", coordinates)
+    check_root_bound(lt)
+    monkeypatch.setattr(cartan, "ROOT_DATA_BOUND", coordinates - 1)
+    with pytest.raises(BoundExceededError, match=f"{lt} root coordinates .* {coordinates} exceeds .*; the limit is fixed"):
+        check_root_bound(lt)
+
+
+def test_largest_admitted_a_n_builds():
+    # A_n has n(n+1)/2 positive roots; the largest n within the bound builds, the next does not
+    n = max(n for n in range(1, 1000) if n * n * (n + 1) // 2 <= cartan.ROOT_DATA_BOUND)
+    with pytest.raises(BoundExceededError):
+        root_datum(parse_type(f"A{n + 1}"))
+    # built in a child process, so that the interned datum does not stay in this one
+    src = os.path.dirname(os.path.dirname(affschub.__file__))
+    code = f"from affschub import cartan; print(len(cartan.root_datum(cartan.parse_type('A{n}')).pos_roots))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == n * (n + 1) // 2

@@ -1,6 +1,7 @@
 """The command-line surface: outputs, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -152,6 +153,30 @@ def test_bound_exceeded_names_flag(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert expected in err and "bound=" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (
+            ("report", "A10000", "--json"),
+            "A10000 root coordinates (positive roots x rank) 500050000000 exceeds the configured limit 2000000; "
+            "no flag of 'report' raises it",
+        ),
+        # every type of the table is checked before the first row: B126 is the first past the limit
+        (
+            ("classify-all", "--max-rank", "10000", "--json"),
+            "B126 root coordinates (positive roots x rank) 2000376 exceeds the configured limit 2000000; "
+            "no flag of 'classify-all' raises it",
+        ),
+    ],
+    ids=["report", "classify-all"],
+)
+def test_root_data_bound_exits_3_at_once(capsys, argv, expected):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (3, "", f"bound exceeded: {expected}\n")
 
 
 def test_factorize_many_factors_without_recursion(capsys):
