@@ -186,9 +186,6 @@ class AffineElem:
         text = f"t:{','.join(map(str, self.trans))}|w:{','.join(map(str, self.fin.word()))}"
         return f"AffineElem({self.datum.lie_type}, {text!r})"
 
-    def is_identity(self) -> bool:
-        return all(c == 0 for c in self.trans) and self.fin.is_identity()
-
     def inverse(self) -> "AffineElem":
         u = self.fin.inverse()
         back = u.apply_coroot(self.trans)
@@ -254,9 +251,11 @@ class _Descents:
     For a node label l, ``root[l]`` is the root index of alpha_l (of theta
     when l = 0), ``row[l]`` its pairing row, and ``shift[l]`` maps a root
     permutation q to that of q * s, where s is the finite part of the
-    generator at l (s_theta when l = 0).  ``shift`` and ``long_word`` build
-    group elements, so they are built on first use; the walks of enumeration
-    and lower intervals read the affine Cartan rows only.
+    generator at l (s_theta when l = 0).  ``shift`` builds group elements, so
+    it is built on first use; the walks of enumeration and lower intervals
+    read the affine Cartan rows only.  Words longer than ``long_word`` =
+    LONG_WORD_TRANSLATIONS * l(t_theta^v) letters jump translation blocks
+    (module docstring); l(t_theta^v) = <theta^v, 2 rho> = 2 ht(theta^v).
     """
 
     def __init__(self, datum: RootDatum):
@@ -271,16 +270,12 @@ class _Descents:
         self.origin = [self.level - sum(datum.highest_root)] + [1] * datum.rank
         up = tuple(map(sum, datum.pos_roots))
         self.heights = up + tuple(-h for h in up)  # the signed height of every root, by root index
+        self.long_word = LONG_WORD_TRANSLATIONS * 2 * sum(datum.highest_coroot)
 
     @functools.cached_property
     def shift(self) -> tuple:
         """shift[l]: a root permutation q to that of q * s for the generator at l."""
         return tuple(itemgetter(*generator(self.datum, l).fin.perm) for l in range(self.datum.rank + 1))
-
-    @functools.cached_property
-    def long_word(self) -> int:
-        """Words longer than this many letters jump translation blocks (module docstring)."""
-        return LONG_WORD_TRANSLATIONS * translation(self.datum, self.datum.highest_coroot).length()
 
 
 @functools.cache

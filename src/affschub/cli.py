@@ -1,5 +1,10 @@
 """Command-line surface: every computation, with deterministic text or JSON.
 
+Each ``cmd_*`` is a function of the parsed type (``None`` for
+``classify-all``) and the arguments, and returns its payload and its text
+lines. ``main`` alone parses the type, prints the JSON envelope or the text,
+and maps the result to an exit code.
+
 Exit codes: 0 success, 1 property-suite failure, 2 parse error (the message
 names the offending token), 3 configured bound exceeded (the message names
 the limit and the flag that raises it), 4 internal failure (a broken
@@ -48,21 +53,6 @@ def _size(text: str) -> int:
     return value
 
 
-def _emit(args, lie_type: LieType | None, payload, text_lines) -> None:
-    if args.json:
-        envelope = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "type_label": str(lie_type) if lie_type else None,
-            "convention_hash": convention_hash(lie_type) if lie_type else None,
-            "payload": payload,
-        }
-        print(json.dumps(envelope, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def _report_payload(rep) -> dict:
     return {
         "type": str(rep.lie_type),
@@ -78,17 +68,12 @@ def _report_payload(rep) -> dict:
     }
 
 
-def cmd_report(args) -> int:
-    lt = parse_type(args.type)
-    rep = type_report(lt)
-    payload = _report_payload(rep)
-    lines = [f"{k}: {v}" for k, v in payload.items()]
-    _emit(args, lt, payload, lines)
-    return 0
+def cmd_report(lt: LieType, args) -> tuple[dict, list[str]]:
+    payload = _report_payload(type_report(lt))
+    return payload, [f"{k}: {v}" for k, v in payload.items()]
 
 
-def cmd_enumerate(args) -> int:
-    lt = parse_type(args.type)
+def cmd_enumerate(lt: LieType, args) -> tuple[dict, list[str]]:
     levels = enumerate_minreps(lt, args.max_len, bound=args.max_enum_len)
     payload = {
         "max_length": levels.max_length,
@@ -98,12 +83,10 @@ def cmd_enumerate(args) -> int:
     lines = [f"minimal representatives of {lt} through length {args.max_len}"]
     for k, words in enumerate(payload["levels"]):
         lines.append(f"  length {k:2d} ({len(words):3d}): " + " ".join(words))
-    _emit(args, lt, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_poincare(args) -> int:
-    lt = parse_type(args.type)
+def cmd_poincare(lt: LieType, args) -> tuple[dict, list[str]]:
     datum = root_datum(lt)
     elem = affine.min_rep(parse_element(datum, args.element))
     cls = schubert.SchubertClass(elem)
@@ -114,13 +97,11 @@ def cmd_poincare(args) -> int:
         "palindromic": poly.is_palindromic(),
         "chain": poly.is_chain(),
     }
-    _emit(args, lt, payload, [f"X[{payload['element']}]: {poly}",
-                              f"palindromic: {poly.is_palindromic()}  chain: {poly.is_chain()}"])
-    return 0
+    return payload, [f"X[{payload['element']}]: {poly}",
+                     f"palindromic: {payload['palindromic']}  chain: {payload['chain']}"]
 
 
-def cmd_star(args) -> int:
-    lt = parse_type(args.type)
+def cmd_star(lt: LieType, args) -> tuple[dict, list[str]]:
     datum = root_datum(lt)
     tau = schubert.SchubertClass(parse_element(datum, args.elem1))
     nu = schubert.SchubertClass(parse_element(datum, args.elem2))
@@ -133,13 +114,10 @@ def cmd_star(args) -> int:
         "result": result_text,
         "zero": result is None,
     }
-    text = "0" if result is None else f"class {result_text}"
-    _emit(args, lt, payload, [text])
-    return 0
+    return payload, ["0" if result is None else f"class {result_text}"]
 
 
-def cmd_segments(args) -> int:
-    lt = parse_type(args.type)
+def cmd_segments(lt: LieType, args) -> tuple[dict, list[str]]:
     segs = schubert.segments(lt)
     payload = {
         "count": len(segs),
@@ -150,12 +128,10 @@ def cmd_segments(args) -> int:
     lines = [f"{len(segs)} segments"] + [
         f"  length {s['length']:2d}: {s['element']}" for s in payload["segments"]
     ]
-    _emit(args, lt, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_factorize(args) -> int:
-    lt = parse_type(args.type)
+def cmd_factorize(lt: LieType, args) -> tuple[dict, list[str]]:
     datum = root_datum(lt)
     elem = parse_element(datum, args.element)
     word = format_element(elem)  # the word bound stops a long element before the search
@@ -165,13 +141,10 @@ def cmd_factorize(args) -> int:
         "factors": [format_element(s.elem) for s in factors],
         "star_refactors": schubert.star_refolds(elem, factors),
     }
-    lines = [" * ".join(payload["factors"]) or "(empty product)"]
-    _emit(args, lt, payload, lines)
-    return 0
+    return payload, [" * ".join(payload["factors"]) or "(empty product)"]
 
 
-def cmd_chevalley(args) -> int:
-    lt = parse_type(args.type)
+def cmd_chevalley(lt: LieType, args) -> tuple[dict, list[str]]:
     coeffs = chain_coeffs(lt)
     status = pd_status(lt, coeffs).value
     poly = levi_poincare(lt)
@@ -186,11 +159,10 @@ def cmd_chevalley(args) -> int:
         lines = [f"{lt}: Levi quotient is not a chain ({poly})"]
     else:
         lines = [f"{lt}: a = {list(coeffs)} ({status})"]
-    _emit(args, lt, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_classify_all(args) -> int:
+def cmd_classify_all(lt: None, args) -> tuple[dict, list[str]]:
     reports = classify_all(args.max_rank)
     payload = {"reports": [_report_payload(r) for r in reports]}
     header = f"{'type':>5} {'chain':>5} {'pd':>16} {'smooth-genv':>11} {'e_top':>5} {'minuscule':>12} {'bott':>14}"
@@ -202,13 +174,11 @@ def cmd_classify_all(args) -> int:
             f"{','.join(map(str, r.minuscule_nodes)) or '-':>12} "
             f"{','.join(map(str, r.bott_nodes)) or '-':>14}"
         )
-    _emit(args, None, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(lt: LieType, args) -> tuple[dict, list[str]]:
     from .verify import run_suite
-    lt = parse_type(args.type)
     results = run_suite(lt, args.suite, seed=args.seed, bound=args.max_len)
     payload = {
         "suite": args.suite,
@@ -218,11 +188,7 @@ def cmd_verify(args) -> int:
         ],
         "passed": all(r.passed for r in results),
     }
-    lines = [
-        f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results
-    ]
-    _emit(args, lt, payload, lines)
-    return 0 if all(r.passed for r in results) else 1
+    return payload, [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,24 +203,22 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
         p.add_argument("--json", action="store_true", help="emit a JSON envelope")
+        if name != "classify-all":
+            p.add_argument("type")
         return p
 
-    p = add("report", cmd_report, help="classification report for one type")
-    p.add_argument("type")
+    add("report", cmd_report, help="classification report for one type")
 
     p = add("enumerate", cmd_enumerate, help="minimal coset representatives by length")
-    p.add_argument("type")
     p.add_argument("--max-len", type=_size, default=8)
     p.add_argument("--max-enum-len", type=_size, default=None, help="raise the enumeration bound")
     p.add_argument("--no-cache", action="store_true", help="does nothing: there is no enumeration cache")
 
     p = add("poincare", cmd_poincare, help="cell counts of one Schubert variety")
-    p.add_argument("type")
     p.add_argument("--element", required=True, help="element text, e.g. word:1,0 or t:-1,0")
     p.add_argument("--max-len", type=_size, default=None, help="raise the enumeration bound")
 
     p = add("star", cmd_star, help="star product of two Schubert classes")
-    p.add_argument("type")
     p.add_argument("elem1")
     p.add_argument("elem2")
     p.add_argument(
@@ -262,22 +226,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="raise the length bound for printing an element's reduced word",
     )
 
-    p = add("segments", cmd_segments, help="the segments (classes below the generator)")
-    p.add_argument("type")
+    add("segments", cmd_segments, help="the segments (classes below the generator)")
 
     p = add("factorize", cmd_factorize, help="unique segment factorization of an element")
-    p.add_argument("type")
     p.add_argument("--element", required=True)
     p.add_argument("--max-len", type=_size, default=None, help="raise the factorization bound")
 
-    p = add("chevalley", cmd_chevalley, help="cup-coefficient ladder on the Levi quotient")
-    p.add_argument("type")
+    add("chevalley", cmd_chevalley, help="cup-coefficient ladder on the Levi quotient")
 
     p = add("classify-all", cmd_classify_all, help="classification table over all types")
     p.add_argument("--max-rank", type=_size, default=8, help="the largest rank in the table; E8 is always included")
 
     p = add("verify", cmd_verify, help="run a named property suite")
-    p.add_argument("type")
     p.add_argument("--suite", default="all")
     p.add_argument("--seed", type=int, default=2024, help="seed for sampled sweeps")
     p.add_argument(
@@ -289,10 +249,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        lie_type = parse_type(args.type) if "type" in args else None
+        payload, lines = args.fn(lie_type, args)
+        if args.json:
+            envelope = {
+                "schema_version": SCHEMA_VERSION,
+                "command": args.command,
+                "type_label": str(lie_type) if lie_type else None,
+                "convention_hash": convention_hash(lie_type) if lie_type else None,
+                "payload": payload,
+            }
+            print(json.dumps(envelope, sort_keys=True, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        return 1 if payload.get("passed") is False else 0
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -83,18 +83,15 @@ class WeylElem:
         word = ",".join(str(i) for i in self.word()) or "e"
         return f"WeylElem({self.datum.lie_type}, {word})"
 
-    def is_identity(self) -> bool:
-        return self.perm == identity(self.datum).perm
-
     def apply_coroot(self, vec: tuple) -> tuple:
-        """Act on a vector in coroot coordinates."""
-        return self._apply(vec, self.datum.pos_coroots)
+        """Act on a vector in coroot coordinates: sum_i vec[i] * w(alpha_i^v).
 
-    def _apply(self, vec: tuple, basis: tuple[Vec, ...]) -> tuple:
-        """sum_i vec[i] * w(b_i), where w(b_i) = +-basis[j] for the image j of alpha_i."""
+        w(alpha_i^v) = +-pos_coroots[j] for the image j of alpha_i.
+        """
         n = self.datum.rank
         if len(vec) != n:
             raise ValueError("rank mismatch")
+        basis = self.datum.pos_coroots
         big = len(basis)
         out = [0] * n
         for c, k in zip(vec, self.datum.simple_index):

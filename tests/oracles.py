@@ -5,7 +5,7 @@ None of these is on a path the ``affschub`` commands run.
 
 from operator import mul
 
-from affschub.affine import AffineElem, _descents, is_min_rep, reduced_word
+from affschub.affine import AffineElem, _descents, affine_identity, is_min_rep, reduced_word
 from affschub.cartan import LieType, Matrix, Vec, _sparse_rows, root_datum
 from affschub.classify import all_canonical_types
 from affschub.schubert import segments
@@ -16,8 +16,16 @@ TYPES_TO_RANK_8 = all_canonical_types(8)
 
 
 def apply_root(w: WeylElem, vec: tuple) -> tuple:
-    """w acting on a vector in root coordinates."""
-    return w._apply(vec, w.datum.pos_roots)
+    """w acting on a vector in root coordinates: w(alpha_i) = +-pos_roots[j] for the image j of alpha_i."""
+    datum = w.datum
+    big = len(datum.pos_roots)
+    out = [0] * datum.rank
+    for c, k in zip(vec, datum.simple_index):
+        j = w.perm[k]
+        sign = 1 if j < big else -1
+        for i, b in enumerate(datum.pos_roots[j % big]):
+            out[i] += sign * c * b
+    return tuple(out)
 
 
 def has_right_descent(w: WeylElem, label: int) -> bool:
@@ -136,11 +144,12 @@ def product_segment_factorizations(w) -> list[list]:
     dim seg and the result is still a minimal representative.
     """
     segs = [(seg, seg.elem.inverse()) for seg in segments(w.datum.lie_type)]
+    ident = affine_identity(w.datum)
     out = []
     stack = [(w, [])]
     while stack:
         x, factors = stack.pop()
-        if x.is_identity():
+        if x == ident:
             out.append(factors)
             continue
         for seg, inv in reversed(segs):

@@ -77,7 +77,7 @@ def affine_growth_series(label, through):
 def test_s0_squares_to_identity():
     for label in ["A1", "A2", "C2", "G2", "B3"]:
         s0 = generator(datum(label), 0)
-        assert (s0 * s0).is_identity()
+        assert s0 * s0 == affine_identity(s0.datum)
         assert s0.length() == 1
 
 
@@ -91,15 +91,14 @@ def test_translations_commute_and_add():
 def test_a1_s1_s0_is_negative_translation():
     d = datum("A1")
     x = generator(d, 1) * generator(d, 0)
-    assert x.trans == (-1,) and x.fin.is_identity()
+    assert x.trans == (-1,) and x.fin == identity(d)
     assert x.length() == 2
 
 
 def test_inverse():
     d = datum("A2")
     x = from_word(d, [0, 1, 2, 0])
-    assert (x * x.inverse()).is_identity()
-    assert (x.inverse() * x).is_identity()
+    assert x * x.inverse() == x.inverse() * x == affine_identity(d)
     assert x.inverse().length() == x.length()
 
 
@@ -209,6 +208,13 @@ def test_block_jumps_match_the_plain_walk(lie_type):
         assert reduced_word(x) == plain
         jumped += n > affine._descents(d).long_word
     assert jumped >= 2  # t_{-200 theta^v} and t_{-33 theta^v} at least take the jumping walk
+
+
+def test_long_word_is_the_closed_form():
+    # long_word reads l(t_theta^v) as 2 ht(theta^v); here it is the translation's length
+    for lie_type in all_canonical_types(14):
+        d = root_datum(lie_type)
+        assert affine._descents(d).long_word == affine.LONG_WORD_TRANSLATIONS * translation(d, d.highest_coroot).length()
 
 
 def takes_block(v, block, rows):
@@ -366,7 +372,7 @@ def test_finite_elements_project_to_identity():
     d = datum("C2")
     for level in min_coset_reps(parse_type("C2"), ()):
         for w in level:
-            assert min_rep(embed_finite(w)).is_identity()
+            assert min_rep(embed_finite(w)) == affine_identity(d)
 
 
 def assert_min_rep_matches_stripping(x):
@@ -447,8 +453,9 @@ def test_minrep_level_sizes_match_series(label):
 
 @pytest.mark.parametrize("label", ["A1", "A2", "C2", "G2"])
 def test_minrep_words_end_in_affine_node(label):
+    e = affine_identity(datum(label))
     for x in enumerate_minreps(parse_type(label), 6).flat():
-        if not x.is_identity():
+        if x != e:
             assert reduced_word(x)[-1] == 0
 
 

@@ -1,5 +1,6 @@
 """The command-line surface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import time
 
@@ -222,6 +223,54 @@ def test_verify_exit_codes(capsys):
     assert out.startswith("PASS")
     code, _, err = run(capsys, "verify", "A1", "--suite", "nope")
     assert code == 2
+
+
+def test_failing_suite_exits_1(capsys, monkeypatch):
+    import affschub.verify as verify
+
+    failing = [verify.CheckResult("forced", False, "made to fail")]
+    monkeypatch.setitem(verify.SUITES, "canonical", lambda lie_type, **kwargs: failing)
+    assert run(capsys, "verify", "A1", "--suite", "canonical") == (1, "FAIL forced: made to fail\n", "")
+    code, out, err = run(capsys, "verify", "A1", "--suite", "canonical", "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["payload"]["passed"] is False
+
+
+# sha256 of f"{exit code}\n{stdout}\0{stderr}" for one text and one --json run of
+# each subcommand, and for the error paths that main maps to exits 2 and 3
+CLI_SHA256 = [
+    ("report G2", 0, "af9efa354869dde3a2e6b04c011af4766781f3bd93511757541261e48330b416"),
+    ("report A3 --json", 0, "58240d61f903c3dc7cce56794dc92a9caeadc6de46cb103d1f5b095b0487a85f"),
+    ("enumerate A2 --max-len 5", 0, "e68e30754e7716ead6cd75169280e06beb473f7ca612f959ee7208915b323cfe"),
+    ("enumerate G2 --max-len 6 --json", 0, "7a6418de69d76c104fddb231ae2ee7296d14974ba3b88f279c53ed92721a4440"),
+    ("poincare A1 --element t:-1", 0, "40411c632231f0ecc7b76b7bd5d1c49aad3f828e0577556a904e6aca64d69580"),
+    ("poincare C2 --element t:-2,0 --json", 0, "8dfa5fbb7f33f5815607c3242ed0c547b389348530b536bbdf1c7ae0bd2403a9"),
+    ("star A1 word:0 word:1,0", 0, "afcf92a07093fb457128bd76cf299de08eb3bd5c66dfda52b974137a0fea193b"),
+    ("star A2 word:1,2,0 word:0,2,1,0 --json", 0, "84e0cd6b587fe8ca5adcad33ac6702228ff0da41de4839411db94f0bc65e3ca3"),
+    ("segments G2", 0, "853e6eda3831c373908345c58738157490694f4048d26f8e11037d03aa1da9ee"),
+    ("segments C2 --json", 0, "8987dbc8eab8399976313d452b871103961011c6de50140dc82683804e9bb65d"),
+    ("factorize A1 --element word:0,1,0", 0, "8439e2c7254b93db3c071837a03b90ecea34121e8a363173b9e8e1fa4b13306f"),
+    ("factorize G2 --element word:0,1,2,1,2,0 --json", 0, "101e1696dccff22ca8a14abb862d1cefa53c9c96d8d0af481866b8344561ea9d"),
+    ("chevalley A3", 0, "045f14e5d041c5dcd8987e7e4894fa401b5120165b6b2721ee039bb1acc013ed"),
+    ("chevalley G2 --json", 0, "1dff3c1ffed6fd118b62d93cd9d51113b79b2e190232238a6c4c903742093d64"),
+    ("classify-all --max-rank 4", 0, "c8192ab8ca84cc759f675b00516383070d39de8d1992118618ae487399bd6dc2"),
+    ("classify-all --max-rank 2 --json", 0, "3b0b4448902dcc835dbde64ee2584c51fcbdc21dd65aae3ba633ddb124f693a4"),
+    ("verify A2 --suite segments", 0, "5a39dbcd4f874018e60f2a6f5f45a1eb98b33d284663348bdcfbe4cf35513906"),
+    ("verify A1 --suite series --json", 0, "c0dbac8a32537b5b77506ed57a8c1d306a28bd4249fb02d03d3d674b87336843"),
+    ("star A1 word:7 word:0", 2, "fdd374dea08745c942f21a1738919b309729ee7c7c20b5b9a90611d5c2e0970e"),
+    ("report Z9 --json", 2, "4ff4f4033375cf38530ed15d59f298cd9aa9239ca57fa1d9a4639c2f86b6fc8a"),
+    ("verify A1 --suite nope", 2, "42c2e7560182fdc9862068ba57ff04906fc77f6d29148a21930e55b32b50d2f2"),
+    ("star G2 word:0,1 word:0 --json", 2, "dd22d883aa0e5c635760a8b70be7cc2dca76a0397142c5ba494ae63497db787f"),
+    ("enumerate A2 --max-len 30", 3, "3091a4deeab48981228bb4b3b589ee69223c27e48deaf8055b0d0c60adc60f6b"),
+    ("star A1 t:-2000 t:-1 --max-word-len 4001 --json", 3, "eddc64e66cd63f4fe417cadad5108dea64255c31846782bdcd9882b269e84ed3"),
+    ("poincare A1 --element t:-60000 --max-len 200000", 3, "ec65241512296126e4e1f04fce0d91d70d7c7fc62005579e3d1739193821c9c6"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", CLI_SHA256, ids=[c[0] for c in CLI_SHA256])
+def test_cli_output_pinned(capsys, argv, code, digest):
+    got, out, err = run(capsys, *argv.split())
+    assert (got, hashlib.sha256(f"{got}\n{out}\0{err}".encode()).hexdigest()) == (code, digest)
 
 
 # the types through rank 10 whose third generator power is longer than 64

@@ -55,7 +55,7 @@ def test_identity_fixes_everything():
 def test_involution_and_lengths():
     g2 = root_datum(parse_type("G2"))
     s1 = simple_reflection(g2, 1)
-    assert (s1 * s1).is_identity()
+    assert s1 * s1 == identity(g2)
     assert s1.length() == 1
     assert identity(g2).length() == 0
 
@@ -78,7 +78,7 @@ def stripped_word(w):
             break
         labels.append(label)
         w = w * simple_reflection(w.datum, label)
-    assert w.is_identity()
+    assert w == identity(w.datum)
     return tuple(reversed(labels))
 
 
@@ -241,7 +241,7 @@ def test_apply_preserves_pairing():
 def test_inverse():
     g2 = root_datum(parse_type("G2"))
     w = affine.from_word(g2, (1, 2, 1, 2)).fin
-    assert (w * w.inverse()).is_identity()
+    assert w * w.inverse() == identity(g2)
     assert w.inverse().length() == w.length()
 
 
@@ -293,8 +293,7 @@ def test_root_permutation_matches_matrix_oracle(label):
             image = _mat_vec(mat, e)
             assert w.apply_coroot(e) == image
             assert has_right_descent(w, i + 1) == any(c < 0 for c in image)
-        assert (w * w.inverse()).is_identity()
-        assert (w.inverse() * w).is_identity()
+        assert w * w.inverse() == w.inverse() * w == identity(datum)
     # distinct permutations are distinct matrices: the words name |W| elements
     assert len(matrices) == len(elems) == WEYL_ORDERS[label]
 
