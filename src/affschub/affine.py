@@ -57,8 +57,10 @@ affine diagram, at most 5 updates in any type (Bjorner-Brenti, GTM 231,
 walk on q[1..rank] (x s_l moves q alike; schubert).  A letter costs a scan
 of at most rank + 1 signs for the smallest negative entry and those
 updates; the start costs rank + 1 pairings, and for r as many perm.index
-scans, once per walk.  The tests and the moves agree with product-and-length
-on BFS balls of A1 through F4 (tests/test_affine.py).
+scans, once per walk.  K, the signed heights, the root of each label and
+the identity's vector are the datum's ``delta_height``, ``heights``,
+``affine_index`` and ``identity_alcove``.  The tests and the moves agree
+with product-and-length on BFS balls of A1 through F4 (tests/test_affine.py).
 
 Why K, where ht(theta) + 1 would do for the signs: ht(w^-1 alpha_l) = <w
 rho^v, alpha_l> lies in [-ht(theta), ht(theta)], so r mod K gives it, and
@@ -75,7 +77,8 @@ every block holds, and take J blocks at once, capped by the letters left.
 
 from_word builds t_lam w by right steps: x s_l = t_lam (w s_l) for l >= 1
 is a shift of w's permutation, and x s_0 = t_{lam + w(theta^v)} (w s_theta),
-with w(theta^v) = +-pos_coroots[j] for w(theta) = +-pos_roots[j].
+with w(theta^v) = +-pos_coroots[j] for w(theta) = +-pos_roots[j].  The
+shifts (``_shift``) build group elements, so each datum's are built on first use.
 
 Minimal representatives of the affine group mod W are enumerated by the
 walk of W/W_I (weyl._climb), run on the affine Cartan matrix with
@@ -245,57 +248,34 @@ def is_antidominant(datum: RootDatum, lam: Vec) -> bool:
     return all(sum(map(mul, lam, rows[k])) <= 0 for k in datum.simple_index)
 
 
-class _Descents:
-    """Per-datum tables for the closed-form descent tests on x = t_lam w.
-
-    For a node label l, ``root[l]`` is the root index of alpha_l (of theta
-    when l = 0), ``row[l]`` its pairing row, and ``shift[l]`` maps a root
-    permutation q to that of q * s, where s is the finite part of the
-    generator at l (s_theta when l = 0).  ``shift`` builds group elements, so
-    it is built on first use; the walks of enumeration and lower intervals
-    read the affine Cartan rows only.  Words longer than ``long_word`` =
-    LONG_WORD_TRANSLATIONS * l(t_theta^v) letters jump translation blocks
-    (module docstring); l(t_theta^v) = <theta^v, 2 rho> = 2 ht(theta^v).
-    """
-
-    def __init__(self, datum: RootDatum):
-        self.big = len(datum.pos_roots)
-        self.rows = datum.pairing_rows
-        self.root = (datum.root_index(datum.highest_root),) + datum.simple_index
-        self.row = tuple(self.rows[k] for k in self.root)
-        self.datum = datum
-        self.names = tuple(map(str, range(datum.rank + 1)))  # the text of each node label
-        self.level = 2 * sum(datum.highest_root) + 1  # K, the height given to delta
-        # the identity's alcove vector (K - ht(theta), 1, ..., 1): the heights of the alpha_l
-        self.origin = [self.level - sum(datum.highest_root)] + [1] * datum.rank
-        up = tuple(map(sum, datum.pos_roots))
-        self.heights = up + tuple(-h for h in up)  # the signed height of every root, by root index
-        self.long_word = LONG_WORD_TRANSLATIONS * 2 * sum(datum.highest_coroot)
-
-    @functools.cached_property
-    def shift(self) -> tuple:
-        """shift[l]: a root permutation q to that of q * s for the generator at l."""
-        return tuple(itemgetter(*generator(self.datum, l).fin.perm) for l in range(self.datum.rank + 1))
-
-
 @functools.cache
-def _descents(datum: RootDatum) -> _Descents:
-    return _Descents(datum)
+def _shift(datum: RootDatum) -> tuple:
+    """shift[l] maps a root permutation q to that of q * s, s the finite part of the generator
+    at label l (s_theta when l = 0); the walks of enumeration and intervals never build it."""
+    return tuple(itemgetter(*generator(datum, l).fin.perm) for l in range(datum.rank + 1))
 
 
-def _alcove(d: _Descents, x: AffineElem) -> list[int]:
+def _long_word(datum: RootDatum) -> int:
+    """Words longer than this many letters jump translation blocks (module docstring):
+    LONG_WORD_TRANSLATIONS * l(t_theta^v), with l(t_theta^v) = <theta^v, 2 rho> = 2 ht(theta^v)."""
+    return LONG_WORD_TRANSLATIONS * 2 * sum(datum.highest_coroot)
+
+
+def _alcove(x: AffineElem) -> list[int]:
     """The alcove vector r of x = t_lam w (module docstring); w^-1 is read through perm.index."""
-    perm, heights, level = x.fin.perm, d.heights, d.level
-    r = [level * sum(map(mul, x.trans, row)) + heights[perm.index(k)] for row, k in zip(d.row, d.root)]
+    datum, perm = x.datum, x.fin.perm
+    rows, heights, level = datum.pairing_rows, datum.heights, datum.delta_height
+    r = [level * sum(map(mul, x.trans, rows[k])) + heights[perm.index(k)] for k in datum.affine_index]
     r[0] = level - r[0]  # the entry built for theta is K <lam, theta> + ht(w^-1 theta)
     return r
 
 
-def _right_alcove(d: _Descents, x: AffineElem) -> list[int]:
+def _right_alcove(x: AffineElem) -> list[int]:
     """The right alcove vector q of x = t_lam w (module docstring), the alcove vector of x^-1."""
-    lam, rows, big, heights, level = x.trans, d.rows, d.big, d.heights, d.level
+    datum, lam = x.datum, x.trans
+    rows, big, heights, level = datum.pairing_rows, len(datum.pos_roots), datum.heights, datum.delta_height
     q = []
-    for j in map(x.fin.perm.__getitem__, d.root):  # w(alpha_l) = +-pos_roots[j % big]
+    for j in map(x.fin.perm.__getitem__, datum.affine_index):  # w(alpha_l) = +-pos_roots[j % big]
         pair = sum(map(mul, lam, rows[j % big]))
         q.append(heights[j] - level * pair if j < big else heights[j] + level * pair)
     q[0] = level - q[0]
@@ -307,20 +287,19 @@ def reduced_word(x: AffineElem, *, bound: int = WORD_BOUND) -> list[int]:
 
     Each letter is the smallest label with a left descent, read off the
     alcove vector (module docstring) by the descent ``weyl._descend``, l(x)
-    moves; a word longer than ``long_word`` letters takes whole translation
+    moves; a word longer than ``_long_word`` letters takes whole translation
     blocks at once (``_descend_by_blocks``).  Words longer than ``bound``
     letters raise BoundExceededError before any work.
     """
     n = x.length()
     if n > bound:
         raise BoundExceededError("reduced word length", n, bound, "bound")
-    d = _descents(x.datum)
-    r = _alcove(d, x)
+    r = _alcove(x)
     rows = x.datum.affine_rows
-    word = _descend(r, rows, n) if n <= d.long_word else _descend_by_blocks(r, rows, n, d.level)
+    word = _descend(r, rows, n) if n <= _long_word(x.datum) else _descend_by_blocks(r, rows, n, x.datum.delta_height)
     if len(word) < n:
         raise ArithmeticError(f"no left descent found for the alcove vector {r}")
-    _check_identity(d, r)
+    _check_identity(x.datum, r)
     return word
 
 
@@ -384,9 +363,9 @@ def _repeats(a: list[int], b: list[int], block: list[int], rows, cap: int) -> in
     return most + 1
 
 
-def _check_identity(d: _Descents, r: list[int]) -> None:
-    """Raise ArithmeticError unless r is the identity's alcove vector ``d.origin``."""
-    if r != d.origin:
+def _check_identity(datum: RootDatum, r: list[int]) -> None:
+    """Raise ArithmeticError unless r is the identity's alcove vector ``datum.identity_alcove``."""
+    if tuple(r) != datum.identity_alcove:
         raise ArithmeticError(f"a walk to the identity ended at the alcove vector {r}")
 
 
@@ -396,8 +375,7 @@ def from_word(datum: RootDatum, labels) -> AffineElem:
     x s_l = t_lam (w s_l) for l >= 1, and x s_0 = t_{lam + w(theta^v)} (w s_theta),
     where w(theta^v) = +-pos_coroots[j] for w(theta) = +-pos_roots[j].
     """
-    d = _descents(datum)
-    big, theta, coroots, shift = d.big, d.root[0], datum.pos_coroots, d.shift
+    big, theta, coroots, shift = len(datum.pos_roots), datum.affine_index[0], datum.pos_coroots, _shift(datum)
     lam = (0,) * datum.rank
     perm = identity(datum).perm
     for label in labels:
@@ -412,7 +390,7 @@ def from_word(datum: RootDatum, labels) -> AffineElem:
 
 def is_min_rep(x: AffineElem) -> bool:
     """True iff x is the shortest element of its coset x*W (no finite right descent)."""
-    return min(_right_alcove(_descents(x.datum), x)[1:]) > 0
+    return min(_right_alcove(x)[1:]) > 0
 
 
 def min_rep(x: AffineElem) -> AffineElem:
@@ -421,14 +399,13 @@ def min_rep(x: AffineElem) -> AffineElem:
     Right multiplication by W leaves the translation fixed, so only the
     finite part moves, by ``shift`` for each label of the walk on q[1..rank].
     """
-    d = _descents(x.datum)
-    q = _right_alcove(d, x)[1:]
-    labels = _descend(q, x.datum.cartan_rows, d.big)
+    q = _right_alcove(x)[1:]
+    labels = _descend(q, x.datum.cartan_rows, len(x.datum.pos_roots))
     if min(q) <= 0:
         raise ArithmeticError(f"a walk to the coset minimum ended at the right alcove vector {q}")
-    perm = x.fin.perm
+    perm, shift = x.fin.perm, _shift(x.datum)
     for label in labels:
-        perm = d.shift[label + 1](perm)
+        perm = shift[label + 1](perm)
     return AffineElem(x.datum, x.trans, WeylElem(x.datum, perm)) if labels else x
 
 
@@ -541,7 +518,7 @@ def bruhat_leq(v: AffineElem, w: AffineElem) -> bool:
         raise BoundExceededError("Bruhat comparison length", w.length(), WORD_BOUND)
     rows = w.datum.affine_rows
     lv = v.length()
-    r = _alcove(_descents(w.datum), v)
+    r = _alcove(v)
     for lw, label in zip(range(w.length(), 0, -1), reduced_word(w)):
         if lv > lw:
             return False
@@ -554,7 +531,7 @@ def bruhat_leq(v: AffineElem, w: AffineElem) -> bool:
             lv -= 1
     if lv:
         return False
-    _check_identity(_descents(w.datum), r)
+    _check_identity(w.datum, r)
     return True
 
 
@@ -594,7 +571,7 @@ def lower_interval(x: AffineElem) -> list[AffineElem]:
 
 
 def format_element(x: AffineElem, *, bound: int = WORD_BOUND) -> str:
-    names = _descents(x.datum).names
+    names = x.datum.label_names
     return "word:" + ",".join([names[l] for l in reduced_word(x, bound=bound)])
 
 

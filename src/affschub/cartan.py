@@ -18,9 +18,13 @@ Conventions, fixed here once and relied on by every other module:
   that raises a root steps its coroot and its row too, in O(rank).  Sorted
   by (height, lex), the highest root is last and alpha_i is
   ``pos_roots[rank - i]``.  Tables derived once per datum: ``index`` numbers
-  every root, ``k`` for ``pos_roots[k]`` and ``k + N`` for its negative;
-  ``simple_index`` is the index of each alpha_i; ``cartan_rows`` and
-  ``affine_rows`` hold the nonzero entries of the two Cartan matrices by row.
+  every root, ``k`` for ``pos_roots[k]`` and ``k + N`` for its negative, and
+  ``heights`` holds their signed heights; ``simple_index`` is the index of
+  each alpha_i, ``affine_index`` that of theta and then of each alpha_i;
+  ``cartan_rows`` and ``affine_rows`` hold the nonzero entries of the two
+  Cartan matrices by row.  For the affine walks: ``delta_height`` K =
+  2 ht(theta) + 1, the identity's alcove vector ``identity_alcove`` and
+  the text of each node label, ``label_names`` (``affine``).
   ``root_datum`` builds at most ``ROOT_DATA_BOUND`` root coordinates.
 * No floats and no rationals anywhere, and no matrix is inverted: whether
   a coweight is a coroot is read off the alcove descent of the numbers game
@@ -203,8 +207,10 @@ class RootDatum:
         "exponents",  # Vec
         "affine_cartan",  # (rank+1)^2, index 0 = affine node, i>=1 = label i
     )
-    # the tables derived from the fields, outside the repr (module docstring)
-    __slots__ = _FIELDS + ("index", "simple_index", "cartan_rows", "affine_rows")
+    # the tables derived from the fields, outside the repr: the root numbering and the
+    # constants the walks of weyl and affine start from (module docstring)
+    __slots__ = _FIELDS + ("index", "heights", "simple_index", "affine_index", "cartan_rows", "affine_rows",
+                           "delta_height", "identity_alcove", "label_names")
 
     def __init__(self, **fields):
         if set(fields) != set(self._FIELDS):
@@ -216,7 +222,13 @@ class RootDatum:
         if simple != tuple(index.get(tuple(int(i == j) for j in range(n))) for i in range(n)):
             raise ArithmeticError(f"the simple roots of {lie_type} are not pos_roots[{n - 1}], ..., pos_roots[0]")
         rows = {"cartan_rows": _sparse_rows(fields["cartan"]), "affine_rows": _sparse_rows(fields["affine_cartan"])}
-        fields.update(rows, index=index, simple_index=simple)
+        up, height = tuple(map(sum, pos)), sum(fields["highest_root"])
+        level = 2 * height + 1  # K, the height given to delta
+        fields.update(
+            rows, index=index, heights=up + tuple(map(neg, up)), simple_index=simple,
+            affine_index=(index.get(fields["highest_root"]),) + simple, delta_height=level,
+            identity_alcove=(level - height,) + (1,) * n, label_names=tuple(map(str, range(n + 1))),
+        )
         for name in self.__slots__:
             object.__setattr__(self, name, fields[name])
 

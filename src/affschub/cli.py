@@ -101,10 +101,18 @@ def cmd_poincare(lt: LieType, args) -> tuple[dict, list[str]]:
                      f"palindromic: {payload['palindromic']}  chain: {payload['chain']}"]
 
 
+def _naming(text: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), whose ValueError (an element that is no minimal representative) names text."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"element {text!r}: {exc}") from None
+
+
 def cmd_star(lt: LieType, args) -> tuple[dict, list[str]]:
     datum = root_datum(lt)
-    tau = schubert.SchubertClass(parse_element(datum, args.elem1))
-    nu = schubert.SchubertClass(parse_element(datum, args.elem2))
+    tau = _naming(args.elem1, schubert.SchubertClass, parse_element(datum, args.elem1))
+    nu = _naming(args.elem2, schubert.SchubertClass, parse_element(datum, args.elem2))
     result = schubert.star(tau, nu)
     bound = args.max_word_len
     result_text = format_element(result.elem, bound=bound) if result else None
@@ -135,7 +143,7 @@ def cmd_factorize(lt: LieType, args) -> tuple[dict, list[str]]:
     datum = root_datum(lt)
     elem = parse_element(datum, args.element)
     word = format_element(elem)  # the word bound stops a long element before the search
-    factors = schubert.segment_factorize(elem, bound=args.max_len)
+    factors = _naming(args.element, schubert.segment_factorize, elem, bound=args.max_len)
     payload = {
         "element": word,
         "factors": [format_element(s.elem) for s in factors],

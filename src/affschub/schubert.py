@@ -29,7 +29,6 @@ from .weyl import GradedPoly
 from .affine import (
     AffineElem,
     _check_identity,
-    _descents,
     _interval_levels,
     _right_alcove,
     affine_identity,
@@ -113,8 +112,7 @@ def segment_factorizations(
     """
     datum = w.datum
     check_enum_bound(datum, "factorization length", w.length(), bound)
-    d = _descents(datum)
-    q = _right_alcove(d, w)
+    q = _right_alcove(w)
     if min(q[1:]) <= 0:
         raise ValueError("only minimal coset representatives factor into segments")
     segs = _segments(datum.lie_type)
@@ -128,7 +126,7 @@ def segment_factorizations(
     while stack:
         q, n, chain = stack.pop()
         if not n:
-            _check_identity(d, q)
+            _check_identity(datum, q)
             factors = []
             while chain is not None:
                 seg, chain = chain

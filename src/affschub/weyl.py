@@ -124,11 +124,7 @@ class WeylElem:
         the identity's (1, ..., 1).
         """
         datum = self.datum
-        big = len(datum.pos_roots)
-        h = []
-        for k in datum.simple_index:
-            negative, j = divmod(self.perm[k], big)
-            h.append(-sum(datum.pos_roots[j]) if negative else sum(datum.pos_roots[j]))
+        h = [datum.heights[self.perm[k]] for k in datum.simple_index]
         labels = _descend(h, datum.cartan_rows, self.length())
         if any(x != 1 for x in h):
             raise ArithmeticError(f"descent stripping of {self.perm} ended at heights {h}, not the identity")

@@ -19,9 +19,9 @@ MUTANTS = [
         "stripping or closed_form_descents",
     ),
     # is_min_rep reading label 0 as a finite descent
-    (AFFINE, "return min(_right_alcove(_descents(x.datum), x)[1:]) > 0", "return min(_right_alcove(_descents(x.datum), x)) > 0", "closed_form_descents"),
+    (AFFINE, "return min(_right_alcove(x)[1:]) > 0", "return min(_right_alcove(x)) > 0", "closed_form_descents"),
     # min_rep walking q[1..rank] on the affine Cartan rows
-    (AFFINE, "_descend(q, x.datum.cartan_rows, d.big)", "_descend(q, x.datum.affine_rows, d.big)", "stripping"),
+    (AFFINE, "_descend(q, x.datum.cartan_rows, len(", "_descend(q, x.datum.affine_rows, len(", "stripping"),
     # the numbers-game move with the wrong sign
     ("src/affschub/weyl.py", "            r[m] -= a * e\n", "            r[m] += a * e\n", "closed_form_matches_greedy"),
     # a zero entry taken as a descent (only the Bott walk meets one)
@@ -54,12 +54,34 @@ MUTANTS = [
         "rows = datum.cartan",
         "coweight_orbit_matches_group_action",
     ),
+    # the long-word threshold reading l(t_theta^v) as ht(theta^v)
+    (AFFINE, "LONG_WORD_TRANSLATIONS * 2 * sum(", "LONG_WORD_TRANSLATIONS * sum(", "long_word_is_the_closed_form"),
     # one translation block too many in a long reduced word
     (AFFINE, "    return most + 1\n", "    return most + 2\n", "block_jumps"),
     # the segment search keeping results that are not minimal representatives
     ("src/affschub/schubert.py", "if min(y[1:]) > 0:", "if True:", "factorizations_match_the_product_search"),
     # delta at height ht(theta), so that alpha_0 has height 0
-    (AFFINE, "self.level = 2 * sum(datum.highest_root) + 1", "self.level = sum(datum.highest_root)", "closed_form_descents"),
+    ("src/affschub/cartan.py", "level = 2 * height + 1", "level = height", "closed_form_descents"),
+    # delta at height 2 ht(theta): the residues mod K no longer tell theta from -theta
+    ("src/affschub/cartan.py", "level = 2 * height + 1", "level = 2 * height", "closed_form_descents"),
+    # the negative roots given positive heights
+    ("src/affschub/cartan.py", "heights=up + tuple(map(neg, up))", "heights=up + up", "reduced_word_roundtrip"),
+    # label 0 read at alpha_1 where theta belongs
+    (
+        "src/affschub/cartan.py",
+        'affine_index=(index.get(fields["highest_root"]),) + simple',
+        "affine_index=(simple[0],) + simple",
+        "reduced_word_roundtrip",
+    ),
+    # the identity's alcove vector with alpha_0 at height ht(theta)
+    ("src/affschub/cartan.py", "identity_alcove=(level - height,)", "identity_alcove=(height,)", "reduced_word_examples"),
+    # the label texts numbered from 1
+    (
+        "src/affschub/cartan.py",
+        "label_names=tuple(map(str, range(n + 1)))",
+        "label_names=tuple(map(str, range(1, n + 2)))",
+        "format_parse_roundtrip",
+    ),
     # from_word adding w(theta^v) with the wrong sign
     (
         AFFINE,

@@ -5,7 +5,7 @@ None of these is on a path the ``affschub`` commands run.
 
 from operator import mul
 
-from affschub.affine import AffineElem, _descents, affine_identity, is_min_rep, reduced_word
+from affschub.affine import AffineElem, _shift, affine_identity, is_min_rep, reduced_word
 from affschub.cartan import LieType, Matrix, Vec, _sparse_rows, root_datum
 from affschub.classify import all_canonical_types
 from affschub.schubert import segments
@@ -55,7 +55,7 @@ def first_right_descent(x: AffineElem) -> int:
 
 def stripping_min_rep(x: AffineElem) -> AffineElem:
     """The coset minimum of x W, rescanning for the smallest finite right descent after every strip."""
-    shift = _descents(x.datum).shift
+    shift = _shift(x.datum)
     while label := first_right_descent(x):
         x = AffineElem(x.datum, x.trans, WeylElem(x.datum, shift[label](x.fin.perm)))
     return x

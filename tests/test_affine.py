@@ -194,7 +194,7 @@ def long_elements(label):
 
 @pytest.mark.parametrize("lie_type", all_canonical_types(8), ids=str)
 def test_block_jumps_match_the_plain_walk(lie_type):
-    # reduced_word jumps translation blocks on a level-K vector past long_word letters;
+    # reduced_word jumps translation blocks on a level-K vector past _long_word letters;
     # the plain walk at delta height M = ht(theta) + 1 makes every move one by one
     d = root_datum(lie_type)
     rows = _sparse_rows(d.affine_cartan)
@@ -206,15 +206,15 @@ def test_block_jumps_match_the_plain_walk(lie_type):
         plain = weyl._descend(r, rows, n)
         assert len(plain) == n and r == [1] * (d.rank + 1)
         assert reduced_word(x) == plain
-        jumped += n > affine._descents(d).long_word
+        jumped += n > affine._long_word(d)
     assert jumped >= 2  # t_{-200 theta^v} and t_{-33 theta^v} at least take the jumping walk
 
 
 def test_long_word_is_the_closed_form():
-    # long_word reads l(t_theta^v) as 2 ht(theta^v); here it is the translation's length
+    # _long_word reads l(t_theta^v) as 2 ht(theta^v); here it is the translation's length
     for lie_type in all_canonical_types(14):
         d = root_datum(lie_type)
-        assert affine._descents(d).long_word == affine.LONG_WORD_TRANSLATIONS * translation(d, d.highest_coroot).length()
+        assert affine._long_word(d) == affine.LONG_WORD_TRANSLATIONS * translation(d, d.highest_coroot).length()
 
 
 def takes_block(v, block, rows):
@@ -280,27 +280,27 @@ def greedy_word_oracle(x):
 def test_closed_form_descents_match_products(label, depth):
     d = datum(label)
     gens = all_generators(d)
-    tables = affine._descents(d)
     # delta has height K = 2 ht(theta) + 1, so alpha_0 = delta - theta has height ht(theta) + 1
-    assert affine._alcove(tables, affine_identity(d)) == tables.origin == [sum(d.highest_root) + 1] + [1] * d.rank
-    assert affine._right_alcove(tables, affine_identity(d)) == tables.origin
+    origin = [sum(d.highest_root) + 1] + [1] * d.rank
+    assert affine._alcove(affine_identity(d)) == list(d.identity_alcove) == origin
+    assert affine._right_alcove(affine_identity(d)) == origin
     rows = _sparse_rows(d.affine_cartan)
     for x in length_bfs_oracle(parse_type(label), depth):
         n = x.length()
-        r = affine._alcove(tables, x)
-        q = affine._right_alcove(tables, x)
+        r = affine._alcove(x)
+        q = affine._right_alcove(x)
         for l, g in enumerate(gens):
             assert (r[l] < 0) == ((g * x).length() < n)
             stepped = list(r)
             for m, e in rows[l]:
                 stepped[m] -= r[l] * e
-            assert stepped == affine._alcove(tables, g * x)
+            assert stepped == affine._alcove(g * x)
             # the right step x s_l moves q along affine row l, the segment search's rule
             assert (q[l] < 0) == ((x * g).length() < n)
             stepped = list(q)
             for m, e in rows[l]:
                 stepped[m] -= q[l] * e
-            assert stepped == affine._right_alcove(tables, x * g)
+            assert stepped == affine._right_alcove(x * g)
         assert is_min_rep(x) == all((x * g).length() > n for g in gens[1:])
 
 
@@ -377,7 +377,7 @@ def test_finite_elements_project_to_identity():
 
 def assert_min_rep_matches_stripping(x):
     """is_min_rep, min_rep and the signs of the right alcove vector against the per-label oracle."""
-    q = affine._right_alcove(affine._descents(x.datum), x)
+    q = affine._right_alcove(x)
     assert [a < 0 for a in q[1:]] == [right_descent(x, l) for l in range(1, x.datum.rank + 1)]
     assert is_min_rep(x) == (not first_right_descent(x))
     m = min_rep(x)
@@ -529,22 +529,22 @@ def eager_minreps(d, level, k):
     return tuple(out)
 
 
-def lam_up_step(t, label, lam):
+def lam_up_step(d, label, lam):
     """lam of s x, for minimal x = t_lam w and s at label, if s x is minimal and one longer; else None.
 
     The up-step rule on lam itself, by the pairing a = <lam, alpha_l> (<lam, theta>
     for l = 0): a > 0 lowers lam[l-1] by a, and a <= 0 at 0 adds (1 - a) theta^v.
     """
-    a = sum(map(mul, lam, t.row[label]))
+    a = sum(map(mul, lam, d.pairing_rows[d.affine_index[label]]))
     if label:
         return lam[: label - 1] + (lam[label - 1] - a,) + lam[label:] if a > 0 else None
-    return tuple(c + (1 - a) * h for c, h in zip(lam, t.datum.highest_coroot)) if a <= 0 else None
+    return tuple(c + (1 - a) * h for c, h in zip(lam, d.highest_coroot)) if a <= 0 else None
 
 
 def eager_enumerate_oracle(label, max_len):
     """enumerate_minreps' levels by the walk that carries w^-1 along the first path to each lam."""
     d = datum(label)
-    t = affine._descents(d)
+    shift = affine._shift(d)
     labels = range(d.rank + 1)
     level = {(0,) * d.rank: identity(d).perm}
     levels = [eager_minreps(d, level, 0)]
@@ -552,9 +552,9 @@ def eager_enumerate_oracle(label, max_len):
         nxt = {}
         for lam, winv in level.items():
             for l in labels:
-                new = lam_up_step(t, l, lam)
+                new = lam_up_step(d, l, lam)
                 if new is not None and new not in nxt:
-                    nxt[new] = t.shift[l](winv)
+                    nxt[new] = shift[l](winv)
         level = nxt
         levels.append(eager_minreps(d, level, k))
     return tuple(levels)
@@ -563,15 +563,15 @@ def eager_enumerate_oracle(label, max_len):
 def eager_interval_oracle(x):
     """lower_interval(x) by the walk that carries each point's w^-1."""
     d = x.datum
-    t = affine._descents(d)
+    shift = affine._shift(d)
     levels = [{(0,) * d.rank: identity(d).perm}]
     for l in reversed(reduced_word(x)):
         levels.append({})
         for level, up in zip(levels, levels[1:]):
             for lam, winv in level.items():
-                new = lam_up_step(t, l, lam)
+                new = lam_up_step(d, l, lam)
                 if new is not None and new not in up:
-                    up[new] = t.shift[l](winv)
+                    up[new] = shift[l](winv)
     return [v for k, level in enumerate(levels) for v in eager_minreps(d, level, k)]
 
 
@@ -615,7 +615,7 @@ def test_level_sizes_build_no_finite_part(monkeypatch):
 
     monkeypatch.setattr(weyl, "_reflection", counting("reflection", weyl._reflection))
     monkeypatch.setattr(WeylElem, "inverse", counting("inverse", WeylElem.inverse))
-    affine._descents.cache_clear()
+    affine._shift.cache_clear()
     runs = [enumerate_minreps(parse_type(label), n) for label, n in ENUM_PAIRS]
     assert sum(sum(levels.level_sizes()) for levels in runs) == 296
     assert calls == Counter()

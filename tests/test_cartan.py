@@ -596,6 +596,14 @@ def test_derived_tables_match_their_definitions(label):
     assert datum.simple_index == tuple(datum.index[e] for e in units) == tuple(n - i for i in range(1, n + 1))
     assert datum.cartan_rows == _sparse_rows(datum.cartan)
     assert datum.affine_rows == _sparse_rows(datum.affine_cartan)
+    # the affine walks' constants: the signed height of each root by its index, the root of each
+    # node label (theta at 0), K = 2 ht(theta) + 1, the identity's alcove vector and the label texts
+    assert datum.heights == tuple(sum(root) for root in sorted(datum.index, key=datum.index.get))
+    assert datum.affine_index == tuple(datum.index[r] for r in [datum.highest_root] + units)
+    height = max(map(sum, datum.pos_roots))
+    assert datum.delta_height == 2 * height + 1
+    assert datum.identity_alcove == (height + 1,) + (1,) * n
+    assert datum.label_names == tuple(str(l) for l in range(n + 1))
 
 
 def test_simple_index_check_raises():

@@ -59,8 +59,7 @@ def test_classify_all_table(capsys):
     assert set(false_rows) == {"G2", "F4", "E8"}
 
 
-def test_enumerate(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("AFFSCHUB_CACHE_DIR", str(tmp_path))
+def test_enumerate(capsys):
     code, out, _ = run(capsys, "enumerate", "A2", "--max-len", "4", "--json")
     assert code == 0
     payload = json.loads(out)["payload"]
@@ -68,13 +67,11 @@ def test_enumerate(capsys, tmp_path, monkeypatch):
     assert payload["levels"][1] == ["word:0"]
 
 
-def test_no_cache_flag_is_a_no_op(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("AFFSCHUB_CACHE_DIR", str(tmp_path))
+def test_no_cache_flag_is_a_no_op(capsys):
     _, plain, _ = run(capsys, "enumerate", "G2", "--max-len", "6", "--json")
     _, flagged, _ = run(capsys, "enumerate", "G2", "--max-len", "6", "--json", "--no-cache")
     assert plain == flagged
     assert json.loads(plain)["payload"]["level_sizes"] == [1, 1, 1, 1, 1, 2, 2]
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_byte_identical_output(capsys):
@@ -119,6 +116,19 @@ def test_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "report", "Z9")
     assert code == 2
     assert "Z9" in err
+
+
+# word:0,1 has a right descent at label 1 in G2, so it indexes no Schubert class
+@pytest.mark.parametrize("argv", [
+    ["star", "G2", "word:0,1", "word:0"],
+    ["star", "G2", "word:0", "word:0,1"],
+    ["factorize", "G2", "--element", "word:0,1"],
+])
+def test_non_minimal_representative_error_names_the_element(capsys, argv):
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("error: element 'word:0,1': ") and "minimal coset representatives" in err
 
 
 # str.isdigit accepts these, int() does not
@@ -260,7 +270,7 @@ CLI_SHA256 = [
     ("star A1 word:7 word:0", 2, "fdd374dea08745c942f21a1738919b309729ee7c7c20b5b9a90611d5c2e0970e"),
     ("report Z9 --json", 2, "4ff4f4033375cf38530ed15d59f298cd9aa9239ca57fa1d9a4639c2f86b6fc8a"),
     ("verify A1 --suite nope", 2, "42c2e7560182fdc9862068ba57ff04906fc77f6d29148a21930e55b32b50d2f2"),
-    ("star G2 word:0,1 word:0 --json", 2, "dd22d883aa0e5c635760a8b70be7cc2dca76a0397142c5ba494ae63497db787f"),
+    ("star G2 word:0,1 word:0 --json", 2, "9f2ee18184df5914bbc57fd2f9b5990429b1788eb836f9662a9a611dd1e81069"),
     ("enumerate A2 --max-len 30", 3, "3091a4deeab48981228bb4b3b589ee69223c27e48deaf8055b0d0c60adc60f6b"),
     ("star A1 t:-2000 t:-1 --max-word-len 4001 --json", 3, "eddc64e66cd63f4fe417cadad5108dea64255c31846782bdcd9882b269e84ed3"),
     ("poincare A1 --element t:-60000 --max-len 200000", 3, "ec65241512296126e4e1f04fce0d91d70d7c7fc62005579e3d1739193821c9c6"),
