@@ -147,6 +147,31 @@ def test_import_leaves_out_dataclasses_and_fractions():
     assert proc.stdout.strip() == "[]"
 
 
+ENGINE_MODULES = ("cartan", "weyl", "affine", "schubert", "cohomology", "classify", "errors")
+
+
+def test_import_loads_the_engine_modules_and_binds_only_them():
+    # the modules are the API: `import affschub` compiles every engine module
+    # (in-process callers then time no compile on their first request), leaves
+    # out cli and verify, and binds no name but the modules and __version__
+    src = os.path.dirname(os.path.dirname(affschub.__file__))
+    code = (
+        "import sys, affschub\n"
+        "print(sorted(m for m in sys.modules if m.startswith('affschub.')))\n"
+        "print(sorted(n for n in vars(affschub) if not n.startswith('_')))\n"
+        "print('__version__' in vars(affschub))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules, names, version = proc.stdout.splitlines()
+    assert modules == repr(sorted(f"affschub.{m}" for m in ENGINE_MODULES))
+    assert names == repr(sorted(ENGINE_MODULES))
+    assert version == "True"
+
+
 # sha256 of the stdout of `affschub classify-all --max-rank 14 --json` and of
 # `affschub chevalley T --json` for every canonical type T through rank 14,
 # frozen before the Levi quotient was counted by coroot height and the Bott
