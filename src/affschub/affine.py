@@ -54,10 +54,12 @@ numbers-game move r[m] -= r[l] * A[l][m] over the nonzero entries of row l
 of the affine Cartan matrix A: the diagonal and the neighbours of l in the
 affine diagram, at most 5 updates in any type (Bjorner-Brenti, GTM 231,
 4.3); reduced_word is the walk down of weyl._descend, and min_rep that
-walk on q[1..rank] (x s_l moves q alike; schubert).  A letter costs a scan
-of at most rank + 1 signs for the smallest negative entry and those
-updates; the start costs rank + 1 pairings, and for r as many perm.index
-scans, once per walk.  K, the signed heights, the root of each label and
+walk on q[1..rank] (x s_l moves q alike; schubert).  bruhat_leq walks r of v
+along the reduced word of w (weyl._along), moving where the entry is
+negative: by the lifting recursion v <= w iff that makes l(v) moves, which
+end at the identity.  A letter costs a scan of at most rank + 1 signs for
+the smallest negative entry and those updates; the start costs rank + 1
+pairings, and for r as many perm.index scans, once per walk.  K, the signed heights, the root of each label and
 the identity's vector are the datum's ``delta_height``, ``heights``,
 ``affine_index`` and ``identity_alcove``.  The tests and the moves agree
 with product-and-length on BFS balls of A1 through F4 (tests/test_affine.py).
@@ -71,9 +73,11 @@ repeats the block for j = 0, 1, ... while, before each move i, a_i + j b_i
 has its first negative entry at the block's letter, a_i and b_i being r + D
 and D pushed through the first i moves.  The entries are linear in j and
 hold at j = -1, so the count J of repeats is 1 plus a minimum of floor
-divisions (``_repeats``).  Words longer than LONG_WORD_TRANSLATIONS *
-l(t_theta^v) letters key the residues after each move at label 0, which
-every block holds, and take J blocks at once, capped by the letters left.
+divisions (``weyl._repeats``).  For words longer than
+LONG_WORD_TRANSLATIONS * l(t_theta^v) letters, reduced_word gives
+weyl._descend the height K: it keys the residues after each move at label
+0, which every block holds, and takes J blocks at once, capped by the
+letters left.
 
 from_word builds t_lam w by right steps: x s_l = t_lam (w s_l) for l >= 1
 is a shift of w's permutation, and x s_0 = t_{lam + w(theta^v)} (w s_theta),
@@ -135,7 +139,7 @@ from operator import add, itemgetter, mul, sub
 
 from .cartan import LieType, RootDatum, Vec, root_datum
 from .errors import BoundExceededError, ParseError
-from .weyl import WeylElem, _climb, _descend, identity
+from .weyl import WeylElem, _along, _climb, _descend, identity
 from .weyl import reflection, simple_reflection
 
 def default_enum_bound(datum: RootDatum) -> int:
@@ -288,79 +292,19 @@ def reduced_word(x: AffineElem, *, bound: int = WORD_BOUND) -> list[int]:
     Each letter is the smallest label with a left descent, read off the
     alcove vector (module docstring) by the descent ``weyl._descend``, l(x)
     moves; a word longer than ``_long_word`` letters takes whole translation
-    blocks at once (``_descend_by_blocks``).  Words longer than ``bound``
-    letters raise BoundExceededError before any work.
+    blocks at once (``_descend`` given the height K of delta).  Words longer
+    than ``bound`` letters raise BoundExceededError before any work.
     """
     n = x.length()
     if n > bound:
         raise BoundExceededError("reduced word length", n, bound, "bound")
+    datum = x.datum
     r = _alcove(x)
-    rows = x.datum.affine_rows
-    word = _descend(r, rows, n) if n <= _long_word(x.datum) else _descend_by_blocks(r, rows, n, x.datum.delta_height)
+    word = _descend(r, datum.affine_rows, n, datum.delta_height if n > _long_word(datum) else 0)
     if len(word) < n:
         raise ArithmeticError(f"no left descent found for the alcove vector {r}")
-    _check_identity(x.datum, r)
+    _check_identity(datum, r)
     return word
-
-
-def _descend_by_blocks(r: list[int], rows, limit: int, level: int) -> list[int]:
-    """``weyl._descend`` on a level-K alcove vector, taking repeated translation blocks at once.
-
-    After each move at label 0 the residues r mod K are looked up among the
-    earlier ones; on a match the letters since then are a block, taken
-    again ``_repeats`` times, at most as often as the letters left allow.
-    """
-    word = []
-    seen = {}  # residues -> (letters so far, r) after a move at label 0
-    indices = range(len(r))
-    while len(word) < limit:
-        for l in indices:
-            if r[l] < 0:
-                break
-        else:
-            break
-        word.append(l)
-        a = r[l]
-        for m, e in rows[l]:
-            r[m] -= a * e
-        if l:
-            continue
-        key = tuple([c % level for c in r])
-        if key in seen:
-            start, before = seen[key]
-            block = word[start:]
-            step = list(map(sub, r, before))
-            jumps = _repeats(r, step, block, rows, (limit - len(word)) // len(block))
-            if jumps:
-                word += block * jumps
-                r[:] = [c + jumps * s for c, s in zip(r, step)]
-                seen.clear()  # a block through the jump would span every repeat
-        seen[key] = len(word), r.copy()
-    return word
-
-
-def _repeats(a: list[int], b: list[int], block: list[int], rows, cap: int) -> int:
-    """How many times, at most cap, the walk from a takes block again, each time moving by b.
-
-    Before the block's i-th move the j-th repeat is at a_i + j b_i (module
-    docstring): its letter's entry stays negative for j <= (-a - 1) // b when
-    b > 0, and an earlier entry stays >= 0 for j <= a // -b when b < 0.
-    """
-    a, b = a.copy(), b.copy()
-    most = cap - 1  # the largest j allowed so far
-    for l in block:
-        for m in range(l):
-            if b[m] < 0 and a[m] // -b[m] < most:
-                most = a[m] // -b[m]
-        u, v = a[l], b[l]
-        if v > 0 and (-u - 1) // v < most:
-            most = (-u - 1) // v
-        if most < 0:
-            return 0
-        for m, e in rows[l]:
-            a[m] -= u * e
-            b[m] -= v * e
-    return most + 1
 
 
 def _check_identity(datum: RootDatum, r: list[int]) -> None:
@@ -419,31 +363,16 @@ class MinRepLevels:
     __slots__ = ("lie_type", "max_length", "_levels", "_by_length")
 
     def __init__(self, lie_type: LieType, levels: list[dict], max_length: int):
-        object.__setattr__(self, "lie_type", lie_type)
-        object.__setattr__(self, "max_length", max_length)
-        object.__setattr__(self, "_levels", levels)
-        object.__setattr__(self, "_by_length", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"MinRepLevels is read-only: cannot set {name!r}")
+        self.lie_type = lie_type
+        self.max_length = max_length
+        self._levels = levels
+        self._by_length = None
 
     @property
     def by_length(self) -> tuple[tuple[AffineElem, ...], ...]:
         if self._by_length is None:
-            object.__setattr__(self, "_by_length", _materialize(root_datum(self.lie_type), self._levels))
+            self._by_length = _materialize(root_datum(self.lie_type), self._levels)
         return self._by_length
-
-    def _fields(self) -> tuple:
-        return self.lie_type, self.by_length, self.max_length
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MinRepLevels) and self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return f"MinRepLevels(lie_type={self.lie_type!r}, by_length={self.by_length!r}, max_length={self.max_length!r})"
 
     def flat(self):
         for level in self.by_length:
@@ -510,26 +439,16 @@ def bruhat_leq(v: AffineElem, w: AffineElem) -> bool:
 
     Walks the canonical reduced word of w one letter at a time (the standard
     lifting recursion): with s the first letter, v <= w iff (sv <= sw when s
-    descends v) or (v <= sw otherwise).
+    descends v) or (v <= sw otherwise).  On the alcove vector of v
+    (``weyl._along``) s descends v iff its entry is negative, and v <= w iff
+    the walk makes l(v) moves, which end at the identity.
     """
     if v.datum is not w.datum:
         raise ValueError("type mismatch")
     if w.length() > WORD_BOUND:
         raise BoundExceededError("Bruhat comparison length", w.length(), WORD_BOUND)
-    rows = w.datum.affine_rows
-    lv = v.length()
     r = _alcove(v)
-    for lw, label in zip(range(w.length(), 0, -1), reduced_word(w)):
-        if lv > lw:
-            return False
-        if lv == 0:
-            break
-        a = r[label]
-        if a < 0:
-            for m, e in rows[label]:
-                r[m] -= a * e
-            lv -= 1
-    if lv:
+    if _along(r, w.datum.affine_rows, reduced_word(w), False) != v.length():
         return False
     _check_identity(w.datum, r)
     return True

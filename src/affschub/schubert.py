@@ -14,9 +14,10 @@ closed form and still the alcove vector of x^-1 (affine module docstring),
 on which the right step x s_l moves q[m] -= q[l] * A[l][m], the left walk's
 rule, as (x s_l)(alpha_m) = x(alpha_m - <alpha_l^v, alpha_m> alpha_l).  So
 x seg^-1 is length-additive iff every letter of seg's reduced word, read
-right to left, finds q[letter] < 0 when its move is made; the result is a
-minimal representative iff q[1..rank] > 0 (no finite right descent), and it
-is the identity iff it has length 0, where q must be the identity's vector.
+right to left, finds q[letter] < 0 when its move is made (``weyl._along``
+with every letter required to move); the result is a minimal
+representative iff q[1..rank] > 0 (no finite right descent), and it is the
+identity iff it has length 0, where q must be the identity's vector.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import functools
 from collections import namedtuple
 
 from .cartan import LieType, Vec, root_datum
-from .weyl import GradedPoly
+from .weyl import GradedPoly, _along
 from .affine import (
     AffineElem,
     _check_identity,
@@ -137,15 +138,8 @@ def segment_factorizations(
             if len(letters) > n:
                 continue
             y = q.copy()
-            for l in letters:
-                a = y[l]
-                if a >= 0:
-                    break
-                for m, e in rows[l]:
-                    y[m] -= a * e
-            else:
-                if min(y[1:]) > 0:
-                    stack.append((y, n - len(letters), (seg, chain)))
+            if _along(y, rows, letters, True) is not None and min(y[1:]) > 0:
+                stack.append((y, n - len(letters), (seg, chain)))
     return out
 
 

@@ -17,9 +17,9 @@ datum on first use: ``s_beta(gamma) = gamma - <beta^v, gamma> beta``, where
 image is looked up in ``RootDatum.index``, and a negative root follows its
 positive one by +-N (Humphreys, GTM 9, 9.1).
 
-The engine has two numbers-game walks on a Cartan matrix (Bjorner-Brenti,
-GTM 231, 4.3), one up and one down, both here; a vector p holds a point's
-pairings with the simple roots, and the move at label l is
+The engine has three numbers-game walks on a Cartan matrix (Bjorner-Brenti,
+GTM 231, 4.3), down, up and along a word, all here; a vector p holds a
+point's pairings with the simple roots, and the move at label l is
 p[j] -= p[l] * A[l][j], over the nonzero entries of row l, which the datum
 holds once as ``cartan_rows`` and ``affine_rows``.
 
@@ -29,7 +29,13 @@ holds once as ``cartan_rows`` and ``affine_rows``.
   smallest node label each time, so the word is canonical and no product is
   formed.  On the affine Cartan matrix the same walk gives the affine
   reduced words (affine) and carries a coweight into the closed alcove
-  (classify).
+  (classify).  Given the height K of delta, it also jumps repeated
+  translation blocks of a long affine word at once (``_repeats``; the
+  affine module docstring says why this is exact).
+* ``_along`` walks a given word, moving at each letter whose entry is
+  negative: Bruhat order walks the alcove vector of v along a reduced word
+  of w (affine), and the segment search asks that every letter move
+  (schubert).
 * ``_climb`` walks up, level by level, on the orbit of a point x whose
   stabiliser is exactly W_I: this is the quotient W^I.  For w minimal in
   w W_I, p_i(w x) > 0 exactly when s_i w is minimal and one longer; it is 0
@@ -163,26 +169,88 @@ def reflection(datum: RootDatum, alpha: Vec) -> WeylElem:
     return _reflection(datum, datum.root_index(alpha))
 
 
-def _descend(r: list[int], rows, limit: int) -> list[int]:
+def _descend(r: list[int], rows, limit: int, level: int = 0) -> list[int]:
     """Make at most limit moves on r, each at the smallest l with r[l] < 0, and return the labels l.
 
     The move at l is r[m] -= r[l] * A[l][m] over the pairs (m, A[l][m]) of
     rows[l] (``RootDatum.cartan_rows`` or ``affine_rows``).  It stops early when no entry is negative; r is
-    changed in place, and the caller checks where it ended.
+    changed in place, and the caller checks where it ended.  A level K > 0 reads r as an alcove vector
+    with delta at height K (affine module docstring): after each move at label 0 the residues r mod K
+    are looked up among the earlier ones, and on a match the letters since then are a translation
+    block, taken again ``_repeats`` times, at most as often as the letters left allow.
     """
     labels = []
+    seen = {}  # residues -> (letters so far, r) after a move at label 0
     indices = range(len(r))
-    for _ in range(limit):
+    left = limit
+    while left > 0:
         for l in indices:
             if r[l] < 0:
                 break
         else:
             break
         labels.append(l)
+        left -= 1
         a = r[l]
         for m, e in rows[l]:
             r[m] -= a * e
+        if not level or l:
+            continue
+        key = tuple([c % level for c in r])
+        if key in seen:
+            start, before = seen[key]
+            block = labels[start:]
+            step = list(map(sub, r, before))
+            jumps = _repeats(r, step, block, rows, left // len(block))
+            if jumps:
+                labels += block * jumps
+                left -= jumps * len(block)
+                r[:] = [c + jumps * s for c, s in zip(r, step)]
+                seen.clear()  # a block through the jump would span every repeat
+        seen[key] = len(labels), r.copy()
     return labels
+
+
+def _repeats(a: list[int], b: list[int], block: list[int], rows, cap: int) -> int:
+    """How many times, at most cap, the walk from a takes block again, each time moving by b.
+
+    Before the block's i-th move the j-th repeat is at a_i + j b_i (affine
+    module docstring): its letter's entry stays negative for j <= (-a - 1) // b
+    when b > 0, and an earlier entry stays >= 0 for j <= a // -b when b < 0.
+    """
+    a, b = a.copy(), b.copy()
+    most = cap - 1  # the largest j allowed so far
+    for l in block:
+        for m in range(l):
+            if b[m] < 0 and a[m] // -b[m] < most:
+                most = a[m] // -b[m]
+        u, v = a[l], b[l]
+        if v > 0 and (-u - 1) // v < most:
+            most = (-u - 1) // v
+        if most < 0:
+            return 0
+        for m, e in rows[l]:
+            a[m] -= u * e
+            b[m] -= v * e
+    return most + 1
+
+
+def _along(r: list[int], rows, word, every: bool) -> int | None:
+    """Walk r along word, moving at each letter l whose entry r[l] is negative, and return the moves made.
+
+    The move is ``_descend``'s; r is changed in place.  With every set, a letter whose entry is not
+    negative ends the walk, and the answer is None.
+    """
+    moves = 0
+    for l in word:
+        a = r[l]
+        if a < 0:
+            for m, e in rows[l]:
+                r[m] -= a * e
+            moves += 1
+        elif every:
+            return None
+    return moves
 
 
 def _climb(rows, level, labels, up: dict) -> None:

@@ -22,8 +22,13 @@ MUTANTS = [
     (AFFINE, "return min(_right_alcove(x)[1:]) > 0", "return min(_right_alcove(x)) > 0", "closed_form_descents"),
     # min_rep walking q[1..rank] on the affine Cartan rows
     (AFFINE, "_descend(q, x.datum.cartan_rows, len(", "_descend(q, x.datum.affine_rows, len(", "stripping"),
-    # the numbers-game move with the wrong sign
-    ("src/affschub/weyl.py", "            r[m] -= a * e\n", "            r[m] += a * e\n", "closed_form_matches_greedy"),
+    # the numbers-game move of the walk down with the wrong sign
+    (
+        "src/affschub/weyl.py",
+        "        for m, e in rows[l]:\n            r[m] -= a * e\n",
+        "        for m, e in rows[l]:\n            r[m] += a * e\n",
+        "closed_form_matches_greedy",
+    ),
     # a zero entry taken as a descent (only the Bott walk meets one)
     ("src/affschub/weyl.py", "            if r[l] < 0:\n", "            if r[l] <= 0:\n", "bott_nodes_match_fraction_oracle"),
     # the Chevalley ladder summing a rung's pairings instead of reading its one positive entry
@@ -57,9 +62,20 @@ MUTANTS = [
     # the long-word threshold reading l(t_theta^v) as ht(theta^v)
     (AFFINE, "LONG_WORD_TRANSLATIONS * 2 * sum(", "LONG_WORD_TRANSLATIONS * sum(", "long_word_is_the_closed_form"),
     # one translation block too many in a long reduced word
-    (AFFINE, "    return most + 1\n", "    return most + 2\n", "block_jumps"),
+    ("src/affschub/weyl.py", "    return most + 1\n", "    return most + 2\n", "block_jumps"),
+    # one translation block too many in the word but not in the vector
+    ("src/affschub/weyl.py", "labels += block * jumps", "labels += block * (jumps + 1)", "window_oracle"),
     # the segment search keeping results that are not minimal representatives
-    ("src/affschub/schubert.py", "if min(y[1:]) > 0:", "if True:", "factorizations_match_the_product_search"),
+    (
+        "src/affschub/schubert.py",
+        " is not None and min(y[1:]) > 0:",
+        " is not None:",
+        "factorizations_match_the_product_search",
+    ),
+    # the segment search going on past a letter that does not descend
+    ("src/affschub/weyl.py", "elif every:", "elif False:", "factorizations_match_the_product_search"),
+    # Bruhat order taking a walk of any number of moves as v <= w
+    (AFFINE, "!= v.length()", "> v.length()", "bruhat"),
     # delta at height ht(theta), so that alpha_0 has height 0
     ("src/affschub/cartan.py", "level = 2 * height + 1", "level = height", "closed_form_descents"),
     # delta at height 2 ht(theta): the residues mod K no longer tell theta from -theta

@@ -245,7 +245,7 @@ def test_repeats_counts_repeats_one_by_one(label):
         count = 0
         while count < 20 and takes_block([u + count * v for u, v in zip(a, b)], block, rows):
             count += 1
-        assert affine._repeats(a, b, block, rows, 20) == count
+        assert weyl._repeats(a, b, block, rows, 20) == count
 
 
 def test_reduced_word_bound():

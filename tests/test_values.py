@@ -1,11 +1,10 @@
 """The engine's value types: equality, hashing, repr and read-only fields.
 
-Every record type but RootDatum and MinRepLevels is an immutable named
-tuple: two instances built alike are equal and hash alike (the tuple hash of
-their fields), and the repr names each field.  MinRepLevels builds its
-elements on first read and keeps the same contract by hand.  RootDatum is
-interned per type, so it compares and hashes by identity.  The last tests
-pin the bytes of the classification table and of every Chevalley ladder.
+Every record type but RootDatum is an immutable named tuple: two instances
+built alike are equal and hash alike (the tuple hash of their fields), and
+the repr names each field.  RootDatum is interned per type, so it compares
+and hashes by identity.  The last tests pin the bytes of the classification
+table and of every Chevalley ladder.
 """
 
 import hashlib
@@ -17,7 +16,7 @@ import pytest
 
 import affschub
 from affschub import cli
-from affschub.affine import AffineElem, enumerate_minreps, translation
+from affschub.affine import AffineElem, translation
 from affschub.cartan import LieType, RootDatum, parse_type, root_datum
 from affschub.classify import all_canonical_types, classify_all, type_report
 from affschub.schubert import SchubertClass, generator_class
@@ -33,12 +32,6 @@ ROOT_DATUM_FIELDS = (
 # name -> (build one instance, its fields in order, its repr in A1)
 VALUES = {
     "LieType": (lambda: parse_type("A1"), "family rank", "LieType(family='A', rank=1)"),
-    "MinRepLevels": (
-        lambda: enumerate_minreps(A1, 1),
-        "lie_type by_length max_length",
-        "MinRepLevels(lie_type=LieType(family='A', rank=1), by_length="
-        "((AffineElem(A1, 't:0|w:'),), (AffineElem(A1, 't:1|w:1'),)), max_length=1)",
-    ),
     "AntidominanceReport": (
         lambda: antidominant_equivalences(root_datum(A1), (1,)),
         "min_rep_of_coset orbit_maximal chamber",
