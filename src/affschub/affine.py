@@ -105,9 +105,8 @@ representative y != 1 has a left descent s, and s y is again minimal, so the
 level BFS reaches them all, and the level number is the length.  The walk
 keeps no lam and no group element: each level maps a point to the (parent
 point, label) of the first up-step that reached it.  level_sizes() reads
-the walk alone.  The elements are built on the first read of by_length,
-replaying each link as the left step s_l x from the parent's lam and w:
-lam - parent[l] alpha_l^v, and s w with s the finite part of s_l (every
+the walk alone.  The elements are built on the first read of by_length:
+each link is the product of the generator and the parent, s_l x (every
 path ends at the same element), so no inverse is formed; each level is
 sorted by lam.
 
@@ -135,7 +134,7 @@ truncating); closed-formula operations get a much larger default.
 from __future__ import annotations
 
 import functools
-from operator import add, itemgetter, mul, sub
+from operator import add, attrgetter, itemgetter, mul, sub
 
 from .cartan import LieType, RootDatum, Vec, root_datum
 from .errors import BoundExceededError, ParseError
@@ -235,6 +234,11 @@ def generator(datum: RootDatum, label: int) -> AffineElem:
     return embed_finite(simple_reflection(datum, label))
 
 
+def all_generators(datum: RootDatum) -> list[AffineElem]:
+    """The Coxeter generators, indexed by node label."""
+    return [generator(datum, label) for label in range(datum.rank + 1)]
+
+
 def seed_translation(datum: RootDatum) -> AffineElem:
     """t_{-theta^v}: translation by the negative of the highest coroot.
 
@@ -256,7 +260,7 @@ def is_antidominant(datum: RootDatum, lam: Vec) -> bool:
 def _shift(datum: RootDatum) -> tuple:
     """shift[l] maps a root permutation q to that of q * s, s the finite part of the generator
     at label l (s_theta when l = 0); the walks of enumeration and intervals never build it."""
-    return tuple(itemgetter(*generator(datum, l).fin.perm) for l in range(datum.rank + 1))
+    return tuple(itemgetter(*g.fin.perm) for g in all_generators(datum))
 
 
 def _long_word(datum: RootDatum) -> int:
@@ -406,30 +410,17 @@ def enumerate_minreps(lie_type: LieType, max_len: int, *, bound: int | None = No
 def _materialize(datum: RootDatum, levels: list[dict]) -> tuple[tuple[AffineElem, ...], ...]:
     """The representatives t_lam w of each walk level, sorted by lam.
 
-    A link (parent, l) is the left step s_l x: it moves the parent's lam to
-    lam - parent[l] alpha_l^v, where alpha_0^v = -theta^v, and its w to s w,
-    with s the finite part of the generator at l (s_theta when l = 0).
+    A link (parent, l) is the product of the generator at l and the parent's element, s_l x.
     """
-    steps = [generator(datum, l).fin.perm for l in range(datum.rank + 1)]
-    theta_cor = datum.highest_coroot
-    state = {point: ((0,) * datum.rank, identity(datum).perm) for point in levels[0]}
+    gens = all_generators(datum)
+    elems = {point: affine_identity(datum) for point in levels[0]}
     out = []
     for k, level in enumerate(levels):
         if k:
-            up = {}
-            for point, (parent, label) in level.items():
-                (lam, perm), c = state[parent], parent[label]
-                if label:
-                    lam = lam[: label - 1] + (lam[label - 1] - c,) + lam[label:]
-                else:
-                    lam = tuple([a + c * t for a, t in zip(lam, theta_cor)])
-                up[point] = lam, itemgetter(*perm)(steps[label])
-            state = up
-        reps = []
-        for lam, perm in sorted(state.values()):
-            x = AffineElem(datum, lam, WeylElem(datum, perm))
+            elems = {point: gens[label] * elems[parent] for point, (parent, label) in level.items()}
+        reps = sorted(elems.values(), key=attrgetter("trans"))
+        for x in reps:
             x._len = k
-            reps.append(x)
         out.append(tuple(reps))
     return tuple(out)
 
@@ -447,6 +438,8 @@ def bruhat_leq(v: AffineElem, w: AffineElem) -> bool:
         raise ValueError("type mismatch")
     if w.length() > WORD_BOUND:
         raise BoundExceededError("Bruhat comparison length", w.length(), WORD_BOUND)
+    if v.length() > w.length():
+        return False
     r = _alcove(v)
     if _along(r, w.datum.affine_rows, reduced_word(w), False) != v.length():
         return False

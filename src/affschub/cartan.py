@@ -311,10 +311,6 @@ def root_datum(lie_type: LieType) -> RootDatum:
     )
 
 
-def exponents(lie_type: LieType) -> Vec:
-    return root_datum(lie_type).exponents
-
-
 def minuscule_nodes(lie_type: LieType) -> frozenset[int]:
     """Finite nodes whose coefficient in the highest root theta is 1.
 

@@ -22,6 +22,7 @@ from . import affine
 from .affine import (
     AffineElem,
     affine_identity,
+    all_generators,
     bruhat_leq,
     enumerate_minreps,
     format_element,
@@ -75,10 +76,6 @@ def _series_coeffs(exps, through: int) -> list[int]:
         for k in range(e, through + 1):
             coeffs[k] += coeffs[k - e]
     return coeffs
-
-
-def all_generators(datum: RootDatum) -> list[AffineElem]:
-    return [affine.generator(datum, label) for label in range(datum.rank + 1)]
 
 
 def length_bfs_oracle(lie_type: LieType, up_to: int) -> dict[AffineElem, int]:

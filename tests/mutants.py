@@ -43,14 +43,14 @@ MUTANTS = [
         AFFINE,
         "rows = datum.affine_rows",
         "rows = tuple(tuple((m, e) for m, e in enumerate(col) if e) for col in zip(*datum.affine_cartan))",
-        "lattice_bfs_matches_coset_oracle",
+        "enumeration_points_are_the_elements_pairings",
     ),
     # the lower-interval walk climbing on the transposed affine Cartan matrix
     (
         AFFINE,
         "rows = x.datum.affine_rows\n    origin",
         "rows = tuple(tuple((m, e) for m, e in enumerate(col) if e) for col in zip(*x.datum.affine_cartan))\n    origin",
-        "segment_count_is_levi_cell_count",
+        "interval_walk_matches_rescanning_oracle",
     ),
     # the coweight orbit pairing by Cartan row instead of by the simple roots' pairing rows
     (
@@ -76,6 +76,8 @@ MUTANTS = [
     ("src/affschub/weyl.py", "elif every:", "elif False:", "factorizations_match_the_product_search"),
     # Bruhat order taking a walk of any number of moves as v <= w
     (AFFINE, "!= v.length()", "> v.length()", "bruhat"),
+    # Bruhat order answering False for every v as long as w
+    (AFFINE, "if v.length() > w.length():", "if v.length() >= w.length():", "bruhat"),
     # delta at height ht(theta), so that alpha_0 has height 0
     ("src/affschub/cartan.py", "level = 2 * height + 1", "level = height", "closed_form_descents"),
     # delta at height 2 ht(theta): the residues mod K no longer tell theta from -theta
@@ -105,8 +107,10 @@ MUTANTS = [
         "tuple(map(sub, lam, coroots[j])) if j < big else tuple(map(add, lam, coroots[j - big]))",
         "product_fold",
     ),
-    # the lam replay of a link with the wrong sign
-    (AFFINE, "(lam[label - 1] - c,)", "(lam[label - 1] + c,)", "lattice_walk_matches_eager_oracle"),
+    # a link built as the parent times the generator, x s_l where s_l x belongs
+    (AFFINE, "gens[label] * elems[parent]", "elems[parent] * gens[label]", "lattice_walk_matches_eager_oracle"),
+    # a level's elements stamped one longer than they are
+    (AFFINE, "x._len = k", "x._len = k + 1", "lattice_walk_matches_eager_oracle"),
     # an up-step taken at a zero pairing, where s_l stays in the coset (the
     # interval walk skips a point already placed, so only enumeration meets it)
     ("src/affschub/weyl.py", "if (c := point[label]) > 0:", "if (c := point[label]) >= 0:", "lattice_bfs_matches_coset_oracle"),

@@ -8,7 +8,7 @@ to see the per-criterion lines.
 import itertools
 import time
 
-from affschub.cartan import exponents, minuscule_nodes, parse_type, root_datum
+from affschub.cartan import minuscule_nodes, parse_type, root_datum
 from affschub.classify import all_canonical_types, bott_nodes, type_report
 from affschub.cohomology import PDStatus, chain_coeffs, levi_nodes, pd_status
 from affschub.affine import (
@@ -136,7 +136,7 @@ def test_criterion_08_minrep_series():
     expected_exps = {"A2": (1, 2), "C2": (1, 3), "G2": (1, 5)}
     for label, exps in expected_exps.items():
         lt = parse_type(label)
-        ok = ok and exponents(lt) == exps
+        ok = ok and root_datum(lt).exponents == exps
         sizes = list(enumerate_minreps(lt, 10).level_sizes())
         ok = ok and sizes == series(exps, 10)
     report(8, "min-rep Poincare series", time.time() - start, 120, ok)
@@ -186,11 +186,11 @@ STANDARD_EXPONENTS = {
 
 def test_criterion_11_exponents():
     start = time.time()
-    ok = exponents(parse_type("E8"))[-1] == 29
-    ok = ok and exponents(parse_type("F4"))[-1] == 11
-    ok = ok and exponents(parse_type("G2"))[-1] == 5
+    ok = root_datum(parse_type("E8")).exponents[-1] == 29
+    ok = ok and root_datum(parse_type("F4")).exponents[-1] == 11
+    ok = ok and root_datum(parse_type("G2")).exponents[-1] == 5
     for label, want in STANDARD_EXPONENTS.items():
-        ok = ok and list(exponents(parse_type(label))) == want
+        ok = ok and list(root_datum(parse_type(label)).exponents) == want
     report(11, "exponents", time.time() - start, 10, ok)
 
 

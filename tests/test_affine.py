@@ -13,6 +13,7 @@ from affschub.classify import all_canonical_types
 from affschub.errors import BoundExceededError, ParseError
 from affschub.affine import (
     affine_identity,
+    all_generators,
     bruhat_leq,
     embed_finite,
     enumerate_minreps,
@@ -27,7 +28,7 @@ from affschub.affine import (
     seed_translation,
     translation,
 )
-from affschub.verify import all_generators, antidominant_equivalences, coweight_orbit, length_bfs_oracle
+from affschub.verify import antidominant_equivalences, coweight_orbit, length_bfs_oracle
 from affschub.weyl import WeylElem, identity
 from oracles import (
     TYPES_TO_RANK_8,
@@ -596,6 +597,17 @@ def test_lattice_walk_matches_eager_oracle(label, max_len):
     assert elem_keys(levels.flat()) == elem_keys(x for level in expected for x in level)
     for x in levels.by_length[-1]:
         assert elem_keys(affine.lower_interval(x)) == elem_keys(eager_interval_oracle(x))
+
+
+@pytest.mark.parametrize("label,max_len", EAGER_ORACLE_BALLS)
+def test_enumeration_points_are_the_elements_pairings(label, max_len):
+    # the elements are products along the links and read no point, so the points
+    # are checked apart: p = (1 - <lam, theta>, <lam, alpha_1>, ..., <lam, alpha_rank>)
+    d = datum(label)
+    levels = enumerate_minreps(d.lie_type, max_len)
+    for points, elems in zip(levels._levels, levels.by_length):
+        pairs = [[sum(map(mul, x.trans, d.pairing_rows[k])) for k in d.affine_index] for x in elems]
+        assert set(points) == {(1 - p[0],) + tuple(p[1:]) for p in pairs}
 
 
 # the enum benchmark's pairs: 296 representatives in all

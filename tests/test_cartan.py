@@ -19,7 +19,6 @@ from affschub.cartan import (
     LieType,
     RootDatum,
     check_root_bound,
-    exponents,
     minuscule_nodes,
     parse_type,
     root_datum,
@@ -121,7 +120,7 @@ def test_small_type_roots():
 
 @pytest.mark.parametrize("label", ALL_TYPES_RANK8)
 def test_exponents_match_tables(label):
-    assert list(exponents(parse_type(label))) == expected_exponents(label)
+    assert list(root_datum(parse_type(label)).exponents) == expected_exponents(label)
 
 
 @pytest.mark.parametrize("label", ALL_TYPES_RANK8)
