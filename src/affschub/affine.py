@@ -104,11 +104,11 @@ of the affine Cartan matrix, the finite walk's rule.  Every minimal
 representative y != 1 has a left descent s, and s y is again minimal, so the
 level BFS reaches them all, and the level number is the length.  The walk
 keeps no lam and no group element: each level maps a point to the (parent
-point, label) of the first up-step that reached it.  level_sizes() reads
-the walk alone.  The elements are built on the first read of by_length:
-each link is the product of the generator and the parent, s_l x (every
-path ends at the same element), so no inverse is formed; each level is
-sorted by lam.
+point, label) of the first up-step that reached it, and MinRepLevels holds
+the levels.  level_sizes() reads the walk alone.  The elements are built on
+the first read of by_length: each link is the product of the generator and
+the parent, s_l x (every path ends at the same element), so no inverse is
+formed; each level is sorted by lam.
 
 Lower intervals: if l(s y) > l(y), then [e, s y] = [e, y] u s[e, y] (the
 subword property; Bjorner-Brenti, GTM 231, Thm 2.2.2).  The coset minimum u
@@ -123,8 +123,9 @@ each later l steps only the points added since it was last read: every
 point is stepped at most once per label, and the walk costs
 O(l(x) + |interval| (rank + 1)), against O(l(x) |interval|) for rescanning
 every point at every letter.  Its points are kept by length with their
-parent links, and the elements are built from the links in the same way;
-schubert_poincare counts the points and builds none.
+parent links, and lower_interval returns them as a MinRepLevels, the
+enumeration's result: the elements are built from the links in the same
+way, and schubert_poincare reads level_sizes() and builds none.
 
 Enumeration-style operations carry configurable length limits, checked by
 check_enum_bound (exceeding one raises BoundExceededError rather than
@@ -360,22 +361,35 @@ def min_rep(x: AffineElem) -> AffineElem:
 class MinRepLevels:
     """Shortest coset representatives of the affine group mod W, by length.
 
-    Holds the walk's levels, point -> (parent point, label); the
-    elements of ``by_length`` are built on its first read (``_materialize``).
+    Holds a walk's levels, point -> (parent point, label): those of
+    enumerate_minreps or of lower_interval.  The elements of ``by_length``
+    are built on its first read and kept: a link (parent, l) is the product
+    of the generator at l and the parent's element, s_l x, each element is
+    stamped with its level as its length, and each level is sorted by lam.
     """
 
-    __slots__ = ("lie_type", "max_length", "_levels", "_by_length")
+    __slots__ = ("lie_type", "_levels", "_by_length")
 
-    def __init__(self, lie_type: LieType, levels: list[dict], max_length: int):
+    def __init__(self, lie_type: LieType, levels: list[dict]):
         self.lie_type = lie_type
-        self.max_length = max_length
         self._levels = levels
         self._by_length = None
 
     @property
     def by_length(self) -> tuple[tuple[AffineElem, ...], ...]:
         if self._by_length is None:
-            self._by_length = _materialize(root_datum(self.lie_type), self._levels)
+            datum = root_datum(self.lie_type)
+            gens = all_generators(datum)
+            elems = {point: affine_identity(datum) for point in self._levels[0]}
+            out = []
+            for k, level in enumerate(self._levels):
+                if k:
+                    elems = {point: gens[label] * elems[parent] for point, (parent, label) in level.items()}
+                reps = sorted(elems.values(), key=attrgetter("trans"))
+                for x in reps:
+                    x._len = k
+                out.append(tuple(reps))
+            self._by_length = tuple(out)
         return self._by_length
 
     def flat(self):
@@ -404,25 +418,7 @@ def enumerate_minreps(lie_type: LieType, max_len: int, *, bound: int | None = No
     for _ in range(max_len):
         levels.append({})
         _climb(rows, levels[-2], labels, levels[-1])
-    return MinRepLevels(lie_type, levels, max_len)
-
-
-def _materialize(datum: RootDatum, levels: list[dict]) -> tuple[tuple[AffineElem, ...], ...]:
-    """The representatives t_lam w of each walk level, sorted by lam.
-
-    A link (parent, l) is the product of the generator at l and the parent's element, s_l x.
-    """
-    gens = all_generators(datum)
-    elems = {point: affine_identity(datum) for point in levels[0]}
-    out = []
-    for k, level in enumerate(levels):
-        if k:
-            elems = {point: gens[label] * elems[parent] for point, (parent, label) in level.items()}
-        reps = sorted(elems.values(), key=attrgetter("trans"))
-        for x in reps:
-            x._len = k
-        out.append(tuple(reps))
-    return tuple(out)
+    return MinRepLevels(lie_type, levels)
 
 
 def bruhat_leq(v: AffineElem, w: AffineElem) -> bool:
@@ -447,8 +443,8 @@ def bruhat_leq(v: AffineElem, w: AffineElem) -> bool:
     return True
 
 
-def _interval_levels(x: AffineElem) -> list[dict]:
-    """The points of lower_interval(x) by length, as point -> (parent point, label).
+def lower_interval(x: AffineElem) -> MinRepLevels:
+    """The minimal representatives below x in Bruhat order, by length, as MinRepLevels.
 
     Once letter l is read, every point then held has its s_l image, or s_l
     takes it down or keeps it in its coset, and a point l adds has p[l] < 0;
@@ -469,12 +465,7 @@ def _interval_levels(x: AffineElem) -> list[dict]:
                 levels[k][point] = link
                 points.append(point)
         read[label] = len(points)
-    return levels
-
-
-def lower_interval(x: AffineElem) -> list[AffineElem]:
-    """The minimal representatives below x in Bruhat order, sorted by (length, lam)."""
-    return [v for level in _materialize(x.datum, _interval_levels(x)) for v in level]
+    return MinRepLevels(x.datum.lie_type, levels)
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ def cmd_report(lt: LieType, args) -> tuple[dict, list[str]]:
 def cmd_enumerate(lt: LieType, args) -> tuple[dict, list[str]]:
     levels = enumerate_minreps(lt, args.max_len, bound=args.max_enum_len)
     payload = {
-        "max_length": levels.max_length,
+        "max_length": args.max_len,
         "level_sizes": list(levels.level_sizes()),
         "levels": [[format_element(x) for x in level] for level in levels.by_length],
     }

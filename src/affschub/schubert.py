@@ -30,7 +30,6 @@ from .weyl import GradedPoly, _along
 from .affine import (
     AffineElem,
     _check_identity,
-    _interval_levels,
     _right_alcove,
     affine_identity,
     bruhat_leq,
@@ -97,8 +96,8 @@ def segments(lie_type: LieType) -> list[SchubertClass]:
 @functools.cache
 def _segments(lie_type: LieType) -> tuple[tuple[SchubertClass, tuple[int, ...]], ...]:
     """The segments of one type, sorted by (length, lam), each with its reduced word reversed."""
-    below = lower_interval(seed_translation(root_datum(lie_type)))[1:]  # all but the identity
-    return tuple((SchubertClass(x), tuple(reversed(reduced_word(x)))) for x in below)
+    below = lower_interval(seed_translation(root_datum(lie_type))).by_length[1:]  # all but the identity
+    return tuple((SchubertClass(x), tuple(reversed(reduced_word(x)))) for level in below for x in level)
 
 
 def segment_factorizations(
@@ -165,13 +164,13 @@ def star_refolds(w: AffineElem, factors: list[SchubertClass]) -> bool:
 def star_decompose(omega: AffineElem, sigma: AffineElem, lam: Vec) -> tuple[SchubertClass, SchubertClass]:
     """Split [X_omega] as [X_tau] * [X_nu] with tau below sigma, nu below t_lam.
 
-    Tries the representatives nu under t_lam longest first (by lam within a
-    length: the stable sort keeps lower_interval's order) and checks that
-    tau = omega * nu^{-1} lands under sigma.  Requires omega below the coset
-    minimum of sigma * t_lam.
+    Tries the representatives nu under t_lam longest first, reading the
+    levels of lower_interval from the top (by lam within a level), and checks
+    that tau = omega * nu^{-1} lands under sigma.  Requires omega below the
+    coset minimum of sigma * t_lam.
     """
     t = translation(omega.datum, lam)
-    return _star_decompose(omega, sigma, t, sorted(lower_interval(t), key=lambda x: -x.length()))
+    return _star_decompose(omega, sigma, t, [nu for level in reversed(lower_interval(t).by_length) for nu in level])
 
 
 def _star_decompose(
@@ -195,7 +194,10 @@ def _star_decompose(
 
 
 def schubert_poincare(cls: SchubertClass, *, bound: int | None = None) -> GradedPoly:
-    """Cell counts of X_w: coefficient of q^k counts representatives of length k below w."""
+    """Cell counts of X_w: coefficient of q^k counts representatives of length k below w.
+
+    The counts are the level sizes of lower_interval(w), so no element is built.
+    """
     w = cls.elem
     check_enum_bound(w.datum, "Poincare polynomial length", w.length(), bound)
-    return GradedPoly.from_coeffs(map(len, _interval_levels(w)))
+    return GradedPoly.from_coeffs(lower_interval(w).level_sizes())

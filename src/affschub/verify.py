@@ -509,14 +509,14 @@ def suite_decompose(lie_type: LieType, *, bound: int | None = None) -> list[Chec
     datum = root_datum(lie_type)
     lam = tuple(-c for c in datum.highest_coroot)
     t = translation(datum, lam)
-    candidates = sorted(affine.lower_interval(t), key=lambda x: -x.length())
+    candidates = [nu for level in reversed(affine.lower_interval(t).by_length) for nu in level]
     failures = 0
     total = 0
     for sigma in enumerate_minreps(lie_type, DECOMPOSE_SIGMA_LEN, bound=bound).flat():
         top = min_rep(sigma * t)
         affine.check_enum_bound(datum, "min-rep enumeration length", top.length(), bound)
         # the identity sigma gives top == t, whose classes are the candidates
-        below = candidates if top == t else affine.lower_interval(top)
+        below = candidates if top == t else affine.lower_interval(top).flat()
         for omega in below:
             total += 1
             try:

@@ -120,6 +120,10 @@ MUTANTS = [
     ("src/affschub/classify.py", "theta[label - 1] > 1 and", "theta[label - 1] > 2 and", "bott_nodes_match_fraction_oracle"),
     # the interval walk's cursor dropping the first point it should step
     (AFFINE, "points[read[label]:]", "points[read[label] + 1:]", "interval_walk_matches_rescanning_oracle"),
+    # the segments read from length 2, dropping the length-1 level of the seed interval
+    ("src/affschub/schubert.py", "by_length[1:]", "by_length[2:]", "segment"),
+    # the Poincare polynomial read without its top level
+    ("src/affschub/schubert.py", "lower_interval(w).level_sizes()", "lower_interval(w).level_sizes()[:-1]", "poincare"),
     # a chain rung moved along the Cartan row where its column belongs
     ("src/affschub/cohomology.py", "columns = _sparse_rows(tuple(zip(*datum.cartan)))", "columns = _sparse_rows(datum.cartan)", "ladder"),
     # a reflection reading the root where its coroot belongs

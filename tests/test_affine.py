@@ -596,7 +596,7 @@ def test_lattice_walk_matches_eager_oracle(label, max_len):
     assert [elem_keys(level) for level in levels.by_length] == [elem_keys(level) for level in expected]
     assert elem_keys(levels.flat()) == elem_keys(x for level in expected for x in level)
     for x in levels.by_length[-1]:
-        assert elem_keys(affine.lower_interval(x)) == elem_keys(eager_interval_oracle(x))
+        assert elem_keys(affine.lower_interval(x).flat()) == elem_keys(eager_interval_oracle(x))
 
 
 @pytest.mark.parametrize("label,max_len", EAGER_ORACLE_BALLS)
@@ -838,14 +838,21 @@ def test_lower_interval_matches_enumerate_oracle(label, max_len):
     ball = list(enumerate_minreps(parse_type(label), max_len).flat())
     for x in ball:
         got = affine.lower_interval(x)
+        elems = list(got.flat())
         expected = interval_oracle(ball, x)
-        assert got == expected
-        assert [v.length() for v in got] == [v.length() for v in expected]
-        assert got[-1] == x
+        assert elems == expected
+        assert [v.length() for v in elems] == [v.length() for v in expected]
+        assert elems[-1] == x
+        # the level sizes count the elements by length, read afresh and not stamped
+        fresh = Counter(affine.AffineElem(d, v.trans, v.fin).length() for v in elems)
+        assert got.level_sizes() == tuple(fresh[k] for k in range(x.length() + 1))
+        # the levels read from the top are the elements longest first
+        top_down = [v for level in reversed(got.by_length) for v in level]
+        assert top_down == sorted(elems, key=lambda v: -v.length())
         # x s_i is not minimal; its coset minimum x is the top of its interval
         for i in range(1, d.rank + 1):
             y = x * generator(d, i)
-            assert affine.lower_interval(y) == interval_oracle(ball, y) == got
+            assert list(affine.lower_interval(y).flat()) == interval_oracle(ball, y) == elems
 
 
 # the canonical words of by_length[-1] for each ball of LOWER_INTERVAL_BALLS,
@@ -896,7 +903,7 @@ def test_lower_interval_carries_coset_minima(label, top):
     # coset minimum built from scratch
     d = datum(label)
     x = parse_element(d, top)
-    for v in affine.lower_interval(x):
+    for v in affine.lower_interval(x).flat():
         assert v.fin.perm == min_rep(translation(d, v.trans)).fin.perm
         assert v.length() == affine.AffineElem(d, v.trans, v.fin).length()
 
@@ -945,7 +952,7 @@ def test_interval_walk_matches_rescanning_oracle(lie_type):
         elems.append(from_word(d, word))
         elems.append(from_word(d, word + [rng.randrange(1, d.rank + 1) for _ in range(5)]))
     for x in elems:
-        levels = affine._interval_levels(x)
+        levels = affine.lower_interval(x)._levels
         assert level_points(levels) == level_points(rescanning_interval_levels(x))
         for below, level in zip(levels, levels[1:]):
             for point, (parent, label) in level.items():

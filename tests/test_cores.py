@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from affschub.affine import bruhat_leq, enumerate_minreps, from_word, is_min_rep, reduced_word
+from affschub.affine import bruhat_leq, enumerate_minreps, from_word, is_min_rep, lower_interval, reduced_word
 from affschub.cartan import parse_type, root_datum
 from affschub.schubert import SchubertClass, schubert_poincare
 
@@ -134,6 +134,11 @@ def test_schubert_poincare_matches_core_containment(label, length, seed):
     # the core is s_{i_k} ... s_{i_1} applied to the empty core
     x = from_word(root_datum(parse_type(label)), reversed(applied))
     assert x.length() == length and is_min_rep(x)
-    counts = Counter(core_length(c, n) for c in cores_below(core, n))
+    below = cores_below(core, n)
+    counts = Counter(core_length(c, n) for c in below)
     poly = schubert_poincare(SchubertClass(x), bound=length)
     assert list(poly.coeffs) == [counts[k] for k in range(length + 1)]
+    # the interval's elements, not only their counts: the cores of each level
+    # are the cores of that length contained in x's
+    got = [{core_of(v, n) for v in level} for level in lower_interval(x).by_length]
+    assert got == [{c for c in below if core_length(c, n) == k} for k in range(length + 1)]
