@@ -128,8 +128,9 @@ enumeration's result: the elements are built from the links in the same
 way, and schubert_poincare reads level_sizes() and builds none.
 
 Enumeration-style operations carry configurable length limits, checked by
-check_enum_bound (exceeding one raises BoundExceededError rather than
-truncating); closed-formula operations get a much larger default.
+check_enum_bound, which also holds their default ceiling (exceeding one
+raises BoundExceededError rather than truncating); closed-formula
+operations get a much larger default, WORD_BOUND letters for a reduced word.
 """
 
 from __future__ import annotations
@@ -142,14 +143,9 @@ from .errors import BoundExceededError, ParseError
 from .weyl import WeylElem, _along, _climb, _descend, identity
 from .weyl import reflection, simple_reflection
 
-def default_enum_bound(datum: RootDatum) -> int:
-    """Default length ceiling for enumerations (min-rep levels, intervals)."""
-    return 12 if datum.rank <= 2 else 10
-
-
 def check_enum_bound(datum: RootDatum, what: str, n: int, bound: int | None) -> None:
-    """Raise BoundExceededError if n exceeds bound (default_enum_bound when None)."""
-    limit = bound if bound is not None else default_enum_bound(datum)
+    """Raise BoundExceededError if n exceeds bound; None is the default enumeration ceiling."""
+    limit = bound if bound is not None else (12 if datum.rank <= 2 else 10)
     if n > limit:
         raise BoundExceededError(what, n, limit, "bound")
 
@@ -366,6 +362,9 @@ class MinRepLevels:
     are built on its first read and kept: a link (parent, l) is the product
     of the generator at l and the parent's element, s_l x, each element is
     stamped with its level as its length, and each level is sorted by lam.
+    The memo serves re-reads: the decompose suite walks the interval under
+    t_{-theta^v} once and reads its levels again for every omega it splits
+    (schubert._star_decompose).
     """
 
     __slots__ = ("lie_type", "_levels", "_by_length")

@@ -5,6 +5,11 @@ Each ``cmd_*`` is a function of the parsed type (``None`` for
 lines. ``main`` alone parses the type, prints the JSON envelope or the text,
 and maps the result to an exit code.
 
+``BOUND_FLAGS`` is the one place that declares a bound flag: each
+command's row gives the flag, the quantity it bounds and its default, and
+both ``build_parser`` (which adds it as ``args.bound``) and the exit-3
+message read that row.
+
 Exit codes: 0 success, 1 property-suite failure, 2 parse error (the message
 names the offending token), 3 configured bound exceeded (the message names
 the limit and the flag that raises it), 4 internal failure (a broken
@@ -31,14 +36,15 @@ from .cohomology import chain_coeffs, levi_nodes, levi_poincare, pd_status
 
 SCHEMA_VERSION = 1
 
-# each command's flag that raises a limit, and the quantity that limit bounds
-# (the ``what`` of BoundExceededError)
+# the one declaration of each command's bound flag: the flag, the quantity it
+# bounds (the ``what`` of BoundExceededError) and its default; build_parser
+# adds the flag as ``args.bound``, and _bound_message names it on exit 3
 BOUND_FLAGS = {
-    "enumerate": ("--max-enum-len", "min-rep enumeration length"),
-    "poincare": ("--max-len", "Poincare polynomial length"),
-    "factorize": ("--max-len", "factorization length"),
-    "verify": ("--max-len", "min-rep enumeration length"),
-    "star": ("--max-word-len", "reduced word length"),
+    "enumerate": ("--max-enum-len", "min-rep enumeration length", None),
+    "poincare": ("--max-len", "Poincare polynomial length", None),
+    "factorize": ("--max-len", "factorization length", None),
+    "verify": ("--max-len", "min-rep enumeration length", None),
+    "star": ("--max-word-len", "reduced word length", affine.WORD_BOUND),
 }
 
 
@@ -74,7 +80,7 @@ def cmd_report(lt: LieType, args) -> tuple[dict, list[str]]:
 
 
 def cmd_enumerate(lt: LieType, args) -> tuple[dict, list[str]]:
-    levels = enumerate_minreps(lt, args.max_len, bound=args.max_enum_len)
+    levels = enumerate_minreps(lt, args.max_len, bound=args.bound)
     payload = {
         "max_length": args.max_len,
         "level_sizes": list(levels.level_sizes()),
@@ -90,7 +96,7 @@ def cmd_poincare(lt: LieType, args) -> tuple[dict, list[str]]:
     datum = root_datum(lt)
     elem = affine.min_rep(parse_element(datum, args.element))
     cls = schubert.SchubertClass(elem)
-    poly = schubert.schubert_poincare(cls, bound=args.max_len)
+    poly = schubert.schubert_poincare(cls, bound=args.bound)
     payload = {
         "element": format_element(elem),
         "coefficients": list(poly.coeffs),
@@ -114,11 +120,10 @@ def cmd_star(lt: LieType, args) -> tuple[dict, list[str]]:
     tau = _naming(args.elem1, schubert.SchubertClass, parse_element(datum, args.elem1))
     nu = _naming(args.elem2, schubert.SchubertClass, parse_element(datum, args.elem2))
     result = schubert.star(tau, nu)
-    bound = args.max_word_len
-    result_text = format_element(result.elem, bound=bound) if result else None
+    result_text = format_element(result.elem, bound=args.bound) if result else None
     payload = {
-        "left": format_element(tau.elem, bound=bound),
-        "right": format_element(nu.elem, bound=bound),
+        "left": format_element(tau.elem, bound=args.bound),
+        "right": format_element(nu.elem, bound=args.bound),
         "result": result_text,
         "zero": result is None,
     }
@@ -143,7 +148,7 @@ def cmd_factorize(lt: LieType, args) -> tuple[dict, list[str]]:
     datum = root_datum(lt)
     elem = parse_element(datum, args.element)
     word = format_element(elem)  # the word bound stops a long element before the search
-    factors = _naming(args.element, schubert.segment_factorize, elem, bound=args.max_len)
+    factors = _naming(args.element, schubert.segment_factorize, elem, bound=args.bound)
     payload = {
         "element": word,
         "factors": [format_element(s.elem) for s in factors],
@@ -187,7 +192,7 @@ def cmd_classify_all(lt: None, args) -> tuple[dict, list[str]]:
 
 def cmd_verify(lt: LieType, args) -> tuple[dict, list[str]]:
     from .verify import run_suite
-    results = run_suite(lt, args.suite, seed=args.seed, bound=args.max_len)
+    results = run_suite(lt, args.suite, seed=args.seed, bound=args.bound)
     payload = {
         "suite": args.suite,
         "seed": args.seed,
@@ -213,32 +218,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit a JSON envelope")
         if name != "classify-all":
             p.add_argument("type")
+        if name in BOUND_FLAGS:
+            flag, what, default = BOUND_FLAGS[name]
+            p.add_argument(flag, dest="bound", type=_size, default=default, help=f"raise the limit on {what}")
         return p
 
     add("report", cmd_report, help="classification report for one type")
 
     p = add("enumerate", cmd_enumerate, help="minimal coset representatives by length")
     p.add_argument("--max-len", type=_size, default=8)
-    p.add_argument("--max-enum-len", type=_size, default=None, help="raise the enumeration bound")
     p.add_argument("--no-cache", action="store_true", help="does nothing: there is no enumeration cache")
 
     p = add("poincare", cmd_poincare, help="cell counts of one Schubert variety")
     p.add_argument("--element", required=True, help="element text, e.g. word:1,0 or t:-1,0")
-    p.add_argument("--max-len", type=_size, default=None, help="raise the enumeration bound")
 
     p = add("star", cmd_star, help="star product of two Schubert classes")
     p.add_argument("elem1")
     p.add_argument("elem2")
-    p.add_argument(
-        "--max-word-len", type=_size, default=affine.WORD_BOUND,
-        help="raise the length bound for printing an element's reduced word",
-    )
 
     add("segments", cmd_segments, help="the segments (classes below the generator)")
 
     p = add("factorize", cmd_factorize, help="unique segment factorization of an element")
     p.add_argument("--element", required=True)
-    p.add_argument("--max-len", type=_size, default=None, help="raise the factorization bound")
 
     add("chevalley", cmd_chevalley, help="cup-coefficient ladder on the Levi quotient")
 
@@ -248,10 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", cmd_verify, help="run a named property suite")
     p.add_argument("--suite", default="all")
     p.add_argument("--seed", type=int, default=2024, help="seed for sampled sweeps")
-    p.add_argument(
-        "--max-len", type=_size, default=None,
-        help="raise the enumeration bounds used by the bounded suites",
-    )
 
     return parser
 
@@ -294,7 +291,7 @@ def _bound_message(command: str, exc: BoundExceededError) -> str:
     A flag is named only when it raises the limit that was hit.
     """
     head = f"{exc.what} {exc.value} exceeds the configured limit {exc.limit}"
-    flag, what = BOUND_FLAGS.get(command, (None, None))
+    flag, what, _ = BOUND_FLAGS.get(command, (None, None, None))
     if exc.what != what:
         return f"{head}; no flag of '{command}' raises it"
     return f"{head}; pass {flag} {exc.value} (or larger) to raise it"

@@ -29,6 +29,7 @@ from .cartan import LieType, Vec, root_datum
 from .weyl import GradedPoly, _along
 from .affine import (
     AffineElem,
+    MinRepLevels,
     _check_identity,
     _right_alcove,
     affine_identity,
@@ -72,16 +73,6 @@ def star(tau: SchubertClass, nu: SchubertClass) -> SchubertClass | None:
     if p.length() == tau.dim() + nu.dim() and is_min_rep(p):
         return SchubertClass._make((p,))  # is_min_rep(p) held: skip the class's own check
     return None
-
-
-def star_fold(lie_type: LieType, classes) -> SchubertClass | None:
-    """Left fold of star over a sequence; the empty product is the identity class."""
-    acc: SchubertClass | None = identity_class(lie_type)
-    for c in classes:
-        if acc is None:
-            return None
-        acc = star(acc, c)
-    return acc
 
 
 def segments(lie_type: LieType) -> list[SchubertClass]:
@@ -156,40 +147,47 @@ def star_refactor_check(w: AffineElem) -> bool:
 
 
 def star_refolds(w: AffineElem, factors: list[SchubertClass]) -> bool:
-    """True iff folding star over ``factors``, left to right, gives [X_w]."""
-    acc = star_fold(w.datum.lie_type, factors)
-    return acc is not None and acc.elem == w
+    """True iff folding star over ``factors``, left to right, gives [X_w].
+
+    The fold starts from the identity class, so no factors give [X_e]; it
+    stops at the first zero product.
+    """
+    acc = identity_class(w.datum.lie_type)
+    for c in factors:
+        acc = star(acc, c)
+        if acc is None:
+            return False
+    return acc.elem == w
 
 
 def star_decompose(omega: AffineElem, sigma: AffineElem, lam: Vec) -> tuple[SchubertClass, SchubertClass]:
     """Split [X_omega] as [X_tau] * [X_nu] with tau below sigma, nu below t_lam.
 
-    Tries the representatives nu under t_lam longest first, reading the
-    levels of lower_interval from the top (by lam within a level), and checks
-    that tau = omega * nu^{-1} lands under sigma.  Requires omega below the
-    coset minimum of sigma * t_lam.
+    Requires omega below the coset minimum of sigma * t_lam.
     """
     t = translation(omega.datum, lam)
-    return _star_decompose(omega, sigma, t, [nu for level in reversed(lower_interval(t).by_length) for nu in level])
+    return _star_decompose(omega, sigma, t, lower_interval(t))
 
 
 def _star_decompose(
-    omega: AffineElem, sigma: AffineElem, t: AffineElem, candidates: list[AffineElem]
+    omega: AffineElem, sigma: AffineElem, t: AffineElem, below: MinRepLevels
 ) -> tuple[SchubertClass, SchubertClass]:
-    """star_decompose for t = t_lam, given the classes under t in the order it tries them."""
+    """star_decompose for t = t_lam, given ``below = lower_interval(t)``.
+
+    Tries the representatives nu under t longest first, reading the levels
+    of ``below`` from the top (by lam within a level) and skipping those
+    longer than omega, and checks that tau = omega * nu^{-1} lands under
+    sigma.  This is the one place that orders the candidates.
+    """
     top = min_rep(sigma * t)
     if not bruhat_leq(omega, top):
         raise ValueError("omega is not below the product class")
-    for nu in candidates:
-        if nu.length() > omega.length():
-            continue
-        tau = omega * nu.inverse()
-        if tau.length() != omega.length() - nu.length():
-            continue
-        if not is_min_rep(tau):
-            continue
-        if bruhat_leq(tau, sigma):
-            return SchubertClass(tau), SchubertClass(nu)
+    n = omega.length()
+    for level in reversed(below.by_length[:n + 1]):
+        for nu in level:
+            tau = omega * nu.inverse()
+            if tau.length() == n - nu.length() and is_min_rep(tau) and bruhat_leq(tau, sigma):
+                return SchubertClass(tau), SchubertClass(nu)
     raise ArithmeticError(f"no star decomposition found for {omega!r}")  # pragma: no cover
 
 

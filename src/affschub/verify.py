@@ -507,20 +507,19 @@ def suite_canonical(lie_type: LieType) -> list[CheckResult]:
 def suite_decompose(lie_type: LieType, *, bound: int | None = None) -> list[CheckResult]:
     """Every class under a product splits as a star of classes under the factors."""
     datum = root_datum(lie_type)
-    lam = tuple(-c for c in datum.highest_coroot)
-    t = translation(datum, lam)
-    candidates = [nu for level in reversed(affine.lower_interval(t).by_length) for nu in level]
+    t = affine.seed_translation(datum)
+    under_t = affine.lower_interval(t)  # walked once: every split reads its levels
     failures = 0
     total = 0
     for sigma in enumerate_minreps(lie_type, DECOMPOSE_SIGMA_LEN, bound=bound).flat():
         top = min_rep(sigma * t)
         affine.check_enum_bound(datum, "min-rep enumeration length", top.length(), bound)
-        # the identity sigma gives top == t, whose classes are the candidates
-        below = candidates if top == t else affine.lower_interval(top).flat()
-        for omega in below:
+        # the identity sigma gives top == t, whose interval is under_t
+        below = under_t if top == t else affine.lower_interval(top)
+        for omega in below.flat():
             total += 1
             try:
-                tau, nu = schubert._star_decompose(omega, sigma, t, candidates)
+                tau, nu = schubert._star_decompose(omega, sigma, t, under_t)
             except (ValueError, ArithmeticError):
                 failures += 1
                 continue

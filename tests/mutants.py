@@ -155,4 +155,8 @@ MUTANTS = [
     ("src/affschub/classify.py", "if max_rank < 8:", "if max_rank <= 8:", "classify_all_rows_add_e8_once"),
     # E8 appended whatever the rank
     ("src/affschub/classify.py", "if max_rank < 8:", "if True:", "classify_all_rows_add_e8_once"),
+    # the star row of the bound-flag table naming another quantity, so exit 3 names no flag
+    ("src/affschub/cli.py", '"reduced word length", affine.WORD_BOUND', '"word length", affine.WORD_BOUND', "bound_exceeded_names_flag"),
+    # the default enumeration ceiling one length too high through rank 2
+    (AFFINE, "12 if datum.rank <= 2", "13 if datum.rank <= 2", "output_pinned"),
 ]

@@ -158,6 +158,8 @@ def test_bound_exceeded_exit_3(capsys):
             "reduced word length 120000 exceeds the configured limit 100000; "
             "no flag of 'poincare' raises it",
         ),
+        (("factorize", "A1", "--element", "t:-20"), "pass --max-len 40 "),
+        (("verify", "F4", "--suite", "decompose"), "pass --max-len 16 "),
     ],
 )
 def test_bound_exceeded_names_flag(capsys, argv, expected):
@@ -308,6 +310,7 @@ def test_verify_json(capsys):
         (("verify", "A1", "--suite", "canonical", "--max-len", "-1"), "--max-len"),
         (("classify-all", "--max-rank", "-1"), "--max-rank"),
         (("enumerate", "A2", "--max-enum-len", "-1"), "--max-enum-len"),
+        (("star", "A1", "t:-1", "t:-1", "--max-word-len", "-1"), "--max-word-len"),
     ],
 )
 def test_negative_size_exit_2(capsys, argv, flag):

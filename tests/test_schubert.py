@@ -32,8 +32,8 @@ from affschub.schubert import (
     segments,
     star,
     star_decompose,
-    star_fold,
     star_refactor_check,
+    star_refolds,
 )
 from affschub.verify import check_generator_powers, star_reading_discrepancies
 from oracles import min_coset_reps, product_segment_factorizations, quotient_poincare
@@ -146,7 +146,14 @@ def test_star_witness_found_by_depth_14(lt):
 
 
 def test_star_fold_empty_is_identity():
-    assert star_fold(parse_type("G2"), []) == identity_class(parse_type("G2"))
+    assert star_refolds(identity_class(parse_type("G2")).elem, [])
+
+
+def test_star_refolds_rejects_a_zero_or_another_class():
+    s0 = cls("A1", [0])
+    assert not star_refolds(s0.elem, [s0, s0])  # s0 * s0 is the zero class
+    assert not star_refolds(s0.elem, [])  # the empty fold is [X_e]
+    assert star_refolds(cls("A1", [1, 0]).elem, [cls("A1", [1, 0])])
 
 
 # --- segments ----------------------------------------------------------------
