@@ -106,7 +106,7 @@ level BFS reaches them all, and the level number is the length.  The walk
 keeps no lam and no group element: each level maps a point to the (parent
 point, label) of the first up-step that reached it, and MinRepLevels holds
 the levels.  level_sizes() reads the walk alone.  The elements are built on
-the first read of by_length: each link is the product of the generator and
+each read of by_length: each link is the product of the generator and
 the parent, s_l x (every path ends at the same element), so no inverse is
 formed; each level is sorted by lam.
 
@@ -188,11 +188,6 @@ class AffineElem:
         # parse_element's t:lam|w:word spelling: its size is bounded by the type, not by l(x)
         text = f"t:{','.join(map(str, self.trans))}|w:{','.join(map(str, self.fin.word()))}"
         return f"AffineElem({self.datum.lie_type}, {text!r})"
-
-    def inverse(self) -> "AffineElem":
-        u = self.fin.inverse()
-        back = u.apply_coroot(self.trans)
-        return AffineElem(self.datum, tuple(-c for c in back), u)
 
     def length(self) -> int:
         if self._len is None:
@@ -358,38 +353,33 @@ class MinRepLevels:
     """Shortest coset representatives of the affine group mod W, by length.
 
     Holds a walk's levels, point -> (parent point, label): those of
-    enumerate_minreps or of lower_interval.  The elements of ``by_length``
-    are built on its first read and kept: a link (parent, l) is the product
-    of the generator at l and the parent's element, s_l x, each element is
-    stamped with its level as its length, and each level is sorted by lam.
-    The memo serves re-reads: the decompose suite walks the interval under
-    t_{-theta^v} once and reads its levels again for every omega it splits
-    (schubert._star_decompose).
+    enumerate_minreps or of lower_interval.  ``by_length`` builds the
+    elements on each read, and no caller reads it twice: a link (parent, l)
+    is the product of the generator at l and the parent's element, s_l x,
+    each element is stamped with its level as its length, and each level is
+    sorted by lam.
     """
 
-    __slots__ = ("lie_type", "_levels", "_by_length")
+    __slots__ = ("lie_type", "_levels")
 
     def __init__(self, lie_type: LieType, levels: list[dict]):
         self.lie_type = lie_type
         self._levels = levels
-        self._by_length = None
 
     @property
     def by_length(self) -> tuple[tuple[AffineElem, ...], ...]:
-        if self._by_length is None:
-            datum = root_datum(self.lie_type)
-            gens = all_generators(datum)
-            elems = {point: affine_identity(datum) for point in self._levels[0]}
-            out = []
-            for k, level in enumerate(self._levels):
-                if k:
-                    elems = {point: gens[label] * elems[parent] for point, (parent, label) in level.items()}
-                reps = sorted(elems.values(), key=attrgetter("trans"))
-                for x in reps:
-                    x._len = k
-                out.append(tuple(reps))
-            self._by_length = tuple(out)
-        return self._by_length
+        datum = root_datum(self.lie_type)
+        gens = all_generators(datum)
+        elems = {point: affine_identity(datum) for point in self._levels[0]}
+        out = []
+        for k, level in enumerate(self._levels):
+            if k:
+                elems = {point: gens[label] * elems[parent] for point, (parent, label) in level.items()}
+            reps = sorted(elems.values(), key=attrgetter("trans"))
+            for x in reps:
+                x._len = k
+            out.append(tuple(reps))
+        return tuple(out)
 
     def flat(self):
         for level in self.by_length:

@@ -17,7 +17,10 @@ x seg^-1 is length-additive iff every letter of seg's reduced word, read
 right to left, finds q[letter] < 0 when its move is made (``weyl._along``
 with every letter required to move); the result is a minimal
 representative iff q[1..rank] > 0 (no finite right descent), and it is the
-identity iff it has length 0, where q must be the identity's vector.
+identity iff it has length 0, where q must be the identity's vector
+(``_strip``).  The star split strips each candidate nu from q of omega by the
+same rule, and tests tau = omega nu^-1 <= sigma as tau^-1 <= sigma^-1: Bruhat
+order's walk (affine) on the stripped q, along sigma's word reversed.
 """
 
 from __future__ import annotations
@@ -29,12 +32,12 @@ from .cartan import LieType, Vec, root_datum
 from .weyl import GradedPoly, _along
 from .affine import (
     AffineElem,
-    MinRepLevels,
     _check_identity,
     _right_alcove,
     affine_identity,
     bruhat_leq,
     check_enum_bound,
+    from_word,
     is_min_rep,
     lower_interval,
     min_rep,
@@ -125,12 +128,18 @@ def segment_factorizations(
             out.append(factors)
             continue
         for seg, letters in reversed(segs):
-            if len(letters) > n:
-                continue
-            y = q.copy()
-            if _along(y, rows, letters, True) is not None and min(y[1:]) > 0:
+            if len(letters) <= n and (y := _strip(q, rows, letters)) is not None:
                 stack.append((y, n - len(letters), (seg, chain)))
     return out
+
+
+def _strip(q: list[int], rows, letters) -> list[int] | None:
+    """The right alcove vector of x seg^-1, given q of x and seg's reduced word reversed, or None
+    unless x seg^-1 is length-additive and a minimal representative (module docstring)."""
+    y = q.copy()
+    if _along(y, rows, letters, True) is not None and min(y[1:]) > 0:
+        return y
+    return None
 
 
 def segment_factorize(w: AffineElem, *, bound: int | None = None) -> list[SchubertClass]:
@@ -166,28 +175,30 @@ def star_decompose(omega: AffineElem, sigma: AffineElem, lam: Vec) -> tuple[Schu
     Requires omega below the coset minimum of sigma * t_lam.
     """
     t = translation(omega.datum, lam)
-    return _star_decompose(omega, sigma, t, lower_interval(t))
-
-
-def _star_decompose(
-    omega: AffineElem, sigma: AffineElem, t: AffineElem, below: MinRepLevels
-) -> tuple[SchubertClass, SchubertClass]:
-    """star_decompose for t = t_lam, given ``below = lower_interval(t)``.
-
-    Tries the representatives nu under t longest first, reading the levels
-    of ``below`` from the top (by lam within a level) and skipping those
-    longer than omega, and checks that tau = omega * nu^{-1} lands under
-    sigma.  This is the one place that orders the candidates.
-    """
-    top = min_rep(sigma * t)
-    if not bruhat_leq(omega, top):
+    if not bruhat_leq(omega, min_rep(sigma * t)):
         raise ValueError("omega is not below the product class")
-    n = omega.length()
-    for level in reversed(below.by_length[:n + 1]):
-        for nu in level:
-            tau = omega * nu.inverse()
-            if tau.length() == n - nu.length() and is_min_rep(tau) and bruhat_leq(tau, sigma):
-                return SchubertClass(tau), SchubertClass(nu)
+    levels = lower_interval(t).by_length[:omega.length() + 1]
+    below = ((nu, reduced_word(nu)[::-1]) for level in reversed(levels) for nu in level)
+    return _star_decompose(omega, sigma, below)
+
+
+def _star_decompose(omega: AffineElem, sigma: AffineElem, below) -> tuple[SchubertClass, SchubertClass]:
+    """star_decompose, given the classes nu under t_lam as (nu, nu's reduced word reversed).
+
+    ``below`` runs longest first, by lam within a length; the first nu that
+    strips from q of omega (``_strip``) and leaves tau = omega nu^-1 with
+    tau^-1 <= sigma^-1 (module docstring) is the answer, and those longer
+    than omega are skipped.  This is the one place that tries the candidates.
+    """
+    datum, n = omega.datum, omega.length()
+    rows, q, word = datum.affine_rows, _right_alcove(omega), reduced_word(sigma)[::-1]
+    for nu, letters in below:
+        if len(letters) > n or (y := _strip(q, rows, letters)) is None:
+            continue
+        if _along(y, rows, word, False) == n - len(letters):
+            _check_identity(datum, y)
+            # both are minimal representatives: tau by the strip, nu as a class under t_lam
+            return SchubertClass._make((omega * from_word(datum, letters),)), SchubertClass._make((nu,))
     raise ArithmeticError(f"no star decomposition found for {omega!r}")  # pragma: no cover
 
 

@@ -4,12 +4,12 @@ An element is stored as the permutation it induces on the root system, one
 uniform representation across every type.  Root index ``k < N`` stands for
 ``pos_roots[k]`` and ``k + N`` for its negative, where N is the number of
 positive roots (the numbering of ``RootDatum.index``).  A product is a
-composition of permutations, the inverse is the inverse permutation, built
-on each call, the length is the number of positive indices sent to negative
-ones, and a right descent at node i is one lookup: whether the image of
-alpha_i, root index ``RootDatum.simple_index[i - 1]``, is negative.  The
-action on coroot (or root) coordinates is read off the images of the simple
-roots.
+composition of permutations, the length is the number of positive indices
+sent to negative ones, and a right descent at node i is one lookup: whether
+the image of alpha_i, root index ``RootDatum.simple_index[i - 1]``, is
+negative.  No inverse is formed: where one is read, as w^-1(alpha) in an
+alcove vector, it is looked up through ``perm.index`` (affine).  The action
+on coroot (or root) coordinates is read off the images of the simple roots.
 
 A reflection's permutation is built from the formula, once per root and
 datum on first use: ``s_beta(gamma) = gamma - <beta^v, gamma> beta``, where
@@ -34,7 +34,8 @@ holds once as ``cartan_rows`` and ``affine_rows``.
   affine module docstring says why this is exact).
 * ``_along`` walks a given word, moving at each letter whose entry is
   negative: Bruhat order walks the alcove vector of v along a reduced word
-  of w (affine), and the segment search asks that every letter move
+  of w (affine, and the star split on inverses), and the strip rule of the
+  segment search and the star split asks that every letter move
   (schubert).
 * ``_climb`` walks up, level by level, on the orbit of a point x whose
   stabiliser is exactly W_I: this is the quotient W^I.  For w minimal in
@@ -110,12 +111,6 @@ class WeylElem:
             for i, b in enumerate(basis[j]):
                 out[i] += c * b
         return tuple(out)
-
-    def inverse(self) -> "WeylElem":
-        inv = [0] * len(self.perm)
-        for k, j in enumerate(self.perm):
-            inv[j] = k
-        return WeylElem(self.datum, tuple(inv))
 
     def length(self) -> int:
         """Number of positive roots sent to negative roots."""

@@ -65,7 +65,7 @@ MUTANTS = [
     ("src/affschub/weyl.py", "    return most + 1\n", "    return most + 2\n", "block_jumps"),
     # one translation block too many in the word but not in the vector
     ("src/affschub/weyl.py", "labels += block * jumps", "labels += block * (jumps + 1)", "window_oracle"),
-    # the segment search keeping results that are not minimal representatives
+    # the strip rule of both searches keeping results that are not minimal representatives
     (
         "src/affschub/schubert.py",
         " is not None and min(y[1:]) > 0:",
@@ -122,6 +122,14 @@ MUTANTS = [
     (AFFINE, "points[read[label]:]", "points[read[label] + 1:]", "interval_walk_matches_rescanning_oracle"),
     # the segments read from length 2, dropping the length-1 level of the seed interval
     ("src/affschub/schubert.py", "by_length[1:]", "by_length[2:]", "segment"),
+    # the star split testing tau^-1 <= sigma where tau^-1 <= sigma^-1 belongs
+    ("src/affschub/schubert.py", "reduced_word(sigma)[::-1]", "reduced_word(sigma)", "star_decompose"),
+    # the star split skipping the candidates as long as omega, so tau = e is never tried
+    ("src/affschub/schubert.py", "if len(letters) > n or", "if len(letters) >= n or", "star_decompose"),
+    # star_decompose trying the shortest candidates first
+    ("src/affschub/schubert.py", "for level in reversed(levels)", "for level in levels", "star_decompose"),
+    # the decompose suite handing its splits the shortest candidates first
+    ("src/affschub/verify.py", "key=lambda c: -len(c[1])", "key=lambda c: len(c[1])", "star_decompose"),
     # the Poincare polynomial read without its top level
     ("src/affschub/schubert.py", "lower_interval(w).level_sizes()", "lower_interval(w).level_sizes()[:-1]", "poincare"),
     # a chain rung moved along the Cartan row where its column belongs

@@ -5,14 +5,38 @@ None of these is on a path the ``affschub`` commands run.
 
 from operator import mul
 
-from affschub.affine import AffineElem, _shift, affine_identity, is_min_rep, reduced_word
+from affschub.affine import (
+    AffineElem,
+    _shift,
+    affine_identity,
+    bruhat_leq,
+    is_min_rep,
+    lower_interval,
+    min_rep,
+    reduced_word,
+    translation,
+)
 from affschub.cartan import LieType, Matrix, Vec, _sparse_rows, root_datum
 from affschub.classify import all_canonical_types
-from affschub.schubert import segments
+from affschub.schubert import SchubertClass, segments
 from affschub.weyl import GradedPoly, WeylElem, _climb, _reflection, identity
 
 # every canonical type through rank 8
 TYPES_TO_RANK_8 = all_canonical_types(8)
+
+
+def weyl_inverse(w: WeylElem) -> WeylElem:
+    """w^-1, the inverse permutation of w's."""
+    inv = [0] * len(w.perm)
+    for k, j in enumerate(w.perm):
+        inv[j] = k
+    return WeylElem(w.datum, tuple(inv))
+
+
+def inverse(x: AffineElem) -> AffineElem:
+    """(t_lam w)^-1 = t_{-w^-1(lam)} w^-1."""
+    u = weyl_inverse(x.fin)
+    return AffineElem(x.datum, tuple(-c for c in u.apply_coroot(x.trans)), u)
 
 
 def apply_root(w: WeylElem, vec: tuple) -> tuple:
@@ -143,7 +167,7 @@ def product_segment_factorizations(w) -> list[list]:
     segment seg from the right of x as x * seg^-1 when the length drops by
     dim seg and the result is still a minimal representative.
     """
-    segs = [(seg, seg.elem.inverse()) for seg in segments(w.datum.lie_type)]
+    segs = [(seg, inverse(seg.elem)) for seg in segments(w.datum.lie_type)]
     ident = affine_identity(w.datum)
     out = []
     stack = [(w, [])]
@@ -157,6 +181,25 @@ def product_segment_factorizations(w) -> list[list]:
             if y.length() == x.length() - seg.dim() and is_min_rep(y):
                 stack.append((y, [seg] + factors))
     return out
+
+
+def product_star_decompose(omega: AffineElem, sigma: AffineElem, lam: Vec) -> tuple:
+    """star_decompose on group elements, in the engine's order.
+
+    Tries the representatives nu under t_lam longest first, by lam within a
+    length, and returns the first (tau, nu) with tau = omega * nu^-1 one
+    l(nu) shorter than omega, a minimal representative, and below sigma.
+    """
+    t = translation(omega.datum, lam)
+    if not bruhat_leq(omega, min_rep(sigma * t)):
+        raise ValueError("omega is not below the product class")
+    n = omega.length()
+    for level in reversed(lower_interval(t).by_length[:n + 1]):
+        for nu in level:
+            tau = omega * inverse(nu)
+            if tau.length() == n - nu.length() and is_min_rep(tau) and bruhat_leq(tau, sigma):
+                return SchubertClass(tau), SchubertClass(nu)
+    raise ArithmeticError(f"no star decomposition found for {omega!r}")
 
 
 def rescanning_interval_levels(x: AffineElem) -> list[dict]:

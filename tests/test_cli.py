@@ -159,7 +159,7 @@ def test_bound_exceeded_exit_3(capsys):
             "no flag of 'poincare' raises it",
         ),
         (("factorize", "A1", "--element", "t:-20"), "pass --max-len 40 "),
-        (("verify", "F4", "--suite", "decompose"), "pass --max-len 16 "),
+        (("verify", "F4", "--suite", "decompose"), "pass --max-len 19 "),
     ],
 )
 def test_bound_exceeded_names_flag(capsys, argv, expected):
@@ -429,7 +429,7 @@ def test_verify_decompose_walks_each_interval_once(monkeypatch):
     import affschub.affine as affine
     import affschub.schubert as schubert
     import affschub.verify as verify
-    from affschub.cartan import parse_type
+    from affschub.cartan import parse_type, root_datum
 
     calls = []
     real = affine.lower_interval
@@ -440,11 +440,15 @@ def test_verify_decompose_walks_each_interval_once(monkeypatch):
 
     monkeypatch.setattr(affine, "lower_interval", counting)
     monkeypatch.setattr(schubert, "lower_interval", counting)
+    schubert._segments.cache_clear()  # so that the seed walk is counted
     results = verify.suite_decompose(parse_type("B3"), bound=11)
     assert all(r.passed for r in results)
-    # the classes under t_lam once, then the classes under each product
-    # other than t_lam itself (the identity sigma's) once
+    # the classes under t_lam once, as the segments, then the classes under
+    # each product other than t_lam itself (the identity sigma's) once
     sigmas = list(affine.enumerate_minreps(parse_type("B3"), 3).flat())
+    t = affine.seed_translation(root_datum(parse_type("B3")))
+    assert calls[0] == t
+    assert calls[1:] == [affine.min_rep(sigma * t) for sigma in sigmas[1:]]
     assert len(calls) == len(sigmas) == 5
 
 

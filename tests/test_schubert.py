@@ -35,8 +35,14 @@ from affschub.schubert import (
     star_refactor_check,
     star_refolds,
 )
-from affschub.verify import check_generator_powers, star_reading_discrepancies
-from oracles import min_coset_reps, product_segment_factorizations, quotient_poincare
+from affschub.verify import check_generator_powers, star_reading_discrepancies, suite_decompose
+from oracles import (
+    inverse,
+    min_coset_reps,
+    product_segment_factorizations,
+    product_star_decompose,
+    quotient_poincare,
+)
 
 
 def datum(label):
@@ -253,7 +259,7 @@ def test_factorization_order_matches_recursive_oracle(monkeypatch):
             return [[]]
         out = []
         for seg, _ in doubled:
-            y = x * seg.elem.inverse()
+            y = x * inverse(seg.elem)
             if seg.dim() <= x.length() and y.length() == x.length() - seg.dim() and is_min_rep(y):
                 out += [prefix + [seg] for prefix in oracle(y)]
         return out
@@ -327,6 +333,37 @@ def test_star_decompose_sweep(label):
             assert bruhat_leq(nu.elem, t)
             got = star(tau, nu)
             assert got is not None and got.elem == omega
+
+
+# the split by strips against the split by products and inverses, class by
+# class under sigma * t_{-theta^v} for every sigma of length <= 3
+@pytest.mark.parametrize("label", ["A2", "A3", "B3", "C3", "C4", "D4", "F4", "G2"])
+def test_star_decompose_matches_the_element_oracle(label):
+    d = datum(label)
+    lam = tuple(-c for c in d.highest_coroot)
+    t = translation(d, lam)
+    for sigma in enumerate_minreps(parse_type(label), 3).flat():
+        for omega in affine.lower_interval(min_rep(sigma * t)).flat():
+            assert star_decompose(omega, sigma, lam) == product_star_decompose(omega, sigma, lam)
+
+
+def test_decompose_suite_splits_as_star_decompose(monkeypatch):
+    # the suite hands its splits the classes under t_{-theta^v} in star_decompose's order
+    d = datum("B3")
+    lam = tuple(-c for c in d.highest_coroot)
+    seen = []
+    real = schubert._star_decompose
+
+    def recording(omega, sigma, below):
+        seen.append((omega, sigma, real(omega, sigma, below)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(schubert, "_star_decompose", recording)
+    assert all(r.passed for r in suite_decompose(parse_type("B3"), bound=11))
+    monkeypatch.undo()
+    assert len(seen) == 116
+    for omega, sigma, split in seen:
+        assert split == star_decompose(omega, sigma, lam)
 
 
 def test_star_decompose_maximizes_nu():
