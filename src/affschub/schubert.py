@@ -19,8 +19,7 @@ with every letter required to move); the result is a minimal
 representative iff q[1..rank] > 0 (no finite right descent), and it is the
 identity iff it has length 0, where q must be the identity's vector
 (``_strip``).  The star split strips each candidate nu from q of omega by the
-same rule, and tests tau = omega nu^-1 <= sigma as tau^-1 <= sigma^-1: Bruhat
-order's walk (affine) on the stripped q, along sigma's word reversed.
+same rule, and asks ``bruhat_leq`` whether tau = omega nu^-1 <= sigma.
 """
 
 from __future__ import annotations
@@ -177,28 +176,31 @@ def star_decompose(omega: AffineElem, sigma: AffineElem, lam: Vec) -> tuple[Schu
     t = translation(omega.datum, lam)
     if not bruhat_leq(omega, min_rep(sigma * t)):
         raise ValueError("omega is not below the product class")
-    levels = lower_interval(t).by_length[:omega.length() + 1]
-    below = ((nu, reduced_word(nu)[::-1]) for level in reversed(levels) for nu in level)
-    return _star_decompose(omega, sigma, below)
+    return _star_decompose(omega, sigma, _candidates(lower_interval(t).by_length[:omega.length() + 1]))
+
+
+def _candidates(levels):
+    """The classes of ``by_length`` levels as (nu, nu's reduced word reversed), in the order a
+    star split tries them: longest first, by lam within a length."""
+    return ((nu, reduced_word(nu)[::-1]) for level in reversed(levels) for nu in level)
 
 
 def _star_decompose(omega: AffineElem, sigma: AffineElem, below) -> tuple[SchubertClass, SchubertClass]:
-    """star_decompose, given the classes nu under t_lam as (nu, nu's reduced word reversed).
+    """star_decompose, given the classes nu under t_lam from ``_candidates``.
 
-    ``below`` runs longest first, by lam within a length; the first nu that
-    strips from q of omega (``_strip``) and leaves tau = omega nu^-1 with
-    tau^-1 <= sigma^-1 (module docstring) is the answer, and those longer
-    than omega are skipped.  This is the one place that tries the candidates.
+    The first nu that strips from q of omega (``_strip``) and leaves
+    tau = omega nu^-1 <= sigma (``bruhat_leq``) is the answer, and those
+    longer than omega are skipped.  This is the one place that tries the
+    candidates.
     """
     datum, n = omega.datum, omega.length()
-    rows, q, word = datum.affine_rows, _right_alcove(omega), reduced_word(sigma)[::-1]
+    rows, q = datum.affine_rows, _right_alcove(omega)
     for nu, letters in below:
-        if len(letters) > n or (y := _strip(q, rows, letters)) is None:
-            continue
-        if _along(y, rows, word, False) == n - len(letters):
-            _check_identity(datum, y)
-            # both are minimal representatives: tau by the strip, nu as a class under t_lam
-            return SchubertClass._make((omega * from_word(datum, letters),)), SchubertClass._make((nu,))
+        if len(letters) <= n and _strip(q, rows, letters) is not None:
+            tau = omega * from_word(datum, letters)
+            if bruhat_leq(tau, sigma):
+                # both are minimal representatives: tau by the strip, nu as a class under t_lam
+                return SchubertClass._make((tau,)), SchubertClass._make((nu,))
     raise ArithmeticError(f"no star decomposition found for {omega!r}")  # pragma: no cover
 
 

@@ -512,15 +512,12 @@ def suite_decompose(lie_type: LieType, *, bound: int | None = None) -> list[Chec
     tops = [min_rep(sigma * t) for sigma in sigmas]
     # every top is checked at once, so exit 3 names a length that clears them all
     affine.check_enum_bound(datum, "min-rep enumeration length", max(top.length() for top in tops), bound)
-    # the classes under t: the identity and the segments, with the words a split strips
-    under_t = [(affine_identity(datum), ())]
-    under_t += [(seg.elem, letters) for seg, letters in schubert._segments(lie_type)]
-    below = sorted(under_t, key=lambda c: -len(c[1]))  # longest first, by lam within a length
+    below = list(schubert._candidates(affine.lower_interval(t).by_length))
     failures = 0
     total = 0
     for sigma, top in zip(sigmas, tops):
-        # the identity sigma gives top == t, whose interval is under_t
-        for omega in [nu for nu, _ in under_t] if top == t else affine.lower_interval(top).flat():
+        # the identity sigma gives top == t, whose classes are the candidates
+        for omega in [nu for nu, _ in below] if top == t else affine.lower_interval(top).flat():
             total += 1
             try:
                 tau, nu = schubert._star_decompose(omega, sigma, below)

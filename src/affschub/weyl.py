@@ -34,9 +34,8 @@ holds once as ``cartan_rows`` and ``affine_rows``.
   affine module docstring says why this is exact).
 * ``_along`` walks a given word, moving at each letter whose entry is
   negative: Bruhat order walks the alcove vector of v along a reduced word
-  of w (affine, and the star split on inverses), and the strip rule of the
-  segment search and the star split asks that every letter move
-  (schubert).
+  of w (affine), and the strip rule of the segment search and the star
+  split asks that every letter move (schubert).
 * ``_climb`` walks up, level by level, on the orbit of a point x whose
   stabiliser is exactly W_I: this is the quotient W^I.  For w minimal in
   w W_I, p_i(w x) > 0 exactly when s_i w is minimal and one longer; it is 0

@@ -122,14 +122,17 @@ MUTANTS = [
     (AFFINE, "points[read[label]:]", "points[read[label] + 1:]", "interval_walk_matches_rescanning_oracle"),
     # the segments read from length 2, dropping the length-1 level of the seed interval
     ("src/affschub/schubert.py", "by_length[1:]", "by_length[2:]", "segment"),
-    # the star split testing tau^-1 <= sigma where tau^-1 <= sigma^-1 belongs
-    ("src/affschub/schubert.py", "reduced_word(sigma)[::-1]", "reduced_word(sigma)", "star_decompose"),
+    # the star split asking sigma <= tau where tau <= sigma belongs
+    ("src/affschub/schubert.py", "bruhat_leq(tau, sigma)", "bruhat_leq(sigma, tau)", "decompose"),
     # the star split skipping the candidates as long as omega, so tau = e is never tried
-    ("src/affschub/schubert.py", "if len(letters) > n or", "if len(letters) >= n or", "star_decompose"),
-    # star_decompose trying the shortest candidates first
+    (
+        "src/affschub/schubert.py",
+        "if len(letters) <= n and _strip(q, rows, letters) is not None:",
+        "if len(letters) < n and _strip(q, rows, letters) is not None:",
+        "decompose",
+    ),
+    # the candidates of a star split, in star_decompose and the decompose suite, shortest first
     ("src/affschub/schubert.py", "for level in reversed(levels)", "for level in levels", "star_decompose"),
-    # the decompose suite handing its splits the shortest candidates first
-    ("src/affschub/verify.py", "key=lambda c: -len(c[1])", "key=lambda c: len(c[1])", "star_decompose"),
     # the Poincare polynomial read without its top level
     ("src/affschub/schubert.py", "lower_interval(w).level_sizes()", "lower_interval(w).level_sizes()[:-1]", "poincare"),
     # a chain rung moved along the Cartan row where its column belongs
@@ -155,6 +158,8 @@ MUTANTS = [
     ("src/affschub/cohomology.py", "(top := max(d)) == min(d)", "(top := min(d)) == min(d)", "ladder"),
     # a long root counted one coroot height low
     ("src/affschub/cohomology.py", "        counts[h] += 1\n", "        counts[h - 1] += 1\n", "ladder"),
+    # F4's cited largest smooth Schubert dimension above its longest palindromic class
+    ("src/affschub/classify.py", '"F4": 7,', '"F4": 8,', "rational_smoothness"),
     # the Bott shortcut taken although a node is minuscule
     ("src/affschub/classify.py", "top, walk = max(d), 1 in theta", "top, walk = max(d), False", "bott_nodes_match_fraction_oracle"),
     # the type list keeping the aliases C1, B2 and D3

@@ -16,6 +16,7 @@ from affschub.affine import (
     format_element,
     from_word,
     generator,
+    is_antidominant,
     is_min_rep,
     min_rep,
     seed_translation,
@@ -345,6 +346,34 @@ def test_star_decompose_matches_the_element_oracle(label):
     for sigma in enumerate_minreps(parse_type(label), 3).flat():
         for omega in affine.lower_interval(min_rep(sigma * t)).flat():
             assert star_decompose(omega, sigma, lam) == product_star_decompose(omega, sigma, lam)
+
+
+# the same off the seed translation: every antidominant lam other than 0 and
+# -theta^v in the box [-m, 0]^rank, and every sigma through the length given,
+# whose top min_rep(sigma * t_lam) is at most 14 long: (type, m, l(sigma), splits)
+OFF_SEED = [
+    ("A1", 3, 3, 60), ("A2", 2, 3, 363), ("C2", 2, 3, 170), ("G2", 4, 3, 146),
+    ("A3", 2, 2, 776), ("B3", 2, 2, 81), ("C3", 2, 2, 192), ("D4", 2, 1, 255),
+]
+
+
+@pytest.mark.parametrize("label,m,sigma_len,count", OFF_SEED, ids=[c[0] for c in OFF_SEED])
+def test_star_decompose_off_the_seed_matches_the_element_oracle(label, m, sigma_len, count):
+    d = datum(label)
+    seed = tuple(-c for c in d.highest_coroot)
+    splits = 0
+    for lam in itertools.product(range(-m, 1), repeat=d.rank):
+        if not any(lam) or lam == seed or not is_antidominant(d, lam):
+            continue
+        t = translation(d, lam)
+        for sigma in enumerate_minreps(parse_type(label), sigma_len).flat():
+            top = min_rep(sigma * t)
+            if top.length() > 14:
+                continue
+            for omega in affine.lower_interval(top).flat():
+                assert star_decompose(omega, sigma, lam) == product_star_decompose(omega, sigma, lam)
+                splits += 1
+    assert splits == count
 
 
 def test_decompose_suite_splits_as_star_decompose(monkeypatch):
